@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
+import traceback
 
 from . import combgraphs as cg
 from . import contact as ct
@@ -25,22 +24,6 @@ from .exactalg import (
     element_from_json,
     series_from_json,
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    subcommand: str | None = None
-    input_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "json"
-    n: int = 1
-    l: int | None = None
-    order: int | None = None
-    trunc_base: int | None = None
-    trunc_series: int | None = None
-    max_r: int = 8
-    threads: int = 1
 
 
 class InputError(ValueError):
@@ -57,30 +40,28 @@ def _load(path):
         raise InputError("cannot read %s: %s" % (path, err))
 
 
-def _emit(config, payload, text=None):
-    if config.fmt == "text" and text is not None:
-        body = text
-    elif config.fmt == "dot" and isinstance(payload, str):
+def _emit(args, payload):
+    if args.fmt == "dot" and isinstance(payload, str):
         body = payload
     else:
         body = json.dumps(payload, sort_keys=True, indent=2)
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
     else:
         sys.stdout.write(body + "\n")
 
 
-def _contact_data(config, data):
+def _contact_data(args, data):
     try:
         algebra = TruncatedAlgebra.from_json(
             {
                 **data["algebra"],
-                "order": config.trunc_base or data["algebra"]["order"],
+                "order": args.trunc_base or data["algebra"]["order"],
             }
         )
         ring = NodeRing(
-            algebra, config.trunc_series or data.get("series_order", 8)
+            algebra, args.trunc_series or data.get("series_order", 8)
         )
         psi_t = element_from_json(algebra, data["psi_t"])
         phi1 = series_from_json(ring, data["phi_w1"])
@@ -116,39 +97,35 @@ def _perm_name(sigma):
     return "".join(cycles)
 
 
-def _report_payload(report):
-    return report.to_json()
-
-
-def run(config):
-    """Dispatch a parsed configuration; returns the process exit status."""
-    if config.command == "verify-atlas":
-        atlas = lm.gamma_atlas(config.n)
-        report = lm.verify_atlas(atlas, workers=config.threads)
-        _emit(config, _report_payload(report))
+def run(args):
+    """Dispatch parsed arguments; returns the process exit status."""
+    if args.command == "verify-atlas":
+        atlas = lm.gamma_atlas(args.n)
+        report = lm.verify_atlas(atlas)
+        _emit(args, report.to_json())
         return 0 if report.passed else 1
 
-    if config.command == "resolution-check":
+    if args.command == "resolution-check":
         _, report = lm.verify_resolution()
-        _emit(config, _report_payload(report))
+        _emit(args, report.to_json())
         return 0 if report.passed else 1
 
-    if config.command == "splice-check":
-        ls = [config.l] if config.l else list(range(1, config.n + 2))
+    if args.command == "splice-check":
+        ls = [args.l] if args.l else list(range(1, args.n + 2))
         payload = {}
         ok = True
         for l in ls:
-            report = lm.splice_check(config.n, l)
-            payload["l=%d" % l] = _report_payload(report)
+            report = lm.splice_check(args.n, l)
+            payload["l=%d" % l] = report.to_json()
             ok = ok and report.passed
-        _emit(config, payload)
+        _emit(args, payload)
         return 0 if ok else 1
 
-    if config.command == "contact":
-        data = _load(config.input_path)
-        cdata = _contact_data(config, data)
-        order = config.order or data.get("order")
-        if config.subcommand == "check":
+    if args.command == "contact":
+        data = _load(args.input_path)
+        cdata = _contact_data(args, data)
+        order = args.order or data.get("order")
+        if args.subcommand == "check":
             if order is None:
                 order = ct.contact_orders(cdata)[0]
             report = ct.check_pure_contact(cdata, order)
@@ -164,9 +141,9 @@ def run(config):
                 payload["orientation"] = report.orientation
             else:
                 payload["certificate"] = report.certificate
-            _emit(config, payload)
+            _emit(args, payload)
             return 0 if report.pure else 1
-        if config.subcommand == "ideal":
+        if args.subcommand == "ideal":
             if order is None:
                 raise InputError("contact ideal needs --order")
             ideal = ct.predeformability_ideal(cdata, order)
@@ -177,9 +154,9 @@ def run(config):
                 "span_dimension": ideal.span.dim,
                 "zero": ideal.is_zero(),
             }
-            _emit(config, payload)
+            _emit(args, payload)
             return 0
-        if config.subcommand == "universality":
+        if args.subcommand == "universality":
             if order is None:
                 raise InputError("contact universality needs --order")
             homs = [
@@ -196,13 +173,13 @@ def run(config):
                     for _, pure, killed in results
                 ],
             }
-            _emit(config, payload)
+            _emit(args, payload)
             return 0 if holds else 1
         raise InputError("unknown contact subcommand")
 
-    if config.command == "graphs":
-        if config.subcommand == "enumerate":
-            alpha = cg.TripleAlphabet(max_roots=min(config.max_r, 8))
+    if args.command == "graphs":
+        if args.subcommand == "enumerate":
+            alpha = cg.TripleAlphabet(max_roots=min(args.max_r, 8))
             triples = cg.enumerate_triples(alpha)
             payload = {
                 "count": len(triples),
@@ -211,10 +188,10 @@ def run(config):
             for tr in triples:
                 key = str(tr.num_roots)
                 payload["by_roots"][key] = payload["by_roots"].get(key, 0) + 1
-            _emit(config, payload)
+            _emit(args, payload)
             return 0
-        data = _load(config.input_path)
-        if config.subcommand == "validate":
+        data = _load(args.input_path)
+        if args.subcommand == "validate":
             graph = cg.graph_from_json(data)
             payload = {
                 "vertices": graph.num_vertices,
@@ -223,17 +200,17 @@ def run(config):
                 "contact_defects": list(graph.contact_defects()),
                 "contact_ok": graph.satisfies_contact(),
             }
-            _emit(config, payload)
+            _emit(args, payload)
             return 0 if graph.satisfies_contact() else 1
         triple = cg.AdmissibleTriple(
             cg.graph_from_json(data["first"]),
             cg.graph_from_json(data["second"]),
             tuple(data.get("first_legs", [])),
         )
-        if config.subcommand == "glue":
+        if args.subcommand == "glue":
             glued, genus, degree, ttype = cg.glue(triple)
-            if config.fmt == "dot":
-                _emit(config, glued.to_dot())
+            if args.fmt == "dot":
+                _emit(args, glued.to_dot())
                 return 0
             payload = {
                 "genus": genus,
@@ -246,30 +223,30 @@ def run(config):
                 "betti": glued.betti(),
                 "edges": [[a, b, w] for a, b, w in glued.edges],
             }
-            _emit(config, payload)
+            _emit(args, payload)
             return 0
-        if config.subcommand == "eq-group":
-            elements = cg.eq_group(triple, bound=config.max_r)
+        if args.subcommand == "eq-group":
+            elements = cg.eq_group(triple, bound=args.max_r)
             payload = {
                 "order": len(elements),
                 "elements": sorted(_perm_name(s) for s in elements),
             }
-            _emit(config, payload)
+            _emit(args, payload)
             return 0
         raise InputError("unknown graphs subcommand")
 
-    if config.command == "maps":
-        data = _load(config.input_path)
+    if args.command == "maps":
+        data = _load(args.input_path)
         sm = cg.split_map_from_json(data)
-        if config.subcommand == "stability":
+        if args.subcommand == "stability":
             payload = {
                 "stable": sm.is_stable(),
                 "oracle": sm.stability_oracle(),
                 "weights": list(sm.weights()),
             }
-            _emit(config, payload)
+            _emit(args, payload)
             return 0 if sm.is_stable() else 1
-        if config.subcommand == "norm":
+        if args.subcommand == "norm":
             t = sm.total_type()
             payload = {
                 "type": {"degree": t.degree, "genus": t.genus, "marks": t.marks},
@@ -277,12 +254,12 @@ def run(config):
                 "weights": list(sm.weights()),
                 "identity_holds": sm.verify_norm_identity(),
             }
-            _emit(config, payload)
+            _emit(args, payload)
             return 0 if sm.verify_norm_identity() else 1
-        if config.subcommand == "decompose":
-            if config.l is None:
+        if args.subcommand == "decompose":
+            if args.l is None:
                 raise InputError("maps decompose needs --l")
-            side1, side2, sigma = cg.decompose(sm, config.l)
+            side1, side2, sigma = cg.decompose(sm, args.l)
             payload = {
                 "interface_weights": list(sigma),
                 "first": {
@@ -301,11 +278,11 @@ def run(config):
                 },
                 "roundtrip": cg.glue_halves(side1, side2) == sm,
             }
-            _emit(config, payload)
+            _emit(args, payload)
             return 0 if payload["roundtrip"] else 1
         raise InputError("unknown maps subcommand")
 
-    raise InputError("unknown command %r" % config.command)
+    raise InputError("unknown command %r" % args.command)
 
 
 def build_parser():
@@ -314,6 +291,7 @@ def build_parser():
         description="exact verification toolkit for expanded-model charts, "
         "node-ring contact calculus, and gluing combinatorics",
     )
+    parser.set_defaults(subcommand=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=False):
@@ -343,39 +321,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    threads = 1
-    env = os.environ.get("DEGKIT_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            threads = 1
-    config = RunConfig(
-        command=ns.command,
-        subcommand=getattr(ns, "subcommand", None),
-        input_path=ns.input_path,
-        out_path=ns.out_path,
-        fmt=ns.fmt,
-        n=ns.n,
-        l=ns.l,
-        order=ns.order,
-        trunc_base=ns.trunc_base,
-        trunc_series=ns.trunc_series,
-        max_r=ns.max_r,
-        threads=threads,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
+        return run(args)
     except (InputError, ct.ContactError, cg.GraphError, cg.SplitMapError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
     except (KeyError, TypeError, ValueError) as err:
         sys.stderr.write("error: malformed input (%s)\n" % err)
         return 2
-    except Exception as err:  # pragma: no cover - internal invariant breach
-        sys.stderr.write("internal error: %s\n" % err)
+    except Exception:  # internal invariant breach
+        sys.stderr.write("internal error\n" + traceback.format_exc())
         return 3
 
 

@@ -25,8 +25,59 @@ class SplitMapError(ValueError):
     pass
 
 
+class DisconnectedMapError(SplitMapError):
+    """The piece/node incidence graph of a split map falls apart."""
+
+
 class GraphError(ValueError):
     pass
+
+
+def _components(size, pairs):
+    """Component label of each of ``size`` elements joined by ``pairs``;
+    labels count up from 0 in order of first appearance."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        # the smaller root wins, so every parent precedes its child
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+    labels = []
+    count = 0
+    for x in range(size):
+        root = parent[x] = parent[parent[x]]
+        if root == x:
+            labels.append(count)
+            count += 1
+        else:
+            labels.append(labels[root])
+    return labels
+
+
+def _piece_components(groups, nodes):
+    """Component label of piece p of group i at ``[i][p]``, where each node
+    (weight, a, b) of interface i joins piece a of group i to piece b of
+    group i+1."""
+    starts = [0]
+    for g in groups:
+        starts.append(starts[-1] + len(g))
+    labels = _components(
+        starts[-1],
+        [
+            (starts[i] + a, starts[i + 1] + b)
+            for i, iface in enumerate(nodes)
+            for _, a, b in iface
+        ],
+    )
+    return [labels[starts[i] : starts[i + 1]] for i in range(len(groups))]
 
 
 @dataclass(frozen=True, order=True)
@@ -89,38 +140,14 @@ class SplitMap:
                     raise SplitMapError("node weights are positive")
                 if not (0 <= a < len(groups[i]) and 0 <= b < len(groups[i + 1])):
                     raise SplitMapError("node attachment out of range")
-        if not self._connected():
-            raise SplitMapError("the piece/node incidence graph is disconnected")
+        # labels count from 0, so any nonzero label is a second component
+        if any(map(any, _piece_components(groups, nodes))):
+            raise DisconnectedMapError(
+                "the piece/node incidence graph is disconnected"
+            )
         self._canonical = None
 
     # ------------------------------------------------------------ structure
-    def _piece_ids(self):
-        return [(i, p) for i, g in enumerate(self.groups) for p in range(len(g))]
-
-    def _connected(self):
-        ids = self._piece_ids()
-        if not ids:
-            return False
-        index = {pid: k for k, pid in enumerate(ids)}
-        parent = list(range(len(ids)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for i, iface in enumerate(self.nodes):
-            for _, a, b in iface:
-                union(index[(i, a)], index[(i + 1, b)])
-        roots = {find(k) for k in range(len(ids))}
-        return len(roots) == 1
-
     def left_contacts(self, i, p):
         """Weights of interface i-1 nodes on piece p of group i (1-based i)."""
         if i == 1:
@@ -190,12 +217,8 @@ class SplitMap:
                 return False
         for i in (1, self.n + 2):
             for p, piece in enumerate(self.groups[i - 1]):
-                if piece.degree == 0:
-                    special = piece.marks + self.piece_contact_count(i, p)
-                    if piece.genus == 0 and special < 3:
-                        return False
-                    if piece.genus == 1 and special < 1:
-                        return False
+                if piece.marks < _mark_need(self, i, p):
+                    return False
         return True
 
     def stability_oracle(self):
@@ -228,95 +251,59 @@ class SplitMap:
     def canonical_key(self):
         """Deterministic encoding, minimized over relabelings of identical
         pieces inside each group."""
-        if self._canonical is not None:
-            return self._canonical
-        best = None
-        for perms in self._data_preserving_relabelings():
-            enc = self._encode(perms)
-            if best is None or enc < best:
-                best = enc
-        self._canonical = best
-        return best
-
-    def _encode(self, perms):
-        group_enc = []
-        for i, g in enumerate(self.groups):
-            inv = perms[i]
-            arranged = [None] * len(g)
-            for old, new in enumerate(inv):
-                arranged[new] = g[old]
-            group_enc.append(tuple((p.genus, p.degree, p.marks) for p in arranged))
-        node_enc = []
-        for i, iface in enumerate(self.nodes):
-            node_enc.append(
-                tuple(sorted((mu, perms[i][a], perms[i + 1][b]) for mu, a, b in iface))
+        if self._canonical is None:
+            # every relabeling that sorts the pieces is one fixed sorting
+            # relabeling after a permutation of identical pieces
+            groups = []
+            sorting = []
+            for g in self.groups:
+                order = sorted(range(len(g)), key=g.__getitem__)
+                rank = [0] * len(g)
+                for k, p in enumerate(order):
+                    rank[p] = k
+                sorting.append(rank)
+                groups.append(
+                    tuple((g[p].genus, g[p].degree, g[p].marks) for p in order)
+                )
+            nodes = min(
+                self._encode_nodes(
+                    [[rank[q] for q in sigma] for rank, sigma in zip(sorting, perms)]
+                )
+                for perms in self._equal_data_permutations()
             )
-        return (tuple(group_enc), tuple(node_enc))
+            self._canonical = (tuple(groups), nodes)
+        return self._canonical
 
-    def _data_preserving_relabelings(self, limit=20000):
-        """All tuples of per-group relabelings that keep the sorted piece
-        order and permute only identical pieces."""
-        per_group = []
-        for g in self.groups:
-            order = sorted(range(len(g)), key=lambda p: g[p])
-            blocks = []
-            start = 0
-            while start < len(order):
-                stop = start
-                while stop < len(order) and g[order[stop]] == g[order[start]]:
-                    stop += 1
-                blocks.append(order[start:stop])
-                start = stop
-            options = []
-            for assignment in itertools.product(
-                *[itertools.permutations(range(len(b))) for b in blocks]
-            ):
-                relabel = [None] * len(g)
-                pos = 0
-                for block, perm in zip(blocks, assignment):
-                    base = pos
-                    for slot, member in enumerate(perm):
-                        relabel[block[member]] = base + slot
-                    pos += len(block)
-                options.append(tuple(relabel))
-            per_group.append(options)
-        count = 1
-        for opts in per_group:
-            count *= len(opts)
-            if count > limit:
-                raise SplitMapError("too many relabelings to canonicalize")
-        return itertools.product(*per_group)
+    def _encode_nodes(self, relabel):
+        return tuple(
+            tuple(
+                sorted((mu, relabel[i][a], relabel[i + 1][b]) for mu, a, b in iface)
+            )
+            for i, iface in enumerate(self.nodes)
+        )
 
     def _equal_data_permutations(self, limit=20000):
         """Per-group permutations moving pieces only inside equal-data
-        classes, identity included."""
+        classes, identity first."""
         per_group = []
+        count = 1
         for g in self.groups:
             classes = {}
             for p, piece in enumerate(g):
-                classes.setdefault(
-                    (piece.genus, piece.degree, piece.marks), []
-                ).append(p)
-            pools = []
-            for members in classes.values():
-                pools.append(
-                    [
-                        dict(zip(members, perm))
-                        for perm in itertools.permutations(members)
-                    ]
-                )
+                classes.setdefault(piece, []).append(p)
             options = []
-            for combo in itertools.product(*pools):
-                mapping = {}
-                for d in combo:
-                    mapping.update(d)
-                options.append(tuple(mapping[p] for p in range(len(g))))
-            per_group.append(options)
-        count = 1
-        for opts in per_group:
-            count *= len(opts)
+            for combo in itertools.product(
+                *[itertools.permutations(members) for members in classes.values()]
+            ):
+                perm = [None] * len(g)
+                for members, images in zip(classes.values(), combo):
+                    for p, q in zip(members, images):
+                        perm[p] = q
+                options.append(tuple(perm))
+            count *= len(options)
             if count > limit:
                 raise SplitMapError("too many relabelings to search")
+            per_group.append(options)
         return itertools.product(*per_group)
 
     def automorphisms(self):
@@ -396,12 +383,21 @@ class SplitMap:
         }
 
 
+def _json_ints(error, *values):
+    """Integer fields of JSON input; floats and booleans raise ``error``."""
+    for v in values:
+        if type(v) is not int:
+            raise error("expected an integer, got %r" % (v,))
+    return values
+
+
 def split_map_from_json(data):
     groups = [
-        [Piece(p["g"], p["d"], p["marks"]) for p in g] for g in data["groups"]
+        [Piece(*_json_ints(SplitMapError, p["g"], p["d"], p["marks"])) for p in g]
+        for g in data["groups"]
     ]
     nodes = [
-        [(x["weight"], x["left"], x["right"]) for x in iface]
+        [_json_ints(SplitMapError, x["weight"], x["left"], x["right"]) for x in iface]
         for iface in data["nodes"]
     ]
     return SplitMap(groups, nodes)
@@ -545,16 +541,6 @@ class EnumerationCaps:
         return max(t.norm() + 1, 0)
 
 
-def _end_piece_ok(piece, contacts, marks):
-    if piece.degree == 0:
-        special = marks + contacts
-        if piece.genus == 0 and special < 3:
-            return False
-        if piece.genus == 1 and special < 1:
-            return False
-    return True
-
-
 def enumerate_split_maps(t, caps=EnumerationCaps(), stable_only=False, max_norm=6):
     """All split maps of total type ``t`` up to piece relabeling, for every
     expansion length up to the norm bound.
@@ -618,18 +604,18 @@ def _enumerate_for_n(t, n, caps, stable_only=False):
 
 
 def _mark_need(sm, i, p):
-    """Least number of marked points the generation rules force on a piece."""
+    """Least number of marked points the generation rules force on a piece;
+    contacts are counted only for the pieces whose rule reads them."""
     piece = sm.groups[i - 1][p]
-    contacts = sm.piece_contact_count(i, p)
     if i in (1, sm.n + 2):
         if piece.degree == 0:
             if piece.genus == 0:
-                return max(0, 3 - contacts)
+                return max(0, 3 - sm.piece_contact_count(i, p))
             if piece.genus == 1:
-                return max(0, 1 - contacts)
+                return max(0, 1 - sm.piece_contact_count(i, p))
         return 0
     if piece.degree > 0:
-        w0 = piece.degree + 2 * piece.genus - 2 + contacts
+        w0 = piece.degree + 2 * piece.genus - 2 + sm.piece_contact_count(i, p)
         return max(0, 1 - w0)
     return 0
 
@@ -643,24 +629,19 @@ def _distribute_marks(skeleton, k):
     if shortfall < 0:
         return
     index = {pid: j for j, pid in enumerate(ids)}
-    parent = list(range(len(ids)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for auto in skeleton.automorphisms():
-        for i, p in ids:
-            j, jj = index[(i, p)], index[(i, auto[i][p])]
-            rj, rjj = find(j), find(jj)
-            if rj != rjj:
-                parent[rj] = rjj
+    labels = _components(
+        len(ids),
+        (
+            (index[(i, p)], index[(i, auto[i][p])])
+            for auto in skeleton.automorphisms()
+            for i, p in ids
+        ),
+    )
     orbit_members = {}
-    for j in range(len(ids)):
-        orbit_members.setdefault(find(j), []).append(j)
-    orbits = sorted(orbit_members.values())
+    for j, label in enumerate(labels):
+        orbit_members.setdefault(label, []).append(j)
+    # labels number the orbits by their least member, so these come sorted
+    orbits = list(orbit_members.values())
 
     def orbit_extras(size, budget):
         # non-increasing tuples of the given length summing to at most budget
@@ -995,7 +976,7 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
         if i > ifaces:
             try:
                 yield SplitMap(pieces, chosen)
-            except SplitMapError:
+            except DisconnectedMapError:
                 pass
             return
         left_group = pieces[i - 1]
@@ -1229,14 +1210,18 @@ class AdmissibleGraph:
 
 def graph_from_json(data):
     group = ClassGroup(
-        len(data["deg_H"]), tuple(data["deg_H"]), tuple(data["deg_D"])
+        len(data["deg_H"]),
+        _json_ints(GraphError, *data["deg_H"]),
+        _json_ints(GraphError, *data["deg_D"]),
     )
-    genera = tuple(v["g"] for v in data["vertices"])
-    classes = tuple(tuple(v["b"]) for v in data["vertices"])
-    legs = tuple(data["leg_order"])
+    vertices = data["vertices"]
+    genera = _json_ints(GraphError, *(v["g"] for v in vertices))
+    classes = tuple(_json_ints(GraphError, *v["b"]) for v in vertices)
+    legs = _json_ints(GraphError, *data["leg_order"])
     roots = []
-    for v, k in data["root_order"]:
-        roots.append((v, data["vertices"][v]["roots"][k]["weight"]))
+    for pair in data["root_order"]:
+        v, k = _json_ints(GraphError, *pair)
+        roots.append((v,) + _json_ints(GraphError, vertices[v]["roots"][k]["weight"]))
     return AdmissibleGraph(group, genera, classes, legs, tuple(roots))
 
 
@@ -1269,22 +1254,14 @@ class AdmissibleTriple:
 
     def _glued_connected(self):
         n1 = self.first.num_vertices
-        total = n1 + self.second.num_vertices
-        parent = list(range(total))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(self.num_roots):
-            a = self.first.roots[i][0]
-            b = n1 + self.second.roots[i][0]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(v) for v in range(total)}) == 1
+        labels = _components(
+            n1 + self.second.num_vertices,
+            (
+                (a, n1 + b)
+                for (a, _), (b, _) in zip(self.first.roots, self.second.roots)
+            ),
+        )
+        return len(set(labels)) == 1
 
     def reorder(self, sigma):
         return AdmissibleTriple(
@@ -1322,20 +1299,8 @@ class GluedGraph:
     legs: tuple            # ordered; glued-vertex index per leg
 
     def betti(self):
-        parent = list(range(len(self.vertices)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b, _ in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        comps = len({find(v) for v in range(len(self.vertices))})
-        return len(self.edges) - len(self.vertices) + comps
+        labels = _components(len(self.vertices), ((a, b) for a, b, _ in self.edges))
+        return len(self.edges) - len(self.vertices) + len(set(labels))
 
     def to_dot(self):
         lines = ["graph glued {"]
@@ -1552,35 +1517,6 @@ def enumerate_triples(alpha=TripleAlphabet()):
 # ---------------------------------------------------------------------------
 
 
-def _half_components(half):
-    """Connected components of a relative half: (piece set, genus, degree,
-    marks count)."""
-    ids = [(i, p) for i, g in enumerate(half.groups) for p in range(len(g))]
-    index = {pid: k for k, pid in enumerate(ids)}
-    parent = list(range(len(ids)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, iface in enumerate(half.nodes):
-        for _, a, b in iface:
-            ra, rb = find(index[(i, a)]), find(index[(i + 1, b)])
-            if ra != rb:
-                parent[ra] = rb
-    comp_of = {}
-    for pid in ids:
-        comp_of[pid] = find(index[pid])
-    order = []
-    for pid in ids:
-        root = comp_of[pid]
-        if root not in order:
-            order.append(root)
-    return comp_of, order
-
-
 def half_to_graph(half):
     """Admissible-graph shadow of a relative half over the numeric group.
 
@@ -1589,9 +1525,8 @@ def half_to_graph(half):
     the component's marked points as consecutively ordered legs, and the
     half's roots in their stored order.
     """
-    comp_of, order = _half_components(half)
-    pos = {root: i for i, root in enumerate(order)}
-    nv = len(order)
+    comp = _piece_components(half.groups, half.nodes)
+    nv = len({v for row in comp for v in row})
     genera = [0] * nv
     degrees = [0] * nv
     piece_count = [0] * nv
@@ -1599,18 +1534,18 @@ def half_to_graph(half):
     marks = [0] * nv
     for i, g in enumerate(half.groups):
         for p, piece in enumerate(g):
-            v = pos[comp_of[(i, p)]]
+            v = comp[i][p]
             genera[v] += piece.genus
             degrees[v] += piece.degree
             marks[v] += piece.marks
             piece_count[v] += 1
     for i, iface in enumerate(half.nodes):
         for _, a, b in iface:
-            node_count[pos[comp_of[(i, a)]]] += 1
+            node_count[comp[i][a]] += 1
     vertex_genus = tuple(
         genera[v] + node_count[v] - piece_count[v] + 1 for v in range(nv)
     )
-    roots = tuple((pos[comp_of[(0, p)]], mu) for mu, p in half.roots)
+    roots = tuple((comp[0][p], mu) for mu, p in half.roots)
     root_weight = [0] * nv
     for v, w in roots:
         root_weight[v] += w

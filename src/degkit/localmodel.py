@@ -205,17 +205,13 @@ def _check_equal(name, f, g):
     return CheckResult(name, w is None, w)
 
 
-def verify_atlas(atlas, workers=1):
-    """Exact verification of every structural identity of the atlas.
-
-    The identity checks are independent of one another; with ``workers`` above
-    one they are evaluated on a thread pool (all inputs are immutable).
-    """
+def verify_atlas(atlas):
+    """Exact verification of every structural identity of the atlas."""
     n = atlas.n
-    tasks = []
+    checks = []
 
     def add_equal(name, f, g):
-        tasks.append(lambda: _check_equal(name, f, g))
+        checks.append(_check_equal(name, f, g))
 
     # projection compatibility: pi_{l+1} after T_l = pi_l
     for l in range(1, n + 1):
@@ -269,58 +265,35 @@ def verify_atlas(atlas, workers=1):
     full = RatFunc(Poly.one(n + 2))
     for i in range(n + 2):
         full = full * RatFunc(Poly.var(n + 2, i))
-
-    def product_task(l):
-        def check():
-            prod = RatFunc(Poly.one(n + 2))
-            for comp in atlas.projection(l).components:
-                prod = prod * comp
-            ok = prod.same(full)
-            return CheckResult(
+    for l in range(1, n + 2):
+        prod = RatFunc(Poly.one(n + 2))
+        for comp in atlas.projection(l).components:
+            prod = prod * comp
+        ok = prod.same(full)
+        checks.append(
+            CheckResult(
                 "total_product_chart_independent_l%d" % l,
                 ok,
                 None if ok else prod.render(atlas.chart_vars),
             )
-
-        return check
-
-    for l in range(1, n + 2):
-        tasks.append(product_task(l))
+        )
 
     # single-factor support: sigma_l moves exactly the bubble coordinate
     # u_{l+1} of charts U_l and U_{l+1}; the fiber axes of every other chart
     # are sigma_l-invariant
-    def support_task(sig):
-        def check():
-            ok = True
-            witness = None
-            for chart in range(1, n + 2):
-                for coord in (chart, chart + 1):
-                    e = atlas.sigma_exponent(chart, coord, sig)
-                    expected = coord == sig + 1 and chart in (sig, sig + 1)
-                    if (e != 0) != expected:
-                        ok = False
-                        witness = "chart %d coord %d exponent %d" % (
-                            chart,
-                            coord,
-                            e,
-                        )
-            return CheckResult(
-                "single_factor_support_sigma%d" % sig, ok, witness
-            )
-
-        return check
-
     for sig in range(1, n + 1):
-        tasks.append(support_task(sig))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            checks = list(pool.map(lambda t: t(), tasks))
-    else:
-        checks = [t() for t in tasks]
+        ok = True
+        witness = None
+        for chart in range(1, n + 2):
+            for coord in (chart, chart + 1):
+                e = atlas.sigma_exponent(chart, coord, sig)
+                expected = coord == sig + 1 and chart in (sig, sig + 1)
+                if (e != 0) != expected:
+                    ok = False
+                    witness = "chart %d coord %d exponent %d" % (chart, coord, e)
+        checks.append(
+            CheckResult("single_factor_support_sigma%d" % sig, ok, witness)
+        )
     return Report(tuple(checks))
 
 

@@ -222,10 +222,70 @@ def test_failure_report_carries_witness(capsys):
     )
 
 
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DEGKIT_THREADS", "3")
-    code, out = run_cli(capsys, "verify-atlas", "--n", "2")
-    assert code == 0
-    monkeypatch.setenv("DEGKIT_THREADS", "1")
-    _, single = run_cli(capsys, "verify-atlas", "--n", "2")
-    assert out == single
+def test_internal_error_keeps_traceback(capsys, monkeypatch):
+    from degkit import localmodel as lm
+
+    def boom(n):
+        raise RuntimeError("invariant breached")
+
+    monkeypatch.setattr(lm, "gamma_atlas", boom)
+    code = main(["verify-atlas", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" in captured.err
+    assert "RuntimeError: invariant breached" in captured.err
+    assert captured.out == ""
+
+
+def _set_path(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+MAP_FIELDS = [
+    ("groups", 0, 0, "d"),
+    ("groups", 0, 0, "g"),
+    ("groups", 0, 0, "marks"),
+    ("nodes", 0, 0, "weight"),
+    ("nodes", 0, 0, "left"),
+    ("nodes", 1, 0, "right"),
+]
+GRAPH_FIELDS = [
+    ("vertices", 0, "g"),
+    ("vertices", 0, "b", 1),
+    ("vertices", 0, "roots", 0, "weight"),
+    ("root_order", 0, 1),
+    ("leg_order", 0),
+    ("deg_H", 0),
+]
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+@pytest.mark.parametrize("path", MAP_FIELDS)
+def test_maps_reject_non_integers(tmp_path, capsys, path, bad):
+    data = json.loads(map_input(tmp_path).read_text())
+    _set_path(data, path, bad)
+    target = tmp_path / "bad_map.json"
+    target.write_text(json.dumps(data))
+    for sub in ("stability", "norm"):
+        code, out = run_cli(capsys, "maps", sub, "--input", str(target))
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+@pytest.mark.parametrize("path", GRAPH_FIELDS)
+def test_graphs_reject_non_integers(tmp_path, capsys, path, bad):
+    g = AdmissibleGraph(NUMERIC_GROUP, (0,), ((1, 1),), (0,), ((0, 1),))
+    data = g.to_json()
+    _set_path(data, path, bad)
+    graph_path = tmp_path / "bad_graph.json"
+    graph_path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "graphs", "validate", "--input", str(graph_path))
+    assert code == 2 and out == ""
+    triple_path = tmp_path / "bad_triple.json"
+    triple_path.write_text(
+        json.dumps({"first": data, "second": g.to_json(), "first_legs": [1]})
+    )
+    code, out = run_cli(capsys, "graphs", "glue", "--input", str(triple_path))
+    assert code == 2 and out == ""

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -32,6 +33,7 @@ from degkit import (
     split_map_from_json,
     triples_equivalent,
 )
+from degkit.combgraphs import DisconnectedMapError
 
 
 # --- split maps and weights -------------------------------------------------
@@ -92,6 +94,16 @@ def test_invalid_maps_rejected():
         SplitMap([[Piece(0, 1, 0)], []], [((1, 0, 5),)])  # out of range
     with pytest.raises(SplitMapError):
         SplitMap([[Piece(0, 1, 0)], [Piece(0, 1, 0)]], [((0, 0, 0),)])  # weight
+
+
+def test_disconnection_has_its_own_error():
+    with pytest.raises(DisconnectedMapError):
+        SplitMap([[Piece(0, 1, 0)], [Piece(0, 1, 0)]], [()])
+    # the enumerator drops disconnected candidates only; other rejections
+    # must not look like disconnections
+    with pytest.raises(SplitMapError) as info:
+        SplitMap([[Piece(0, 1, 0)], [Piece(0, 1, 0)]], [((0, 0, 0),)])
+    assert not isinstance(info.value, DisconnectedMapError)
 
 
 def test_ample_weights():
@@ -169,6 +181,77 @@ def test_enumeration_stability_agreement():
     for t in (TopType(2, 0, 0), TopType(1, 0, 2), TopType(0, 2, 0), TopType(2, 0, 1)):
         for m in enumerate_split_maps(t):
             assert m.is_stable() == m.stability_oracle()
+
+
+# --- canonical form and automorphisms -------------------------------------
+
+
+def _maps_of_norm_at_most_2():
+    out = []
+    for d in range(5):
+        for g in range(3):
+            for k in range(5):
+                t = TopType(d, g, k)
+                if t.norm() <= 2:
+                    for stable in (False, True):
+                        out.extend(enumerate_split_maps(t, stable_only=stable))
+    return out
+
+
+SMALL_MAPS = _maps_of_norm_at_most_2()
+
+
+def _draw_shuffled(data):
+    """A map of norm <= 2 and a copy with the pieces of every group
+    shuffled and the node attachments remapped to match."""
+    m = data.draw(st.sampled_from(SMALL_MAPS))
+    perms = [data.draw(st.permutations(range(len(g)))) for g in m.groups]
+    groups = []
+    for g, perm in zip(m.groups, perms):
+        moved = [None] * len(g)
+        for p, piece in enumerate(g):
+            moved[perm[p]] = piece
+        groups.append(moved)
+    nodes = [
+        [(mu, perms[i][a], perms[i + 1][b]) for mu, a, b in iface]
+        for i, iface in enumerate(m.nodes)
+    ]
+    return m, SplitMap(groups, nodes)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_key_ignores_piece_order(data):
+    m, shuffled = _draw_shuffled(data)
+    assert shuffled.canonical_key() == m.canonical_key()
+
+
+def _brute_force_automorphisms(m):
+    found = []
+    for perms in itertools.product(
+        *[itertools.permutations(range(len(g))) for g in m.groups]
+    ):
+        if any(
+            g[perm[p]] != g[p]
+            for g, perm in zip(m.groups, perms)
+            for p in range(len(g))
+        ):
+            continue
+        if all(
+            sorted(iface)
+            == sorted((mu, perms[i][a], perms[i + 1][b]) for mu, a, b in iface)
+            for i, iface in enumerate(m.nodes)
+        ):
+            found.append(perms)
+    return sorted(found)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_automorphisms_match_brute_force(data):
+    m, shuffled = _draw_shuffled(data)
+    for sm in (m, shuffled):
+        assert sorted(sm.automorphisms()) == _brute_force_automorphisms(sm)
 
 
 # --- decompose / glue ---------------------------------------------------------
