@@ -21,6 +21,7 @@ from .exactalg import (
     AlgebraHom,
     NodeRing,
     TruncatedAlgebra,
+    _json_int,
     element_from_json,
     series_from_json,
 )
@@ -54,6 +55,9 @@ def _emit(args, payload):
 
 def _contact_data(args, data):
     try:
+        for key in ("order", "series_order"):
+            if data.get(key) is not None:
+                _json_int(data[key])
         algebra = TruncatedAlgebra.from_json(
             {
                 **data["algebra"],

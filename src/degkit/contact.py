@@ -160,19 +160,7 @@ def is_nondegenerate(data):
         if not s_span.contains(phi.a0.coeffs):
             return False, None
     dim = alg.dim * (2 * (ring.internal - 1) + 1)
-    K = ring.internal - 1
-    vectors = []
-    for phi in (data.phi_w1, data.phi_w2):
-        scaled = [phi * alg.basis_element(j) for j in range(alg.dim)]
-        for base in scaled:
-            vectors.append(_series_vec(base))
-            up = base
-            down = base
-            for _ in range(K):
-                up = up.shift(1)
-                down = down.shift(2)
-                vectors.append(_series_vec(up))
-                vectors.append(_series_vec(down))
+    vectors = _shifted_family(data.phi_w1) + _shifted_family(data.phi_w2)
     ideal_span = Subspace(vectors, dim)
     for m in range(1, ring.order + 1):
         good = True
@@ -194,41 +182,51 @@ def is_nondegenerate(data):
     return False, None
 
 
+def _shifted_family(x):
+    """Flat vectors of x * e_j over the basis e_j of the base, then of their
+    shifts by z1^k for k = 1 .. internal - 1 (level by level), then by z2^k.
+
+    Together they span the ideal generated by x in the internal window.
+    """
+    alg = x.ring.algebra
+    base = [x * alg.basis_element(j) for j in range(alg.dim)]
+    fam = list(base)
+    for branch in (1, 2):
+        level = base
+        for _ in range(x.ring.internal - 1):
+            level = [y.shift(branch) for y in level]
+            fam.extend(level)
+    return [_series_vec(y) for y in fam]
+
+
 def _zswap(series):
     """The coordinate exchange z1 <-> z2 (a ring automorphism over the base)."""
     return NodeSeries(series.ring, series.a0, series.b, series.a)
 
 
 class _Row:
-    """One coefficient equation: sum coeffs[x] * x = rhs, read modulo
-    s^modulus when the slot sits in the reduced top window (modulus None
-    means an exact equation)."""
+    """One exact coefficient equation: sum coeffs[x] * x = rhs."""
 
-    __slots__ = ("coeffs", "rhs", "label", "modulus")
+    __slots__ = ("coeffs", "rhs", "label")
 
-    def __init__(self, coeffs, rhs, label, modulus=None):
+    def __init__(self, coeffs, rhs, label):
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
         self.rhs = rhs
         self.label = label
-        self.modulus = modulus
-
-
-def _slot_modulus(ring, slot):
-    """Power of s annihilating a tail slot, or None when the slot is exact."""
-    e = ring.internal - slot
-    return e if e < ring.algebra.order else None
 
 
 def _linear_rows(phi1, phi2, n):
     """The coefficient equations of phi1 = beta z1^n and beta phi2 = eps
-    z2^n, A-linear in the unknowns.
+    z2^n, A-linear in the unknowns, on the exposed slots z^1..z^order.
 
     Unknowns: 0 is the constant of beta, 1..K its z1 tail, K+1..2K its z2
-    tail, 2K+1 is eps.  Returns (rows, K).
+    tail, 2K+1 is eps.  The slots past the exposed order are reduced
+    modulo powers of s and give no exact equation.
     """
     ring = phi1.ring
     alg = ring.algebra
     K = ring.internal - 1
+    top = ring.order
     s_pow = [alg.one()]
     for _ in range(alg.order):
         s_pow.append(s_pow[-1] * alg.s)
@@ -239,38 +237,25 @@ def _linear_rows(phi1, phi2, n):
     rows = []
     # first identity: slot matching of beta * z1^n against phi1;
     # constant slot: x_b[n] s^n contributes, rhs is phi1's constant
-    row = {K + n: spow(n)} if n <= K else {}
-    rows.append(_Row(row, phi1.a0, "first branch constant slot"))
-    for slot in range(1, K + 1):
+    rows.append(_Row({K + n: spow(n)}, phi1.a0, "first branch constant slot"))
+    for slot in range(1, top + 1):
         coeffs = {}
         if slot == n:
             coeffs[0] = alg.one()
         if slot > n:
             coeffs[slot - n] = alg.one()
         if slot < n:
-            j = n - slot
-            if K + j <= 2 * K:
-                coeffs[K + j] = spow(j)
+            coeffs[K + n - slot] = spow(n - slot)
         rows.append(
-            _Row(
-                coeffs,
-                phi1.z1_coeff(slot),
-                "first branch z1^%d slot" % slot,
-                _slot_modulus(ring, slot),
-            )
+            _Row(coeffs, phi1.z1_coeff(slot), "first branch z1^%d slot" % slot)
         )
-    for slot in range(1, K + 1):
+    for slot in range(1, top + 1):
         coeffs = {}
         j = slot + n
         if j <= K:
             coeffs[K + j] = spow(n)
         rows.append(
-            _Row(
-                coeffs,
-                phi1.z2_coeff(slot),
-                "first branch z2^%d slot" % slot,
-                _slot_modulus(ring, slot),
-            )
+            _Row(coeffs, phi1.z2_coeff(slot), "first branch z2^%d slot" % slot)
         )
     # second identity: beta * phi2 = eps z2^n; precompute shifted products
     z1_shift = [phi2]
@@ -295,47 +280,29 @@ def _linear_rows(phi1, phi2, n):
         u: beta_coeff(u, g_const, 0) for u in range(2 * K + 1)
     }
     rows.append(_Row(coeffs, alg.zero(), "second branch constant slot"))
-    for slot in range(1, K + 1):
+    for slot in range(1, top + 1):
         coeffs = {u: beta_coeff(u, g_z1, slot) for u in range(2 * K + 1)}
-        rows.append(
-            _Row(
-                coeffs,
-                alg.zero(),
-                "second branch z1^%d slot" % slot,
-                _slot_modulus(ring, slot),
-            )
-        )
-    for slot in range(1, K + 1):
+        rows.append(_Row(coeffs, alg.zero(), "second branch z1^%d slot" % slot))
+    for slot in range(1, top + 1):
         coeffs = {u: beta_coeff(u, g_z2, slot) for u in range(2 * K + 1)}
         if slot == n:
             coeffs[2 * K + 1] = -one
-        rows.append(
-            _Row(
-                coeffs,
-                alg.zero(),
-                "second branch z2^%d slot" % slot,
-                _slot_modulus(ring, slot),
-            )
-        )
-    return rows, K
+        rows.append(_Row(coeffs, alg.zero(), "second branch z2^%d slot" % slot))
+    return rows
 
 
-def _unit_pivot_eliminate(rows):
-    """Gaussian elimination over the base algebra dividing only by units,
-    on the exact rows.
+def _obstructions(rows):
+    """Gaussian elimination over the base algebra dividing only by units.
 
-    Returns (assignments, clean, hard, fuzzy): assignments maps solved
-    unknowns to (rhs_element, dependency dict); clean rows have no unknowns
-    left, hard rows keep a non-unit unknown coefficient, fuzzy rows are the
-    reduced-window equations after substitution.
+    Returns the rows left with no unknowns and a nonzero right-hand side,
+    in their original order: each is an equation 0 = rhs that no base
+    change keeping rhs nonzero can satisfy.
     """
-    exact = [r for r in rows if r.modulus is None]
-    deferred = [r for r in rows if r.modulus is not None]
-    assignments = {}
+    live = list(rows)
     progress = True
     while progress:
         progress = False
-        for row in exact:
+        for row in live:
             pivot = None
             for u in sorted(row.coeffs):
                 if row.coeffs[u].is_unit():
@@ -348,10 +315,9 @@ def _unit_pivot_eliminate(rows):
                 u: -(inv * c) for u, c in row.coeffs.items() if u != pivot
             }
             val = inv * row.rhs
-            assignments[pivot] = (val, dep)
-            exact.remove(row)
+            live.remove(row)
             # substitute into every other row
-            for other in exact + deferred:
+            for other in live:
                 c = other.coeffs.pop(pivot, None)
                 if c is None or c.is_zero():
                     continue
@@ -366,45 +332,18 @@ def _unit_pivot_eliminate(rows):
                         other.coeffs[u] = total
             progress = True
             break
-    clean = []
-    hard = []
-    for row in exact:
-        if row.coeffs:
-            hard.append(row)
-        elif not row.rhs.is_zero():
-            clean.append(row)
-    fuzzy = [r for r in deferred]
-    return assignments, clean, hard, fuzzy
-
-
-def _resolve_assignments(assignments, total):
-    """Back-substitute to concrete values; unknowns never pivoted become 0."""
-    values = {}
-
-    def value_of(u, stack=()):
-        if u in values:
-            return values[u]
-        if u not in assignments:
-            return None
-        if u in stack:
-            raise ArithmeticError("cyclic elimination")
-        rhs, dep = assignments[u]
-        out = rhs
-        for v, c in dep.items():
-            vv = value_of(v, stack + (u,))
-            if vv is not None:
-                out = out + c * vv
-        values[u] = out
-        return out
-
-    for u in range(total):
-        value_of(u)
-    return values
+    return [r for r in live if not r.coeffs and not r.rhs.is_zero()]
 
 
 def _dense_pure_solve(phi1, phi2, n):
     """Exact Q-linear decision of phi1 = beta z1^n and beta phi2 = eps z2^n
-    over the whole quotient ring; complete but slower than the pivot path."""
+    over the whole quotient ring.
+
+    The unknowns are the Q-coordinates of beta (constant block, then the z1
+    tail, then the z2 tail, in the column order of :func:`_shifted_family`)
+    and of eps.  That order fixes the particular solution, and so the
+    reported beta.  Returns (beta, eps, None) or (None, None, certificate).
+    """
     ring = phi1.ring
     alg = ring.algebra
     K = ring.internal - 1
@@ -412,18 +351,6 @@ def _dense_pure_solve(phi1, phi2, n):
     basis_series = [ring.const(alg.basis_element(j)) for j in range(alg.dim)]
     zn_a = ring.branch_power(1, n, one)
     zn_b = ring.branch_power(2, n, one)
-
-    def shifted_family(base):
-        fam = list(base)
-        for branch in (1, 2):
-            level = list(base)
-            for _ in range(K):
-                level = [x.shift(branch) for x in level]
-                fam.extend(level)
-        return fam
-
-    fam_a = shifted_family([zn_a * alg.basis_element(j) for j in range(alg.dim)])
-    fam_2 = shifted_family([phi2 * alg.basis_element(j) for j in range(alg.dim)])
     for branch in (1, 2):
         for k in range(1, K + 1):
             for j in range(alg.dim):
@@ -432,7 +359,7 @@ def _dense_pure_solve(phi1, phi2, n):
                 )
     vec_len = alg.dim * (2 * K + 1)
     columns = [
-        _series_vec(ua) + _series_vec(u2) for ua, u2 in zip(fam_a, fam_2)
+        ua + u2 for ua, u2 in zip(_shifted_family(zn_a), _shifted_family(phi2))
     ]
     zero_block = [Fraction(0)] * vec_len
     for j in range(alg.dim):
@@ -460,73 +387,27 @@ def _pure_witness(data, n, swap):
     """Witness (beta, eps) for pure n-contact in one orientation, or a
     certificate string.
 
-    The unit-pivot elimination decides almost every case; equations from the
-    reduced top window that keep unknowns after substitution fall back to
-    the dense exact solve, so the decision is always exact.
+    A non-unit leading coefficient rules purity out at once.  Otherwise the
+    first obstruction row of the unit-pivot elimination, if there is one,
+    names the failing coefficient equation; with none, the dense exact
+    solve decides and supplies the witnesses.
     """
     phi1 = _zswap(data.phi_w1) if swap else data.phi_w1
     phi2 = _zswap(data.phi_w2) if swap else data.phi_w2
-    ring = data.ring
-    alg = ring.algebra
-    if n < 1 or n >= ring.internal:
+    if n < 1 or n >= data.ring.internal:
         raise ContactError("order_overflow", "contact order outside the window")
     if not phi1.z1_coeff(n).is_unit():
         return None, None, "leading first-branch coefficient is not a unit"
-    rows, K = _linear_rows(phi1, phi2, n)
-    assignments, clean, hard, fuzzy = _unit_pivot_eliminate(rows)
-    if clean:
-        row = clean[0]
+    obstructions = _obstructions(_linear_rows(phi1, phi2, n))
+    if obstructions:
+        row = obstructions[0]
         return (
             None,
             None,
             "unsolvable coefficient equation at the %s: %s"
             % (row.label, row.rhs.render()),
         )
-    need_dense = bool(hard)
-    if not need_dense:
-        for row in fuzzy:
-            if row.coeffs:
-                if not row.rhs.is_zero():
-                    need_dense = True
-                    break
-            else:
-                ann = alg.s ** row.modulus
-                span = Subspace(
-                    [
-                        (ann * alg.basis_element(j)).coeffs
-                        for j in range(alg.dim)
-                    ],
-                    alg.dim,
-                )
-                if not span.contains(row.rhs.coeffs):
-                    return (
-                        None,
-                        None,
-                        "unsolvable coefficient equation at the %s: %s"
-                        % (row.label, row.rhs.render()),
-                    )
-    if need_dense:
-        beta, eps, cert = _dense_pure_solve(phi1, phi2, n)
-    else:
-        values = _resolve_assignments(assignments, 2 * K + 2)
-        beta_const = values.get(0) or alg.zero()
-        beta_a = [values.get(1 + i) or alg.zero() for i in range(K)]
-        beta_b = [values.get(K + 1 + i) or alg.zero() for i in range(K)]
-        eps = values.get(2 * K + 1) or alg.zero()
-        beta = ring._series_internal(beta_const, beta_a, beta_b)
-        cert = None
-        if not beta.is_unit():
-            cert = "solved unit has vanishing constant term"
-        elif not eps.is_unit():
-            cert = "solved base unit has vanishing constant term"
-        elif (
-            beta * ring.branch_power(1, n, alg.one()) != phi1
-            or beta * phi2 != ring.branch_power(2, n, eps)
-        ):
-            # top-window interference: let the dense solve arbitrate
-            beta, eps, cert = _dense_pure_solve(phi1, phi2, n)
-        if cert is not None:
-            beta = eps = None
+    beta, eps, cert = _dense_pure_solve(phi1, phi2, n)
     if beta is None:
         return None, None, cert
     if swap:
@@ -569,10 +450,10 @@ def predeformability_ideal(data, n):
     identities are reduced by Gaussian elimination dividing only by units
     of the base (so every step stays valid after arbitrary base change);
     the equations left with no unknowns generate the ideal.  Equations that
-    keep a non-unit unknown coefficient, together with the equations of the
-    reduced top window, carry no base-change-stable content at this
-    truncation and are dropped; the universality check is the ground truth,
-    not any closed-form generator guess.
+    keep a non-unit unknown coefficient carry no base-change-stable content
+    at this truncation and are dropped, and the reduced slots past the
+    exposed order give no exact equation at all; the universality check is
+    the ground truth, not any closed-form generator guess.
     """
     ring = data.ring
     alg = ring.algebra
@@ -585,9 +466,8 @@ def predeformability_ideal(data, n):
             "nonunit_leading",
             "both branch coefficients at the requested order must be units",
         )
-    rows, _ = _linear_rows(data.phi_w1, data.phi_w2, n)
-    _, clean, _, _ = _unit_pivot_eliminate(rows)
-    return AlgebraIdeal(alg, [row.rhs for row in clean])
+    rows = _obstructions(_linear_rows(data.phi_w1, data.phi_w2, n))
+    return AlgebraIdeal(alg, [row.rhs for row in rows])
 
 
 def verify_universality(data, n, homs):

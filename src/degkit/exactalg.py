@@ -35,11 +35,25 @@ def _frac_str(c):
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def _frac_parse(text):
-    if isinstance(text, str):
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return Fraction(text)
+def _frac_parse(value):
+    """Exact rational of JSON input: an integer, or a "p" or "p/q" string.
+
+    Floats, booleans, empty and zero denominators raise ValueError.
+    """
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        den = int(den) if slash else 1
+        if den == 0:
+            raise ValueError("zero denominator in %r" % (value,))
+        return Fraction(int(num), den)
+    return Fraction(_json_int(value))
+
+
+def _json_int(value):
+    """Integer field of JSON input; floats and booleans raise ValueError."""
+    if type(value) is not int:
+        raise ValueError("expected an integer, got %r" % (value,))
+    return value
 
 
 class TruncatedAlgebra:
@@ -237,12 +251,15 @@ class TruncatedAlgebra:
         rels = [
             Poly(
                 len(data["generators"]),
-                {tuple(e): _frac_parse(c) for e, c in r},
+                {tuple(_json_int(x) for x in e): _frac_parse(c) for e, c in r},
             )
             for r in data["relations"]
         ]
         return cls(
-            data["generators"], rels, data["order"], data.get("local", True)
+            data["generators"],
+            rels,
+            _json_int(data["order"]),
+            data.get("local", True),
         )
 
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from degkit import (
     NUMERIC_GROUP,
     NodeRing,
     Piece,
+    Poly,
     SplitMap,
     TruncatedAlgebra,
 )
@@ -289,3 +291,47 @@ def test_graphs_reject_non_integers(tmp_path, capsys, path, bad):
     )
     code, out = run_cli(capsys, "graphs", "glue", "--input", str(triple_path))
     assert code == 2 and out == ""
+
+
+CONTACT_FIELDS = [
+    ("order",),
+    ("series_order",),
+    ("algebra", "order"),
+    ("algebra", "relations", 0, 0, 0, 1),
+    ("algebra", "relations", 0, 0, 1),
+    ("psi_t", 1),
+    ("phi_w1", "z1_tail", 0, 0),
+    ("phi_w2", "z2_tail", 0, 0),
+]
+NON_EXACT = {
+    "float": lambda v: float(Fraction(v)),
+    "half": lambda v: float(Fraction(v)) + 0.5,
+    "true": lambda v: True,
+    "zero_den": lambda v: "1/0",
+    "empty_den": lambda v: "1/",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_EXACT))
+@pytest.mark.parametrize("path", CONTACT_FIELDS)
+def test_contact_rejects_non_exact_numbers(tmp_path, capsys, path, kind):
+    # s, c with c^2 = 0; every field on the list holds a 1, 2 or 4 here
+    alg = TruncatedAlgebra(("s", "c"), [Poly(2, {(0, 2): 1})], order=4)
+    ring = NodeRing(alg, order=4)
+    data = {
+        "algebra": alg.to_json(),
+        "series_order": 4,
+        "psi_t": alg.s.to_json(),
+        "phi_w1": ring.z1().to_json(),
+        "phi_w2": ring.z2().to_json(),
+        "order": 1,
+    }
+    value = data
+    for key in path:
+        value = value[key]
+    _set_path(data, path, NON_EXACT[kind](value))
+    target = tmp_path / "bad_contact.json"
+    target.write_text(json.dumps(data))
+    for sub in ("check", "ideal"):
+        code, out = run_cli(capsys, "contact", sub, "--input", str(target))
+        assert code == 2 and out == ""

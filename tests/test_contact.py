@@ -303,10 +303,12 @@ def test_forcing_rejects_torsion():
 
 
 @given(seed=st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_pivot_and_dense_routes_agree(seed):
-    # two independent decision procedures for purity must coincide
-    from degkit.contact import _dense_pure_solve, _pure_witness
+@settings(max_examples=40, deadline=None)
+def test_obstruction_exit_agrees_with_dense_solve(seed):
+    # the unit-pivot obstruction rows are the one fast exit before the
+    # dense solve: an input they reject must have no dense solution, and on
+    # every other input the witnesses are the dense solve's own
+    from degkit.contact import _dense_pure_solve, _pure_witness, _zswap
 
     alg = TruncatedAlgebra(
         ("s", "c"),
@@ -317,20 +319,42 @@ def test_pivot_and_dense_routes_agree(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 3)
     c = alg.gen(1)
-    phi1 = ring.z1(n, alg.const(rng.choice([1, 2, -1])))
+    if rng.random() < 0.5:
+        phi1 = ring.z1(n, alg.const(rng.choice([1, 2, -1])))
+        phi2 = ring.z2(n, alg.const(rng.choice([1, 3])))
+        if rng.random() < 0.3:
+            phi2 = phi2 + ring.z2(rng.randrange(1, n + 1), c)
+    else:
+        # a pure pair from a unit beta with tails, so some equations keep
+        # non-unit coefficients such as s
+        beta = ring.series(
+            alg.const(rng.choice([1, 2, -1])),
+            [alg.s * rng.randrange(-1, 2)],
+            [alg.const(rng.randrange(-1, 2))],
+        )
+        eps = alg.const(rng.choice([1, 3])) + alg.s * rng.randrange(0, 2)
+        phi1 = beta * ring.z1(n)
+        phi2 = (beta.inverse() * eps) * ring.z2(n)
     if rng.random() < 0.6:
+        # a c z1^k term obstructs purity when k < n
         phi1 = phi1 + ring.z1(rng.randrange(1, n + 1), c)
-    phi2 = ring.z2(n, alg.const(rng.choice([1, 3])))
     prod = phi1 * phi2
     if not (all(x.is_zero() for x in prod.a) and all(x.is_zero() for x in prod.b)):
         return
-    data = ContactData(ring, prod.a0, phi1, phi2)
-    fast_beta, fast_eps, fast_cert = _pure_witness(data, n, swap=False)
-    dense_beta, dense_eps, dense_cert = _dense_pure_solve(phi1, phi2, n)
-    assert (fast_beta is None) == (dense_beta is None)
-    if fast_beta is not None:
-        zn = ring.z1(n)
-        assert fast_beta * zn == phi1 == dense_beta * zn
+    swap = rng.random() < 0.3
+    if swap:
+        # exchange the coordinates so the swapped orientation is the live one
+        data = ContactData(ring, prod.a0, _zswap(phi1), _zswap(phi2))
+    else:
+        data = ContactData(ring, prod.a0, phi1, phi2)
+    beta, eps, cert = _pure_witness(data, n, swap)
+    dense_beta, dense_eps, _ = _dense_pure_solve(phi1, phi2, n)
+    if cert is not None and cert.startswith("unsolvable coefficient equation at"):
+        assert dense_beta is None
+        return
+    if swap and dense_beta is not None:
+        dense_beta = _zswap(dense_beta)
+    assert (beta, eps) == (dense_beta, dense_eps)
 
 
 def test_product_conserved_by_reparametrization(obstructed):
