@@ -58,15 +58,14 @@ def _contact_data(args, data):
         for key in ("order", "series_order"):
             if data.get(key) is not None:
                 _json_int(data[key])
-        algebra = TruncatedAlgebra.from_json(
-            {
-                **data["algebra"],
-                "order": args.trunc_base or data["algebra"]["order"],
-            }
-        )
-        ring = NodeRing(
-            algebra, args.trunc_series or data.get("series_order", 8)
-        )
+        base_order = args.trunc_base
+        if base_order is None:
+            base_order = data["algebra"]["order"]
+        algebra = TruncatedAlgebra.from_json({**data["algebra"], "order": base_order})
+        series_order = args.trunc_series
+        if series_order is None:
+            series_order = data.get("series_order", 8)
+        ring = NodeRing(algebra, series_order)
         psi_t = element_from_json(algebra, data["psi_t"])
         phi1 = series_from_json(ring, data["phi_w1"])
         phi2 = series_from_json(ring, data["phi_w2"])
@@ -115,7 +114,7 @@ def run(args):
         return 0 if report.passed else 1
 
     if args.command == "splice-check":
-        ls = [args.l] if args.l else list(range(1, args.n + 2))
+        ls = list(range(1, args.n + 2)) if args.l is None else [args.l]
         payload = {}
         ok = True
         for l in ls:
@@ -128,7 +127,7 @@ def run(args):
     if args.command == "contact":
         data = _load(args.input_path)
         cdata = _contact_data(args, data)
-        order = args.order or data.get("order")
+        order = data.get("order") if args.order is None else args.order
         if args.subcommand == "check":
             if order is None:
                 order = ct.contact_orders(cdata)[0]
@@ -182,6 +181,8 @@ def run(args):
         raise InputError("unknown contact subcommand")
 
     if args.command == "graphs":
+        if args.max_r < 0:
+            raise InputError("--max-r must be nonnegative")
         if args.subcommand == "enumerate":
             alpha = cg.TripleAlphabet(max_roots=min(args.max_r, 8))
             triples = cg.enumerate_triples(alpha)

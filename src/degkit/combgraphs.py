@@ -1146,39 +1146,31 @@ class AdmissibleGraph:
             self.roots,
         )
 
+    def canonical_key(self, roots=None):
+        """Complete isomorphism invariant within the class group: vertices
+        are numbered by first appearance among the legs, then the roots
+        (``roots`` overrides the stored root order), and vertices touched by
+        neither come last, sorted by (genus, class)."""
+        roots = self.roots if roots is None else roots
+        number = {}
+        for v in itertools.chain(self.legs, (v for v, _ in roots)):
+            number.setdefault(v, len(number))
+        data = [(self.genera[v], self.classes[v]) for v in number]
+        untouched = (v for v in range(self.num_vertices) if v not in number)
+        data += sorted((self.genera[v], self.classes[v]) for v in untouched)
+        return (
+            tuple(data),
+            tuple(number[v] for v in self.legs),
+            tuple((number[v], w) for v, w in roots),
+        )
+
     def isomorphic(self, other):
         """Order-preserving isomorphism on legs and roots, preserving both
-        vertex weight functions.  The leg and root attachments force the
-        vertex bijection, so the search is deterministic."""
-        if (
-            self.group != other.group
-            or self.num_vertices != other.num_vertices
-            or self.num_legs != other.num_legs
-            or self.num_roots != other.num_roots
-        ):
-            return False
-        if self.root_weights() != other.root_weights():
-            return False
-        nv = self.num_vertices
-        forced = {}
-        for j in range(self.num_legs):
-            a, b = self.legs[j], other.legs[j]
-            if forced.setdefault(a, b) != b:
-                return False
-        for j in range(self.num_roots):
-            a, b = self.roots[j][0], other.roots[j][0]
-            if forced.setdefault(a, b) != b:
-                return False
-        if len(set(forced.values())) != len(forced):
-            return False
-        for a, b in forced.items():
-            if self.genera[a] != other.genera[b] or self.classes[a] != other.classes[b]:
-                return False
-        rest_a = [v for v in range(nv) if v not in forced]
-        rest_b = [v for v in range(nv) if v not in set(forced.values())]
-        left = sorted((self.genera[v], self.classes[v]) for v in rest_a)
-        right = sorted((other.genera[v], other.classes[v]) for v in rest_b)
-        return left == right
+        vertex weight functions: equal class groups and canonical keys."""
+        return (
+            self.group == other.group
+            and self.canonical_key() == other.canonical_key()
+        )
 
     def to_json(self):
         vertices = []
@@ -1263,6 +1255,14 @@ class AdmissibleTriple:
         )
         return len(set(labels)) == 1
 
+    def canonical_keys(self, order=None):
+        """Both sides' canonical keys with root j taken from root order[j]
+        (the stored order when ``order`` is None)."""
+        return tuple(
+            g.canonical_key(None if order is None else tuple(g.roots[i] for i in order))
+            for g in (self.first, self.second)
+        )
+
     def reorder(self, sigma):
         return AdmissibleTriple(
             self.first.reorder(sigma), self.second.reorder(sigma), self.first_legs
@@ -1280,15 +1280,6 @@ class AdmissibleTriple:
             self.first.numeric_shadow(),
             self.second.numeric_shadow(),
             self.first_legs,
-        )
-
-    def normalized_legs(self):
-        """Same triple with the first graph's legs moved to the front; the
-        per-side leg orders, which are what isomorphism preserves, do not
-        change."""
-        k1 = self.first.num_legs
-        return AdmissibleTriple(
-            self.first, self.second, tuple(range(1, k1 + 1))
         )
 
 
@@ -1351,16 +1342,18 @@ def glue(triple):
 
 
 def eq_group(triple, bound=8):
-    """Brute-force symmetry group inside S_r, with a subgroup sanity check."""
+    """Brute-force symmetry group inside S_r: the root orders that keep both
+    sides' canonical keys (a group, so sigma and its inverse are members
+    together), with a subgroup sanity check."""
     r = triple.num_roots
     if r > bound:
         raise GraphError("root count above the brute-force bound %d" % bound)
-    if r == 0:
-        return [()]
-    elements = []
-    for sigma in itertools.permutations(range(r)):
-        if triple.isomorphic(triple.reorder(sigma)):
-            elements.append(sigma)
+    identity = triple.canonical_keys()
+    elements = [
+        sigma
+        for sigma in itertools.permutations(range(r))
+        if triple.canonical_keys(sigma) == identity
+    ]
     elems = set(elements)
     for a in elements:
         inv = tuple(a.index(i) for i in range(r))
@@ -1384,11 +1377,10 @@ def triples_equivalent(t1, t2, bound=8):
         return False
     if r > bound:
         raise GraphError("root count above the brute-force bound %d" % bound)
-    if r == 0:
-        return t1.isomorphic(t2)
-    return any(
-        t1.isomorphic(t2.reorder(sigma))
-        for sigma in itertools.permutations(range(r))
+    return (
+        t1.first.group == t2.first.group
+        and t1.second.group == t2.second.group
+        and _triple_canonical_key(t1) == _triple_canonical_key(t2)
     )
 
 
@@ -1441,44 +1433,24 @@ def _alphabet_graphs(alpha, weight_vector):
                             graph = AdmissibleGraph(
                                 NUMERIC_GROUP, genera, classes, legs, roots
                             )
-                            key = _graph_canonical_key(graph)
+                            key = graph.canonical_key()
                             if key not in seen:
                                 seen.add(key)
                                 out.append(graph)
     return out
 
 
-def _graph_canonical_key(graph):
-    """Encoding minimized over vertex relabelings (small graphs only)."""
-    nv = graph.num_vertices
-    best = None
-    for perm in itertools.permutations(range(nv)):
-        enc = (
-            tuple(
-                (graph.genera[p], graph.classes[p])
-                for p in sorted(range(nv), key=lambda v: perm[v])
-            ),
-            tuple(perm[v] for v in graph.legs),
-            tuple((perm[v], w) for v, w in graph.roots),
-        )
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
 def _triple_canonical_key(triple):
-    r = triple.num_roots
-    best = None
-    perms = itertools.permutations(range(r)) if r else [()]
-    for sigma in perms:
-        enc = (
-            _graph_canonical_key(triple.first.reorder(sigma)),
-            _graph_canonical_key(triple.second.reorder(sigma)),
-            triple.first_legs,
-        )
-        if best is None or enc < best:
-            best = enc
-    return best
+    """Minimum of both sides' canonical keys over the root orders, with the
+    leg subset; equal for two triples exactly when a root reordering carries
+    one onto the other (within the same class groups)."""
+    return (
+        min(
+            triple.canonical_keys(sigma)
+            for sigma in itertools.permutations(range(triple.num_roots))
+        ),
+        triple.first_legs,
+    )
 
 
 def enumerate_triples(alpha=TripleAlphabet()):
@@ -1583,28 +1555,17 @@ def realize_split_map(triple):
     return SplitMap([group1, group2], [iface])
 
 
-def _ordered_triple(side1, side2, ordering):
-    """Labelled type of a decomposition under an ordering of the interface
-    instances (ordering[j] = which instance becomes root j)."""
-    r1 = tuple(side1.roots[i] for i in ordering)
-    r2 = tuple(side2.roots[i] for i in ordering)
-    h1 = RelSplit(side1.groups, side1.nodes, r1)
-    h2 = RelSplit(side2.groups, side2.nodes, r2)
-    gr1 = half_to_graph(h1)
-    gr2 = half_to_graph(h2)
-    k1 = gr1.num_legs
-    return AdmissibleTriple(gr1, gr2, tuple(range(1, k1 + 1)))
-
-
 def fiber_count(triple, split_map, l, bound=8):
     """Number of ways the split map realizes the triple at interface l, up to
     the automorphisms of the map.
 
-    Orderings of the interface instances whose labelled type matches the
-    triple are counted modulo the instance permutations induced by the
-    map's automorphisms; with Eq computed independently by brute force this
-    reproduces the degree of the gluing morphism:
-    fiber_count * |induced automorphism image| = |Eq|.
+    The halves become admissible graphs once (no validity check depends on
+    the root order).  An ordering of the interface instances (ordering[j] =
+    which instance becomes root j) matches when both sides' canonical keys
+    under it equal the triple's; matching orderings are counted modulo the
+    instance permutations induced by the map's automorphisms.  With Eq
+    computed independently by brute force, this reproduces the degree of
+    the gluing morphism: fiber_count * |induced automorphism image| = |Eq|.
     """
     side1, side2, sigma = decompose(split_map, l)
     r = len(sigma)
@@ -1614,15 +1575,17 @@ def fiber_count(triple, split_map, l, bound=8):
         raise GraphError("root count above the brute-force bound %d" % bound)
     if r == 0:
         return 1
-    target = triple.numeric_shadow().normalized_legs()
-    matching = []
-    for ordering in itertools.permutations(range(r)):
-        try:
-            cand = _ordered_triple(side1, side2, ordering)
-        except GraphError:
-            continue
-        if cand.isomorphic(target):
-            matching.append(ordering)
+    try:
+        first, second = half_to_graph(side1), half_to_graph(side2)
+        built = AdmissibleTriple(first, second, tuple(range(1, first.num_legs + 1)))
+    except GraphError:
+        return 0
+    target = triple.numeric_shadow().canonical_keys()
+    matching = [
+        ordering
+        for ordering in itertools.permutations(range(r))
+        if built.canonical_keys(ordering) == target
+    ]
     if not matching:
         return 0
     image = split_map.automorphism_interface_image(l)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +336,35 @@ def test_contact_rejects_non_exact_numbers(tmp_path, capsys, path, kind):
     for sub in ("check", "ideal"):
         code, out = run_cli(capsys, "contact", sub, "--input", str(target))
         assert code == 2 and out == ""
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CONTACT = str(GOLDEN / "contact.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contact", "check", "--input", GOLDEN_CONTACT, "--order", "0"],
+        ["contact", "ideal", "--input", GOLDEN_CONTACT, "--order", "0"],
+        ["contact", "check", "--input", GOLDEN_CONTACT, "--trunc-series", "0"],
+        ["contact", "check", "--input", GOLDEN_CONTACT, "--trunc-base", "0"],
+        ["splice-check", "--n", "1", "--l", "0"],
+        ["graphs", "enumerate", "--max-r", "-1"],
+        ["graphs", "eq-group", "--input", str(GOLDEN / "triple.json"), "--max-r", "-1"],
+    ],
+    ids=[
+        "check-order-0",
+        "ideal-order-0",
+        "trunc-series-0",
+        "trunc-base-0",
+        "splice-l-0",
+        "enumerate-max-r-negative",
+        "eq-group-max-r-negative",
+    ],
+)
+def test_explicit_zero_flags_are_not_replaced(capsys, argv):
+    # an explicit 0 (or a negative bound) is a value to reject, not a
+    # request for the default
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out == ""

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from degkit import (
     split_map_from_json,
     triples_equivalent,
 )
-from degkit.combgraphs import DisconnectedMapError
+from degkit.combgraphs import DisconnectedMapError, _alphabet_graphs
 
 
 # --- split maps and weights -------------------------------------------------
@@ -468,6 +470,122 @@ def test_triple_equivalence_properties():
         keys.add(t)
 
 
+# --- isomorphism against a brute-force vertex-bijection oracle ---------------
+
+
+def _bijection_isomorphic(a, b):
+    """Oracle: some vertex bijection keeps genus and class and carries leg j
+    to leg j and root j to root j with its weight."""
+    nv = a.num_vertices
+    if a.group != b.group or nv != b.num_vertices:
+        return False
+    return any(
+        all(
+            (a.genera[v], a.classes[v]) == (b.genera[pi[v]], b.classes[pi[v]])
+            for v in range(nv)
+        )
+        and tuple(pi[v] for v in a.legs) == b.legs
+        and tuple((pi[v], w) for v, w in a.roots) == b.roots
+        for pi in itertools.permutations(range(nv))
+    )
+
+
+def _brute_force_eq(triple):
+    return [
+        sigma
+        for sigma in itertools.permutations(range(triple.num_roots))
+        if all(
+            _bijection_isomorphic(g, g.reorder(sigma))
+            for g in (triple.first, triple.second)
+        )
+    ]
+
+
+def _brute_force_equivalent(t, u):
+    return (
+        t.num_roots == u.num_roots
+        and t.first_legs == u.first_legs
+        and any(
+            _bijection_isomorphic(t.first, u.first.reorder(sigma))
+            and _bijection_isomorphic(t.second, u.second.reorder(sigma))
+            for sigma in itertools.permutations(range(t.num_roots))
+        )
+    )
+
+
+def _relabelled(g, pi):
+    """The same graph with vertex v renamed pi[v]."""
+    inv = [pi.index(v) for v in range(len(pi))]
+    return AdmissibleGraph(
+        g.group,
+        tuple(g.genera[u] for u in inv),
+        tuple(g.classes[u] for u in inv),
+        tuple(pi[v] for v in g.legs),
+        tuple((pi[v], w) for v, w in g.roots),
+    )
+
+
+LEG_ALPHABET = TripleAlphabet(max_roots=3, max_legs_per_side=1, extra_degrees=(0, 1))
+GRAPHS_BY_WEIGHTS = [
+    _alphabet_graphs(LEG_ALPHABET, wv)
+    for r in range(LEG_ALPHABET.max_roots + 1)
+    for wv in itertools.combinations_with_replacement(LEG_ALPHABET.weights, r)
+]
+SMALL_LEG_TRIPLES = enumerate_triples(
+    TripleAlphabet(max_roots=3, max_legs_per_side=1, genera=(0,))
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_isomorphism_matches_brute_force(data):
+    graphs = data.draw(st.sampled_from(GRAPHS_BY_WEIGHTS))
+    a = data.draw(st.sampled_from(graphs))
+    pi = data.draw(st.permutations(range(a.num_vertices)))
+    sigma = data.draw(st.permutations(range(a.num_roots)))
+    relabelled = _relabelled(a, pi)
+    assert a.isomorphic(relabelled)
+    assert a.canonical_key() == relabelled.canonical_key()
+    for b in (relabelled.reorder(sigma), data.draw(st.sampled_from(graphs))):
+        expected = _bijection_isomorphic(a, b)
+        assert a.isomorphic(b) == expected
+        assert (a.canonical_key() == b.canonical_key()) == expected
+
+
+def test_untouched_vertices_keep_their_data():
+    bare = [
+        AdmissibleGraph(NUMERIC_GROUP, (g,), ((e, 0),), (), ())
+        for g in (0, 1)
+        for e in (0, 1)
+    ]
+    for a, b in itertools.product(bare, repeat=2):
+        assert a.isomorphic(b) == (a == b) == _bijection_isomorphic(a, b)
+
+
+def test_eq_group_matches_brute_force():
+    rng = random.Random(3)
+    for t in SMALL_LEG_TRIPLES:
+        sigma = list(range(t.num_roots))
+        rng.shuffle(sigma)
+        for u in (t, t.reorder(tuple(sigma))):
+            assert eq_group(u) == _brute_force_eq(u)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_triple_equivalence_matches_brute_force(data):
+    t = data.draw(st.sampled_from(SMALL_LEG_TRIPLES))
+    sigma = data.draw(st.permutations(range(t.num_roots)))
+    first, second = (
+        _relabelled(g, data.draw(st.permutations(range(g.num_vertices))))
+        for g in (t.first, t.second)
+    )
+    moved = AdmissibleTriple(first, second, t.first_legs).reorder(sigma)
+    assert triples_equivalent(t, moved) and triples_equivalent(moved, t)
+    u = data.draw(st.sampled_from(SMALL_LEG_TRIPLES))
+    assert triples_equivalent(t, u) == _brute_force_equivalent(t, u) == (t is u)
+
+
 def test_graph_json_roundtrip():
     g = AdmissibleGraph(
         NUMERIC_GROUP, (0, 1), ((0, 2), (1, 1)), (1, 0), ((0, 1), (1, 1), (0, 1))
@@ -541,3 +659,26 @@ def test_eq_subgroup_closure_on_alphabet():
         r = tr.num_roots
         if r:
             assert math.factorial(r) % len(elems) == 0
+
+
+def test_triple_enumeration_pinned():
+    # frozen regression constants; criterion 9 only asks for 500 triples
+    triples = enumerate_triples(TripleAlphabet())
+    assert len(triples) == 1196
+    assert Counter(t.num_roots for t in triples) == {0: 4, 1: 8, 2: 52, 3: 240, 4: 892}
+    assert sum(len(eq_group(t)) for t in triples) == 2612
+    assert sum(fiber_count(t, realize_split_map(t), 1) for t in triples) == 1196
+
+
+def test_fiber_count_with_legs():
+    # the default alphabet has no legs, so only this reaches the leg subset
+    triples = enumerate_triples(TripleAlphabet(max_roots=2, max_legs_per_side=1))
+    assert Counter(t.num_roots for t in triples) == {0: 8, 1: 40, 2: 332}
+    total_eq = 0
+    for t in triples:
+        m = realize_split_map(t)
+        elems = eq_group(t)
+        image = m.automorphism_interface_image(1)
+        assert fiber_count(t, m, 1) * max(len(image), 1) == len(elems)
+        total_eq += len(elems)
+    assert total_eq == 452
