@@ -4,6 +4,7 @@
 Counts every stable split map per topological type up to the given norm, at
 the declared acceptance caps (defaults up to norm 4, total-node budget 4 at
 norm 5).  Output is one line per type, suitable for freezing into tests.
+Exits 1 if any map fails the norm identity.
 """
 
 import argparse
@@ -20,6 +21,7 @@ def main():
 
     t0 = time.time()
     total = 0
+    failures = 0
     for b in range(0, args.max_norm + 3):
         for g in range(0, args.max_norm // 2 + 2):
             for k in range(0, args.max_norm + 3):
@@ -35,12 +37,13 @@ def main():
                 maps = enumerate_stable_types(t, caps)
                 total += len(maps)
                 bad = [m for m in maps if not m.verify_norm_identity()]
+                failures += len(bad)
                 print(
                     "(%d, %d, %d): %d,%s"
                     % (b, g, k, len(maps), "  # NORM FAILURE" if bad else "")
                 )
     print("# total %d stable maps, %.1fs" % (total, time.time() - t0))
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

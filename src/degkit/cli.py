@@ -114,6 +114,8 @@ def run(args):
         return 0 if report.passed else 1
 
     if args.command == "splice-check":
+        if args.n < 0:
+            raise InputError("--n must be nonnegative")
         ls = list(range(1, args.n + 2)) if args.l is None else [args.l]
         payload = {}
         ok = True

@@ -575,28 +575,31 @@ def enumerate_stable_types(t, caps=EnumerationCaps(), max_norm=6):
 
 def _enumerate_for_n(t, n, caps, stable_only=False):
     """Mark-free skeletons first, then marks distributed over piece orbits;
-    the interface structure never depends on the marked points."""
-    groups_count = n + 2
+    the interface structure never depends on the marked points.
+
+    A skeleton has node_total = sum(counts) - 1 + (genus left unplaced)
+    nodes, and it assembles only if node_total fits the node budget and
+    ``nodes_per_interface`` per interface.  That ceiling cuts count vectors,
+    then genus placements, before any piece is built.  The floor of one node
+    per interface needs no cut: once n >= 1 every group has a piece, so
+    sum(counts) - 1 >= n + 1 already.
+    """
     wcap = caps.weight_cap(t)
-    min_pieces = [1] * groups_count if n >= 1 else [0] * groups_count
+    max_nodes = min(caps.node_budget(t), (n + 1) * caps.nodes_per_interface)
+    min_pieces = 1 if n >= 1 else 0
     for counts in itertools.product(
-        *[
-            range(min_pieces[i], caps.pieces_per_group + 1)
-            for i in range(groups_count)
-        ]
+        range(min_pieces, caps.pieces_per_group + 1), repeat=n + 2
     ):
-        if sum(counts) == 0:
+        links = sum(counts) - 1
+        if links < 0 or links > max_nodes:
             continue
-        for group_data in _group_data_options(t, counts, n, caps, stable_only):
+        for group_data, loops in _group_data_options(
+            t, counts, n, caps, stable_only, max_nodes - links
+        ):
+            node_total = links + loops
+            if n == 0 and node_total > 0 and not all(group_data):
+                continue
             pieces = [tuple(Piece(g, d, 0) for g, d in gd) for gd in group_data]
-            loops = t.genus - sum(p.genus for g in pieces for p in g)
-            node_total = sum(counts) - 1 + loops
-            if node_total < 0 or (n >= 1 and node_total < n + 1):
-                continue
-            if node_total > caps.node_budget(t):
-                continue
-            if n == 0 and node_total > 0 and (not pieces[0] or not pieces[1]):
-                continue
             for skeleton in _assemble(
                 n, pieces, node_total, caps, wcap, stable_only, t.marks
             ):
@@ -701,9 +704,12 @@ def _piece_tuples(count, deg_budget, gen_budget):
     return got
 
 
-def _group_data_options(t, counts, n, caps, stable_only):
+def _group_data_options(t, counts, n, caps, stable_only, loops_max):
     """Distribute degree and genus over the groups' pieces (marks come
-    later).
+    later); yields (group data as (g, d) tuples, genus left unplaced).
+
+    The genus left unplaced becomes loops, one node each, so a placement
+    that leaves more than ``loops_max`` of it is dropped.
 
     In stable mode two necessary weight bounds prune early: a middle group's
     contact-and-mark-free weight cannot fall below 1 - 2 * node cap - marks,
@@ -717,10 +723,10 @@ def _group_data_options(t, counts, n, caps, stable_only):
     def base_of(combo):
         return sum(d + 2 * g - 2 for g, d in combo)
 
-    def rec(i, deg_left, gen_left, end_base):
+    def rec(i, deg_left, gen_left, end_base, chosen):
         if i == groups_count:
-            if deg_left == 0:
-                yield []
+            if deg_left == 0 and gen_left <= loops_max:
+                yield chosen, gen_left
             return
         for combo in _piece_tuples(counts[i], deg_left, gen_left):
             if stable_only and n >= 1:
@@ -732,10 +738,9 @@ def _group_data_options(t, counts, n, caps, stable_only):
             d = sum(c[1] for c in combo)
             g = sum(c[0] for c in combo)
             nxt = end_base + base_of(combo) if i == 0 else end_base
-            for rest in rec(i + 1, deg_left - d, gen_left - g, nxt):
-                yield [combo] + rest
+            yield from rec(i + 1, deg_left - d, gen_left - g, nxt, chosen + [combo])
 
-    yield from rec(0, t.degree, t.genus, 0)
+    yield from rec(0, t.degree, t.genus, 0, [])
 
 
 _PROFILE_CACHE = {}
@@ -957,7 +962,7 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
             low = max(low, min_fiber[i])
         count_low.append(low)
     count_low = tuple(count_low)
-    if sum(count_low) > node_total or node_total > ifaces * caps.nodes_per_interface:
+    if sum(count_low) > node_total:
         return
     middle_bases = None
     if stable_only:

@@ -350,6 +350,8 @@ GOLDEN_CONTACT = str(GOLDEN / "contact.json")
         ["contact", "check", "--input", GOLDEN_CONTACT, "--trunc-series", "0"],
         ["contact", "check", "--input", GOLDEN_CONTACT, "--trunc-base", "0"],
         ["splice-check", "--n", "1", "--l", "0"],
+        ["splice-check", "--n", "-1"],
+        ["splice-check", "--n", "-2"],
         ["graphs", "enumerate", "--max-r", "-1"],
         ["graphs", "eq-group", "--input", str(GOLDEN / "triple.json"), "--max-r", "-1"],
     ],
@@ -359,6 +361,8 @@ GOLDEN_CONTACT = str(GOLDEN / "contact.json")
         "trunc-series-0",
         "trunc-base-0",
         "splice-l-0",
+        "splice-n-negative-1",
+        "splice-n-negative-2",
         "enumerate-max-r-negative",
         "eq-group-max-r-negative",
     ],

@@ -35,7 +35,13 @@ from degkit import (
     split_map_from_json,
     triples_equivalent,
 )
-from degkit.combgraphs import DisconnectedMapError, _alphabet_graphs
+import degkit.combgraphs as cg
+from degkit.combgraphs import (
+    DisconnectedMapError,
+    _alphabet_graphs,
+    _assemble,
+    _distribute_marks,
+)
 
 
 # --- split maps and weights -------------------------------------------------
@@ -183,6 +189,233 @@ def test_enumeration_stability_agreement():
     for t in (TopType(2, 0, 0), TopType(1, 0, 2), TopType(0, 2, 0), TopType(2, 0, 1)):
         for m in enumerate_split_maps(t):
             assert m.is_stable() == m.stability_oracle()
+
+
+# --- the node-total window --------------------------------------------------
+
+WINDOW_CAPS = {
+    "default": EnumerationCaps(),
+    "total2": EnumerationCaps(max_total_nodes=2),
+    "total0": EnumerationCaps(max_total_nodes=0),
+    "npi1": EnumerationCaps(nodes_per_interface=1),
+    "w1npi3": EnumerationCaps(max_weight=1, nodes_per_interface=3),
+}
+NORM3_TYPES = [
+    TopType(b, g, k)
+    for b in range(6)
+    for g in range(3)
+    for k in range(6)
+    if TopType(b, g, k).norm() <= 3
+]
+
+# (all maps, stable maps) per type (degree, genus, marks) under each caps
+# variant, recorded before the node-total window moved into the search
+ALL_MAPS_COUNTS = {
+    "default": {
+        (0, 0, 0): (0, 0), (0, 0, 1): (0, 0), (0, 0, 2): (0, 0),
+        (0, 0, 3): (2, 2), (0, 0, 4): (8, 4), (0, 0, 5): (42, 14),
+        (0, 1, 0): (0, 0), (0, 1, 1): (2, 2), (0, 1, 2): (17, 9),
+        (0, 1, 3): (94, 34), (0, 2, 0): (8, 4), (0, 2, 1): (58, 22),
+        (1, 0, 0): (2, 2), (1, 0, 1): (2, 2), (1, 0, 2): (10, 6),
+        (1, 0, 3): (46, 22), (1, 0, 4): (262, 92), (1, 1, 0): (10, 6),
+        (1, 1, 1): (54, 30), (1, 1, 2): (410, 156), (1, 2, 0): (140, 48),
+        (2, 0, 0): (4, 4), (2, 0, 1): (18, 14), (2, 0, 2): (110, 62),
+        (2, 0, 3): (746, 304), (2, 1, 0): (79, 43), (2, 1, 1): (746, 316),
+        (3, 0, 0): (20, 16), (3, 0, 1): (126, 78), (3, 0, 2): (1258, 582),
+        (3, 1, 0): (690, 298), (4, 0, 0): (102, 66), (4, 0, 1): (1251, 635),
+        (5, 0, 0): (737, 381),
+    },
+    "total2": {
+        (0, 0, 0): (0, 0), (0, 0, 1): (0, 0), (0, 0, 2): (0, 0),
+        (0, 0, 3): (2, 2), (0, 0, 4): (6, 4), (0, 0, 5): (18, 14),
+        (0, 1, 0): (0, 0), (0, 1, 1): (2, 2), (0, 1, 2): (13, 9),
+        (0, 1, 3): (36, 28), (0, 2, 0): (6, 4), (0, 2, 1): (24, 20),
+        (1, 0, 0): (2, 2), (1, 0, 1): (2, 2), (1, 0, 2): (10, 6),
+        (1, 0, 3): (30, 22), (1, 0, 4): (72, 60), (1, 1, 0): (10, 6),
+        (1, 1, 1): (36, 28), (1, 1, 2): (110, 94), (1, 2, 0): (46, 38),
+        (2, 0, 0): (4, 4), (2, 0, 1): (18, 14), (2, 0, 2): (58, 48),
+        (2, 0, 3): (134, 118), (2, 1, 0): (45, 37), (2, 1, 1): (138, 122),
+        (3, 0, 0): (20, 16), (3, 0, 1): (56, 48), (3, 0, 2): (154, 138),
+        (3, 1, 0): (102, 90), (4, 0, 0): (40, 34), (4, 0, 1): (120, 108),
+        (5, 0, 0): (70, 62),
+    },
+    "total0": {
+        (0, 0, 0): (0, 0), (0, 0, 1): (0, 0), (0, 0, 2): (0, 0),
+        (0, 0, 3): (2, 2), (0, 0, 4): (2, 2), (0, 0, 5): (2, 2),
+        (0, 1, 0): (0, 0), (0, 1, 1): (2, 2), (0, 1, 2): (2, 2),
+        (0, 1, 3): (2, 2), (0, 2, 0): (2, 2), (0, 2, 1): (2, 2),
+        (1, 0, 0): (2, 2), (1, 0, 1): (2, 2), (1, 0, 2): (2, 2),
+        (1, 0, 3): (2, 2), (1, 0, 4): (2, 2), (1, 1, 0): (2, 2),
+        (1, 1, 1): (2, 2), (1, 1, 2): (2, 2), (1, 2, 0): (2, 2),
+        (2, 0, 0): (2, 2), (2, 0, 1): (2, 2), (2, 0, 2): (2, 2),
+        (2, 0, 3): (2, 2), (2, 1, 0): (2, 2), (2, 1, 1): (2, 2),
+        (3, 0, 0): (2, 2), (3, 0, 1): (2, 2), (3, 0, 2): (2, 2),
+        (3, 1, 0): (2, 2), (4, 0, 0): (2, 2), (4, 0, 1): (2, 2),
+        (5, 0, 0): (2, 2),
+    },
+    "npi1": {
+        (0, 0, 0): (0, 0), (0, 0, 1): (0, 0), (0, 0, 2): (0, 0),
+        (0, 0, 3): (2, 2), (0, 0, 4): (8, 4), (0, 0, 5): (30, 8),
+        (0, 1, 0): (0, 0), (0, 1, 1): (2, 2), (0, 1, 2): (14, 6),
+        (0, 1, 3): (58, 14), (0, 2, 0): (8, 4), (0, 2, 1): (30, 8),
+        (1, 0, 0): (2, 2), (1, 0, 1): (2, 2), (1, 0, 2): (10, 6),
+        (1, 0, 3): (38, 14), (1, 0, 4): (162, 34), (1, 1, 0): (10, 6),
+        (1, 1, 1): (38, 14), (1, 1, 2): (226, 46), (1, 2, 0): (82, 18),
+        (2, 0, 0): (4, 4), (2, 0, 1): (12, 8), (2, 0, 2): (76, 28),
+        (2, 0, 3): (404, 84), (2, 1, 0): (56, 20), (2, 1, 1): (374, 76),
+        (3, 0, 0): (14, 10), (3, 0, 1): (82, 34), (3, 0, 2): (598, 134),
+        (3, 1, 0): (338, 70), (4, 0, 0): (64, 28), (4, 0, 1): (550, 136),
+        (5, 0, 0): (322, 82),
+    },
+    "w1npi3": {
+        (0, 0, 0): (0, 0), (0, 0, 1): (0, 0), (0, 0, 2): (0, 0),
+        (0, 0, 3): (2, 2), (0, 0, 4): (5, 3), (0, 0, 5): (20, 7),
+        (0, 1, 0): (0, 0), (0, 1, 1): (2, 2), (0, 1, 2): (9, 5),
+        (0, 1, 3): (41, 15), (0, 2, 0): (6, 4), (0, 2, 1): (28, 13),
+        (1, 0, 0): (2, 2), (1, 0, 1): (2, 2), (1, 0, 2): (6, 4),
+        (1, 0, 3): (22, 10), (1, 0, 4): (102, 33), (1, 1, 0): (6, 4),
+        (1, 1, 1): (26, 14), (1, 1, 2): (153, 57), (1, 2, 0): (56, 23),
+        (2, 0, 0): (3, 3), (2, 0, 1): (9, 7), (2, 0, 2): (42, 22),
+        (2, 0, 3): (237, 91), (2, 1, 0): (30, 16), (2, 1, 1): (237, 102),
+        (3, 0, 0): (9, 7), (3, 0, 1): (43, 25), (3, 0, 2): (329, 145),
+        (3, 1, 0): (181, 82), (4, 0, 0): (30, 18), (4, 0, 1): (286, 138),
+        (5, 0, 0): (148, 72),
+    },
+}
+
+
+def _reference_piece_tuples(count, deg_budget, gen_budget):
+    options = [(g, d) for g in range(gen_budget + 1) for d in range(deg_budget + 1)]
+    return [
+        combo
+        for combo in itertools.combinations_with_replacement(options, count)
+        if sum(c[1] for c in combo) <= deg_budget
+        and sum(c[0] for c in combo) <= gen_budget
+    ]
+
+
+def _reference_group_data(t, counts, n, caps, stable_only):
+    # every placement of degree and genus, with the stable-mode weight bounds
+    # but no node-total window
+    groups_count = len(counts)
+    middle_floor = 1 - 2 * caps.nodes_per_interface - t.marks
+
+    def base_of(combo):
+        return sum(d + 2 * g - 2 for g, d in combo)
+
+    def rec(i, deg_left, gen_left, end_base):
+        if i == groups_count:
+            if deg_left == 0:
+                yield []
+            return
+        for combo in _reference_piece_tuples(counts[i], deg_left, gen_left):
+            if stable_only and n >= 1:
+                base = base_of(combo)
+                if 1 <= i <= groups_count - 2 and base < middle_floor:
+                    continue
+                if i == groups_count - 1 and end_base + base > t.norm() - n - 2:
+                    continue
+            d = sum(c[1] for c in combo)
+            g = sum(c[0] for c in combo)
+            nxt = end_base + base_of(combo) if i == 0 else end_base
+            for rest in rec(i + 1, deg_left - d, gen_left - g, nxt):
+                yield [combo] + rest
+
+    yield from rec(0, t.degree, t.genus, 0)
+
+
+def _reference_candidates(t, n, caps, stable_only):
+    """Every count vector and group-data placement boxed into pieces, then
+    filtered by node total after the fact; the last bound, at most
+    ``nodes_per_interface`` per interface, leaves no node-count vector."""
+    for counts in itertools.product(
+        *[range(1 if n >= 1 else 0, caps.pieces_per_group + 1)] * (n + 2)
+    ):
+        if sum(counts) == 0:
+            continue
+        for group_data in _reference_group_data(t, counts, n, caps, stable_only):
+            pieces = [tuple(Piece(g, d, 0) for g, d in gd) for gd in group_data]
+            loops = t.genus - sum(p.genus for g in pieces for p in g)
+            node_total = sum(counts) - 1 + loops
+            if node_total < 0 or (n >= 1 and node_total < n + 1):
+                continue
+            if node_total > caps.node_budget(t):
+                continue
+            if n == 0 and node_total > 0 and (not pieces[0] or not pieces[1]):
+                continue
+            if node_total > (n + 1) * caps.nodes_per_interface:
+                continue
+            yield pieces, node_total
+
+
+def _reference_enumeration(t, caps, stable_only):
+    """(maps, candidates handed to _assemble) of the unwindowed search."""
+    maps, seen, calls = [], set(), []
+    for n in range(max(0, t.norm()) + 1):
+        for pieces, node_total in _reference_candidates(t, n, caps, stable_only):
+            calls.append((n, tuple(pieces), node_total))
+            for skeleton in _assemble(
+                n, pieces, node_total, caps, caps.weight_cap(t), stable_only, t.marks
+            ):
+                for sm in _distribute_marks(skeleton, t.marks):
+                    if stable_only and not sm.is_stable():
+                        continue
+                    key = (sm.n, sm.canonical_key())
+                    if key not in seen:
+                        seen.add(key)
+                        maps.append(sm)
+    return maps, calls
+
+
+@pytest.fixture(scope="module")
+def windowed_runs():
+    """enumerate_split_maps on every type of norm <= 3, both modes, under
+    each caps variant, with the candidates it hands to _assemble."""
+    calls = []
+    real = cg._assemble
+
+    def recording(n, pieces, node_total, *rest):
+        calls.append((n, tuple(pieces), node_total))
+        return real(n, pieces, node_total, *rest)
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "_assemble", recording)
+        for name, caps in WINDOW_CAPS.items():
+            for t in NORM3_TYPES:
+                for stable in (False, True):
+                    calls.clear()
+                    maps = enumerate_split_maps(t, caps, stable_only=stable)
+                    runs[name, t, stable] = (maps, list(calls))
+    return runs
+
+
+def test_all_maps_counts_pinned(windowed_runs):
+    got = {
+        name: {
+            (t.degree, t.genus, t.marks): tuple(
+                len(windowed_runs[name, t, stable][0]) for stable in (False, True)
+            )
+            for t in NORM3_TYPES
+        }
+        for name in WINDOW_CAPS
+    }
+    assert got == ALL_MAPS_COUNTS
+
+
+@pytest.mark.parametrize("variant", list(WINDOW_CAPS))
+def test_window_matches_unwindowed_reference(windowed_runs, variant):
+    # the window only cuts candidates that assemble nothing: the candidates
+    # that reach _assemble and the emitted lists, in order, are the
+    # unwindowed search's
+    for t in NORM3_TYPES:
+        for stable in (False, True):
+            maps, calls = windowed_runs[variant, t, stable]
+            ref_maps, ref_calls = _reference_enumeration(
+                t, WINDOW_CAPS[variant], stable
+            )
+            assert calls == ref_calls, (t, stable)
+            assert maps == ref_maps, (t, stable)
 
 
 # --- canonical form and automorphisms -------------------------------------
