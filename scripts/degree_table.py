@@ -21,6 +21,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-r", type=int, default=4)
     args = parser.parse_args()
+    if args.max_r < 0:
+        parser.error("--max-r must be non-negative")
 
     triples = enumerate_triples(TripleAlphabet(max_roots=args.max_r))
     orders = Counter()

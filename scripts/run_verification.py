@@ -25,6 +25,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=4)
     args = parser.parse_args()
+    if args.max_n < 0:
+        parser.error("--max-n must be non-negative")
 
     rows = []
     t0 = time.time()

@@ -183,20 +183,46 @@ def is_nondegenerate(data):
 
 
 def _shifted_family(x):
-    """Flat vectors of x * e_j over the basis e_j of the base, then of their
-    shifts by z1^k for k = 1 .. internal - 1 (level by level), then by z2^k.
+    """Flat vectors of x * e_j over the basis e_j of the base, then of
+    z1^k x * e_j for k = 1 .. internal - 1 (level by level), then of
+    z2^k x * e_j.
 
     Together they span the ideal generated by x in the internal window.
+    Each level z^k x is one shift of the one before; multiplying a level by
+    e_j multiplies every slot by e_j through the algebra's structure
+    constants and reduces the tail slots as the ring's normal form does.
     """
-    alg = x.ring.algebra
-    base = [x * alg.basis_element(j) for j in range(alg.dim)]
-    fam = list(base)
+    ring = x.ring
+    alg = ring.algebra
+    dim = alg.dim
+    levels = [x]
     for branch in (1, 2):
-        level = base
-        for _ in range(x.ring.internal - 1):
-            level = [y.shift(branch) for y in level]
-            fam.extend(level)
-    return [_series_vec(y) for y in fam]
+        y = x
+        for _ in range(ring.internal - 1):
+            y = y.shift(branch)
+            levels.append(y)
+    zero = [Fraction(0)] * dim
+    fam = []
+    for y in levels:
+        slots = [(0, y.a0)]
+        slots.extend(enumerate(y.a, start=1))
+        slots.extend(enumerate(y.b, start=1))
+        vecs = [[] for _ in range(dim)]
+        for k, c in slots:
+            nonzero = [(i, ci) for i, ci in enumerate(c.coeffs) if ci]
+            for j in range(dim):
+                if not nonzero:
+                    vecs[j].extend(zero)
+                    continue
+                acc = [Fraction(0)] * dim
+                for i, ci in nonzero:
+                    for m, pm in enumerate(alg._basis_product(i, j)):
+                        if pm:
+                            acc[m] += ci * pm
+                elem = ring._slot_reduce(k, AlgebraElement(alg, acc))
+                vecs[j].extend(elem.coeffs)
+        fam.extend(vecs)
+    return fam
 
 
 def _zswap(series):
@@ -346,36 +372,31 @@ def _dense_pure_solve(phi1, phi2, n):
     """
     ring = phi1.ring
     alg = ring.algebra
+    dim = alg.dim
     K = ring.internal - 1
     one = alg.one()
-    basis_series = [ring.const(alg.basis_element(j)) for j in range(alg.dim)]
     zn_a = ring.branch_power(1, n, one)
-    zn_b = ring.branch_power(2, n, one)
-    for branch in (1, 2):
-        for k in range(1, K + 1):
-            for j in range(alg.dim):
-                basis_series.append(
-                    ring.branch_power(branch, k, alg.basis_element(j))
-                )
-    vec_len = alg.dim * (2 * K + 1)
+    vec_len = dim * (2 * K + 1)
     columns = [
         ua + u2 for ua, u2 in zip(_shifted_family(zn_a), _shifted_family(phi2))
     ]
+    # eps e_j z2^n: the basis element e_j alone in the z2^n slot
     zero_block = [Fraction(0)] * vec_len
-    for j in range(alg.dim):
-        second = _series_vec(zn_b * alg.basis_element(j))
-        columns.append(zero_block + [-c for c in second])
+    for j in range(dim):
+        col = zero_block + zero_block
+        second = ring._slot_reduce(n, alg.basis_element(j)).coeffs
+        offset = vec_len + dim * (K + n)
+        col[offset : offset + dim] = [-c for c in second]
+        columns.append(col)
     rhs = _series_vec(phi1) + [Fraction(0)] * vec_len
     rows = [[col[i] for col in columns] for i in range(2 * vec_len)]
     solution, info = solve_linear(rows, rhs)
     if solution is None:
         return None, None, "unsolvable coefficient equation (reduced row %d)" % info
-    nb = len(basis_series)
-    beta = ring.zero()
-    for coeff, u in zip(solution[:nb], basis_series):
-        if coeff:
-            beta = beta + u * coeff
-    eps = alg.element(solution[nb:])
+    # solution blocks of beta: constant, z1^1 .. z1^K, z2^1 .. z2^K
+    blocks = [alg.element(solution[i : i + dim]) for i in range(0, vec_len, dim)]
+    beta = ring._series_internal(blocks[0], blocks[1 : K + 1], blocks[K + 1 :])
+    eps = alg.element(solution[vec_len:])
     if not beta.is_unit():
         return None, None, "solved unit has vanishing constant term"
     if not eps.is_unit():

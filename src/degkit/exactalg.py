@@ -23,6 +23,7 @@ associative while every exposed slot still carries an exact algebra element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -152,9 +153,10 @@ class TruncatedAlgebra:
     def gen(self, i):
         return self.from_poly(Poly.var(len(self.gens), i))
 
-    @property
+    @functools.cached_property
     def s(self):
-        """Class of the smoothing parameter."""
+        """Class of the smoothing parameter (computed once; elements are
+        immutable, so every caller may share it)."""
         return self.gen(0)
 
     def from_poly(self, poly):
@@ -569,6 +571,14 @@ class NodeRing:
                     for i in range(algebra.dim)
                 ]
                 self._slot_spaces[k] = Subspace(vecs, algebra.dim)
+        # the powers 1, s, s^2, ... that a product can reach, up to the
+        # first that vanishes
+        self._s_pows = [algebra.one()]
+        for _ in range(min(algebra.order, self.internal - 1)):
+            nxt = self._s_pows[-1] * algebra.s
+            if nxt.is_zero():
+                break
+            self._s_pows.append(nxt)
 
     def _slot_reduce(self, k, elem):
         space = self._slot_spaces.get(k)
@@ -757,9 +767,7 @@ class NodeSeries:
         ring = self.ring
         alg = ring.algebra
         K = ring.internal - 1
-        s_pows = [alg.one()]
-        for _ in range(min(alg.order, K)):
-            s_pows.append(s_pows[-1] * alg.s)
+        s_pows = ring._s_pows
 
         def A(x, i):
             return x.a0 if i == 0 else x.a[i - 1]
@@ -770,8 +778,6 @@ class NodeSeries:
         x, y = self, other
         const = x.a0 * y.a0
         for i in range(1, min(len(s_pows), K + 1)):
-            if s_pows[i].is_zero():
-                break
             term = A(x, i) * B(y, i) + B(x, i) * A(y, i)
             const = const + term * s_pows[i]
         a_out = []
@@ -783,8 +789,6 @@ class NodeSeries:
                 ck = ck + A(x, i) * A(y, k - i)
                 dk = dk + B(x, i) * B(y, k - i)
             for i in range(1, len(s_pows)):
-                if s_pows[i].is_zero():
-                    break
                 if k + i <= K:
                     ck = ck + (A(x, k + i) * B(y, i) + B(x, i) * A(y, k + i)) * s_pows[i]
                     dk = dk + (B(x, k + i) * A(y, i) + A(x, i) * B(y, k + i)) * s_pows[i]

@@ -1,8 +1,11 @@
 """Exact linear algebra over Q: row reduction, spans, linear solves.
 
-Vectors are lists/tuples of Fractions.  Everything here is dimension-small
-(truncated algebras, coefficient collections), so plain Gaussian elimination
-is the right tool.
+Vectors are lists/tuples of Fractions.  The systems range from a handful of
+rows (truncated algebras, coefficient collections) to the pure-contact
+systems of a few hundred rows and columns, which are mostly zeros.  One
+exact elimination, :func:`rref`, serves all of them: it works on the
+nonzero entries of each row only, and its output is the unique reduced
+row echelon form.
 """
 
 from __future__ import annotations
@@ -10,47 +13,61 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _subtract(row, f, prow):
+    """row -= f * prow on sparse rows, dropping entries that cancel."""
+    for j, c in prow.items():
+        v = row.get(j)
+        v = -f * c if v is None else v - f * c
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
 def rref(rows):
     """Reduced row echelon form.
 
-    Returns (echelon_rows, pivot_columns); zero rows are dropped.
+    Returns (echelon_rows, pivot_columns); zero rows are dropped, the rows
+    are dense lists of Fractions and the pivots are increasing.
+
+    Each row is held as a dict of its nonzero columns.  An incoming row is
+    reduced against the pivot rows found so far, always at its leading
+    column, until that column holds no pivot; it is then scaled to a new
+    pivot row.  A final back-substitution clears every pivot column from the
+    other pivot rows.  The reduced row echelon form of a row space is
+    unique, so the result does not depend on the order of the steps.
     """
-    rows = [list(map(Fraction, r)) for r in rows if any(r)]
+    rows = [r for r in rows if any(r)]
     if not rows:
         return [], []
     ncols = len(rows[0])
-    echelon = []
-    pivots = []
-    col = 0
-    work = rows
-    while work and col < ncols:
-        pivot_row = None
-        for r in work:
-            if r[col]:
-                pivot_row = r
+    pivot_rows = {}
+    for r in rows:
+        row = {
+            j: c if type(c) is Fraction else Fraction(c)
+            for j, c in enumerate(r)
+            if c
+        }
+        while row:
+            lead = min(row)
+            prow = pivot_rows.get(lead)
+            if prow is None:
+                inv = 1 / row[lead]
+                pivot_rows[lead] = {j: c * inv for j, c in row.items()}
                 break
-        if pivot_row is None:
-            col += 1
-            continue
-        work.remove(pivot_row)
-        inv = Fraction(1) / pivot_row[col]
-        pivot_row = [c * inv for c in pivot_row]
-        for r in work:
-            f = r[col]
-            if f:
-                for j in range(col, ncols):
-                    r[j] -= f * pivot_row[j]
-        for r in echelon:
-            f = r[col]
-            if f:
-                for j in range(col, ncols):
-                    r[j] -= f * pivot_row[j]
-        echelon.append(pivot_row)
-        pivots.append(col)
-        work = [r for r in work if any(r)]
-        col += 1
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [echelon[i] for i in order], [pivots[i] for i in order]
+            _subtract(row, row[lead], prow)
+    pivots = sorted(pivot_rows)
+    for p in reversed(pivots):
+        row = pivot_rows[p]
+        for q in [q for q in row if q != p and q in pivot_rows]:
+            _subtract(row, row[q], pivot_rows[q])
+    echelon = []
+    for p in pivots:
+        dense = [Fraction(0)] * ncols
+        for j, c in pivot_rows[p].items():
+            dense[j] = c
+        echelon.append(dense)
+    return echelon, pivots
 
 
 class Subspace:
@@ -111,7 +128,7 @@ def solve_linear(matrix_rows, rhs):
     if not matrix_rows:
         return [], []
     ncols = len(matrix_rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix_rows, rhs)]
+    aug = [list(row) + [b] for row, b in zip(matrix_rows, rhs)]
     echelon, pivots = rref(aug)
     for i, (row, p) in enumerate(zip(echelon, pivots)):
         if p == ncols:
@@ -119,7 +136,8 @@ def solve_linear(matrix_rows, rhs):
     solution = [Fraction(0)] * ncols
     for row, p in zip(echelon, pivots):
         solution[p] = row[ncols]
-    free_cols = [j for j in range(ncols) if j not in pivots]
+    pivot_set = set(pivots)
+    free_cols = [j for j in range(ncols) if j not in pivot_set]
     null_basis = []
     for f in free_cols:
         v = [Fraction(0)] * ncols

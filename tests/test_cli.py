@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -372,3 +375,26 @@ def test_explicit_zero_flags_are_not_replaced(capsys, argv):
     # request for the default
     code, out = run_cli(capsys, *argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "script, flag",
+    [("run_verification.py", "--max-n"), ("degree_table.py", "--max-r")],
+)
+def test_scripts_reject_negative_bounds(script, flag):
+    # a negative bound would check nothing and still report success
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), flag, "-1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "must be non-negative" in proc.stderr

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
 from degkit import (
@@ -23,7 +24,9 @@ from degkit import (
     verify_base_change,
     verify_universality,
 )
+from degkit import contact
 from degkit.contact import TRIVIAL
+from dense_linalg import dense_solve_linear
 
 
 def simple_data(ring):
@@ -381,3 +384,150 @@ def test_forcing_witness_product(Rs6, Qs6):
     assert prod.a0 == report.epsilon == eps
     assert all(x.is_zero() for x in prod.a + prod.b)
     assert data.psi_t == Qs6.s ** 2 * report.epsilon
+
+
+# --- the structured solve against the product-first dense reference -------
+
+
+def _reference_series_vec(x):
+    out = list(x.a0.coeffs)
+    for c in x.a:
+        out.extend(c.coeffs)
+    for c in x.b:
+        out.extend(c.coeffs)
+    return out
+
+
+def _reference_shifted_family(x):
+    # the node-series products x * e_j first, then their shifts
+    alg = x.ring.algebra
+    base = [x * alg.basis_element(j) for j in range(alg.dim)]
+    fam = list(base)
+    for branch in (1, 2):
+        level = base
+        for _ in range(x.ring.internal - 1):
+            level = [y.shift(branch) for y in level]
+            fam.extend(level)
+    return [_reference_series_vec(y) for y in fam]
+
+
+def _reference_dense_pure_solve(phi1, phi2, n):
+    # beta summed from its basis series, the system solved densely
+    ring = phi1.ring
+    alg = ring.algebra
+    K = ring.internal - 1
+    one = alg.one()
+    basis_series = [ring.const(alg.basis_element(j)) for j in range(alg.dim)]
+    zn_a = ring.branch_power(1, n, one)
+    zn_b = ring.branch_power(2, n, one)
+    for branch in (1, 2):
+        for k in range(1, K + 1):
+            for j in range(alg.dim):
+                basis_series.append(
+                    ring.branch_power(branch, k, alg.basis_element(j))
+                )
+    vec_len = alg.dim * (2 * K + 1)
+    columns = [
+        ua + u2
+        for ua, u2 in zip(
+            _reference_shifted_family(zn_a), _reference_shifted_family(phi2)
+        )
+    ]
+    zero_block = [Fraction(0)] * vec_len
+    for j in range(alg.dim):
+        second = _reference_series_vec(zn_b * alg.basis_element(j))
+        columns.append(zero_block + [-c for c in second])
+    rhs = _reference_series_vec(phi1) + [Fraction(0)] * vec_len
+    rows = [[col[i] for col in columns] for i in range(2 * vec_len)]
+    solution, info = dense_solve_linear(rows, rhs)
+    if solution is None:
+        return None, None, "unsolvable coefficient equation (reduced row %d)" % info
+    nb = len(basis_series)
+    beta = ring.zero()
+    for coeff, u in zip(solution[:nb], basis_series):
+        if coeff:
+            beta = beta + u * coeff
+    eps = alg.element(solution[nb:])
+    if not beta.is_unit():
+        return None, None, "solved unit has vanishing constant term"
+    if not eps.is_unit():
+        return None, None, "solved base unit has vanishing constant term"
+    return beta, eps, None
+
+
+_SC_BASE = TruncatedAlgebra(
+    ("s", "c"), relations=[Poly(2, {(1, 1): 1}), Poly(2, {(0, 2): 1})], order=3
+)
+_S_BASE = TruncatedAlgebra(("s",), order=4)
+_RINGS = (NodeRing(_SC_BASE, order=3), NodeRing(_SC_BASE, order=4), NodeRing(_S_BASE, order=4))
+_COEFF = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+
+
+@st.composite
+def _elements(draw, alg, unit=False):
+    coeffs = draw(st.lists(_COEFF, min_size=alg.dim, max_size=alg.dim))
+    if unit and not coeffs[0]:
+        coeffs[0] = draw(st.sampled_from([1, -1, 3]))
+    return alg.element(coeffs)
+
+
+@st.composite
+def _series(draw, ring, unit=False):
+    alg = ring.algebra
+    tails = [
+        [draw(_elements(alg)) for _ in range(draw(st.integers(0, ring.order - 1)))]
+        for _ in range(2)
+    ]
+    return ring.series(draw(_elements(alg, unit)), *tails)
+
+
+@st.composite
+def _solve_inputs(draw):
+    """(phi1, phi2, n): arbitrary pairs, pure pairs, perturbed pure pairs,
+    each possibly in the swapped orientation."""
+    ring = draw(st.sampled_from(_RINGS))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["arbitrary", "pure", "perturbed"]))
+    if kind == "arbitrary":
+        phi1 = draw(_series(ring))
+        phi2 = draw(_series(ring))
+        if draw(st.booleans()):
+            phi1 = phi1 + ring.z1(n, draw(_elements(ring.algebra, unit=True)))
+    else:
+        beta = draw(_series(ring, unit=True))
+        # a non-unit eps reaches the vanishing-constant exit for eps
+        eps = draw(_elements(ring.algebra, unit=draw(st.integers(0, 3)) > 0))
+        phi1 = beta * ring.z1(n)
+        phi2 = (beta.inverse() * eps) * ring.z2(n)
+        if kind == "perturbed":
+            k = draw(st.integers(1, ring.order - 1))
+            coeff = draw(_elements(ring.algebra))
+            if draw(st.booleans()):
+                phi1 = phi1 + ring.z1(k, coeff)
+            else:
+                phi2 = phi2 + ring.z2(k, coeff)
+    if draw(st.booleans()):
+        phi1, phi2 = contact._zswap(phi1), contact._zswap(phi2)
+    return phi1, phi2, n
+
+
+@given(_solve_inputs())
+@settings(max_examples=120, deadline=None)
+def test_structured_solve_matches_dense_reference(inputs):
+    # the shift-first family, the sparse elimination and beta read off the
+    # solution blocks reproduce the product-first dense solve exactly:
+    # witnesses, certificates and their reduced-row indices
+    phi1, phi2, n = inputs
+    for x in (phi1, phi2):
+        assert contact._shifted_family(x) == _reference_shifted_family(x)
+    got = contact._dense_pure_solve(phi1, phi2, n)
+    assert got == _reference_dense_pure_solve(phi1, phi2, n)
+    event("solved" if got[2] is None else got[2])
+    prod = phi1 * phi2
+    if all(x.is_zero() for x in prod.a + prod.b):
+        data = ContactData(phi1.ring, prod.a0, phi1, phi2)
+        flag = is_nondegenerate(data)
+        with mock.patch.object(
+            contact, "_shifted_family", _reference_shifted_family
+        ):
+            assert flag == is_nondegenerate(data)

@@ -1,0 +1,93 @@
+"""The sparse elimination against the dense reference elimination.
+
+The reduced row echelon form of a row space is unique, so the sparse
+``rref`` must reproduce the dense routine's rows and pivots exactly, and
+``solve_linear`` and ``Subspace`` built on it must give the same particular
+solutions, null bases, inconsistency indices, equality and hashes.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from degkit.linalg import Subspace, rref, solve_linear
+from dense_linalg import dense_rref, dense_solve_linear
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+)
+
+
+@st.composite
+def matrices(draw, min_rows=0):
+    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(min_rows, 10))
+    rows = [draw(st.lists(ENTRY, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        # repeated rows, exactly or up to a scalar, and zero rows
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        for _ in range(rng.randrange(1, 4)):
+            kind = rng.randrange(3)
+            src = rng.choice(rows)
+            if kind == 0:
+                rows.insert(rng.randrange(len(rows) + 1), list(src))
+            elif kind == 1:
+                f = Fraction(rng.choice([-2, -1, 3]), rng.choice([1, 2]))
+                rows.insert(rng.randrange(len(rows) + 1), [f * x for x in src])
+            else:
+                rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    if draw(st.integers(0, 9)) == 0:
+        rows = [[0] * ncols for _ in rows]
+    return rows
+
+
+@given(matrices())
+@settings(max_examples=400, deadline=None)
+def test_rref_matches_dense(rows):
+    echelon, pivots = rref(rows)
+    assert (echelon, pivots) == dense_rref(rows)
+    assert pivots == sorted(pivots)
+    assert all(type(x) is Fraction for row in echelon for x in row)
+
+
+@given(matrices(min_rows=1), st.data())
+@settings(max_examples=400, deadline=None)
+def test_solve_linear_matches_dense(rows, data):
+    ncols = len(rows[0])
+    x = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
+    rhs = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
+    if data.draw(st.booleans()):
+        # perturb one equation; with a zero row this is always inconsistent
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rhs[i] += data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    got = solve_linear(rows, rhs)
+    assert got == dense_solve_linear(rows, rhs)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    assert rref(aug) == dense_rref(aug)
+    if got[0] is None:
+        assert got[1] == len(dense_rref(rows)[0])
+
+
+@given(matrices(), st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_subspace_matches_dense(rows, seed):
+    dim = len(rows[0]) if rows else 3
+    space = Subspace(rows, dim)
+    ref = Subspace([], dim)
+    ref.rows, ref.pivots = dense_rref(rows)
+    assert space == ref and hash(space) == hash(ref)
+    assert (space.rows, space.pivots) == (ref.rows, ref.pivots)
+    # the same span from shuffled, rescaled generators is the same object
+    rng = random.Random(seed)
+    others = []
+    for row in rows:
+        f = Fraction(rng.choice([1, -1, 2]), 3)
+        others.append([f * x for x in row])
+    rng.shuffle(others)
+    other = Subspace(others, dim)
+    assert other == space and hash(other) == hash(space)
