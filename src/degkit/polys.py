@@ -9,6 +9,9 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
+
+_ONE = Fraction(1)
 
 
 def _key(exp):
@@ -17,51 +20,110 @@ def _key(exp):
     return (sum(exp), exp)
 
 
+def _int(value, what):
+    """``value`` if it is an int; bools and every other type are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("%s must be an int, not %r" % (what, value))
+    return value
+
+
+def _coeff(c):
+    """An exact coefficient; floats are refused, never rounded."""
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, float):
+        raise TypeError("float coefficient %r; use an int or a Fraction" % c)
+    return Fraction(c)
+
+
+def _arity(nvars):
+    if _int(nvars, "variable count") < 0:
+        raise ValueError("negative variable count")
+    return nvars
+
+
+def _poly(nvars, terms):
+    """Poly with ``terms`` taken as they are: int exponent tuples of length
+    ``nvars`` mapped to nonzero Fractions.  Arithmetic builds its results
+    here; user input goes through ``Poly(...)``, which checks it."""
+    out = Poly.__new__(Poly)
+    out.nvars = nvars
+    out.terms = terms
+    return out
+
+
+def _scaled_shift(terms, mono, c):
+    """The terms times c*x^mono, in their own order."""
+    if any(mono):
+        if c == 1:
+            return {tuple(map(add, e, mono)): co for e, co in terms.items()}
+        return {tuple(map(add, e, mono)): co * c for e, co in terms.items()}
+    if c == 1:
+        return dict(terms)
+    return {e: co * c for e, co in terms.items()}
+
+
 class Poly:
-    """Polynomial in ``nvars`` variables with Fraction coefficients."""
+    """Polynomial in ``nvars`` variables with Fraction coefficients.
+
+    The constructor and the builders check their input: exponents, powers
+    and variable indices are ints (not bools), coefficients are exact (not
+    floats).
+    """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        self.nvars = int(nvars)
+        nvars = _arity(nvars)
         clean = {}
         if terms:
             for exp, c in terms.items():
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != self.nvars:
+                exp = tuple(exp)
+                if len(exp) != nvars:
                     raise ValueError("exponent arity mismatch")
-                if any(e < 0 for e in exp):
-                    raise ValueError("negative exponent")
-                c = Fraction(c)
+                for e in exp:
+                    if _int(e, "exponent") < 0:
+                        raise ValueError("negative exponent")
+                c = _coeff(c)
                 if c:
-                    clean[exp] = clean.get(exp, Fraction(0)) + c
-                    if not clean[exp]:
+                    s = clean.get(exp, 0) + c
+                    if s:
+                        clean[exp] = s
+                    else:
                         del clean[exp]
+        self.nvars = nvars
         self.terms = clean
 
     # ------------------------------------------------------------ builders
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
+        return _poly(_arity(nvars), {})
 
     @classmethod
     def const(cls, nvars, c):
-        c = Fraction(c)
-        return cls(nvars, {tuple([0] * nvars): c} if c else None)
+        nvars = _arity(nvars)
+        c = _coeff(c)
+        return _poly(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars):
-        return cls.const(nvars, 1)
+        nvars = _arity(nvars)
+        return _poly(nvars, {(0,) * nvars: _ONE})
 
     @classmethod
     def var(cls, nvars, i, power=1):
+        nvars = _arity(nvars)
+        if not 0 <= _int(i, "variable index") < nvars:
+            raise ValueError("variable index %d out of range(%d)" % (i, nvars))
+        if _int(power, "power") < 0:
+            raise ValueError("negative exponent")
         exp = [0] * nvars
-        exp[i] = int(power)
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        exp[i] = power
+        return _poly(nvars, {tuple(exp): _ONE})
 
     @classmethod
     def monomial(cls, exp, c=1):
-        return cls(len(exp), {tuple(exp): Fraction(c)})
+        return cls(len(exp), {tuple(exp): c})
 
     # ---------------------------------------------------------- predicates
     def is_zero(self):
@@ -103,23 +165,21 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            prev = terms.get(e)
+            if prev is None:
+                terms[e] = c
+                continue
+            s = prev + c
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+                del terms[e]
+        return _poly(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -131,32 +191,44 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = Fraction(other)
-            out = Poly.__new__(Poly)
-            out.nvars = self.nvars
-            out.terms = {e: co * c for e, co in self.terms.items()} if c else {}
-            return out
+            c = _coeff(other)
+            return _poly(
+                self.nvars, {e: co * c for e, co in self.terms.items()} if c else {}
+            )
         self._check(other)
+        a, b = self.terms, other.terms
+        # a single term multiplies by an exponent shift, in the order of the
+        # other side's terms (the order the double loop below would give)
+        if len(b) == 1:
+            (mono, c), = b.items()
+            return _poly(self.nvars, _scaled_shift(a, mono, c))
+        if len(a) == 1:
+            (mono, c), = a.items()
+            return _poly(self.nvars, _scaled_shift(b, mono, c))
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                prev = terms.get(e)
+                if prev is None:
+                    terms[e] = c
+                    continue
+                s = prev + c
                 if s:
                     terms[e] = s
                 else:
                     del terms[e]
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return _poly(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = int(k)
-        if k < 0:
+        if _int(k, "power") < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return _poly(self.nvars, {tuple(p * k for p in e): c**k})
         out = Poly.one(self.nvars)
         base = self
         while k:
@@ -169,7 +241,7 @@ class Poly:
     # -------------------------------------------------------- manipulation
     def truncate(self, order):
         """Drop all terms of total degree >= order."""
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) < order})
+        return _poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) < order})
 
     def substitute(self, values):
         """Substitute values[i] (Poly or Fraction, common arity) for variable i.
@@ -198,38 +270,37 @@ class Poly:
 
     def extend(self, nvars, offset=0):
         """View in a larger variable list, original variable i at offset+i."""
-        if offset + self.nvars > nvars:
+        nvars = _arity(nvars)
+        if _int(offset, "offset") < 0 or offset + self.nvars > nvars:
             raise ValueError("extend: does not fit")
-        terms = {}
-        for e, c in self.terms.items():
-            exp = [0] * nvars
-            for i, p in enumerate(e):
-                exp[offset + i] = p
-            terms[tuple(exp)] = c
-        return Poly(nvars, terms)
+        before = (0,) * offset
+        after = (0,) * (nvars - offset - self.nvars)
+        return _poly(nvars, {before + e + after: c for e, c in self.terms.items()})
 
     def monomial_content(self):
         """Largest monomial dividing every term (zero poly: None)."""
         if not self.terms:
             return None
-        exps = list(self.terms)
-        return tuple(min(e[i] for e in exps) for i in range(self.nvars))
+        return tuple(map(min, zip(*self.terms)))
 
     def divide_monomial(self, mono):
         terms = {}
         for e, c in self.terms.items():
-            q = tuple(a - b for a, b in zip(e, mono))
-            if any(x < 0 for x in q):
+            q = tuple(map(sub, e, mono))
+            if q and min(q) < 0:
                 raise ValueError("monomial does not divide")
             terms[q] = c
-        return Poly(self.nvars, terms)
+        return _poly(self.nvars, terms)
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        terms = self.terms
+        if len(terms) == 1:
+            return next(iter(terms.items()))
+        if not terms:
             raise ValueError("zero polynomial")
-        e = max(self.terms, key=_key)
-        return e, self.terms[e]
+        e = max(terms, key=_key)
+        return e, terms[e]
 
     # ----------------------------------------------------------- rendering
     def render(self, names):
@@ -268,32 +339,44 @@ class RatFunc:
 
     Reduction removes the common monomial factor and rational content and
     normalizes the denominator's leading coefficient to one.  Full
-    multivariate gcd is not attempted; for the chart formulas handled here
-    denominators stay monomial, so this normal form is canonical in practice
-    and equality checks always use cross multiplication.
+    multivariate gcd is not attempted, so equality checks always use cross
+    multiplication.
+
+    The normal form is unique when the denominator is a monomial, which
+    holds for every value in the atlas, resolution, chart and splice checks.
+    Otherwise it depends on the order of operations.  Products do not
+    matter: each variable is prime, so monomial content adds up under
+    products, and the leading coefficient of a product is the product of the
+    leading coefficients, so a product reduces to the same form however its
+    factors are grouped.  Sums do matter, and :meth:`substitute` adds its
+    terms left to right in the order of the polynomial's terms.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        nvars = num.nvars
         if den is None:
-            den = Poly.one(num.nvars)
-        if den.is_zero():
+            self.num = num
+            self.den = _poly(nvars, {(0,) * nvars: _ONE})
+            return
+        if not den.terms:
             raise ZeroDivisionError("zero denominator")
-        if num.nvars != den.nvars:
+        if nvars != den.nvars:
             raise ValueError("variable count mismatch")
-        if num.is_zero():
-            den = Poly.one(num.nvars)
-        else:
-            gn = num.monomial_content()
-            gd = den.monomial_content()
-            g = tuple(min(a, b) for a, b in zip(gn, gd))
+        if not num.terms:
+            self.num = num
+            self.den = _poly(nvars, {(0,) * nvars: _ONE})
+            return
+        gd = den.monomial_content()
+        if any(gd):
+            g = tuple(map(min, num.monomial_content(), gd))
             if any(g):
                 num = num.divide_monomial(g)
                 den = den.divide_monomial(g)
         _, lead = den.leading()
         if lead != 1:
-            inv = Fraction(1) / lead
+            inv = 1 / lead
             num = num * inv
             den = den * inv
         self.num = num
@@ -342,8 +425,7 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k):
-        k = int(k)
-        if k < 0:
+        if _int(k, "power") < 0:
             inv = RatFunc(self.den, self.num)
             return inv ** (-k)
         return RatFunc(self.num**k, self.den**k)
@@ -369,13 +451,17 @@ class RatFunc:
         raise TypeError("RatFunc is unhashable; compare with .same()")
 
     def substitute(self, values):
-        """Substitute RatFunc values for the variables; exact."""
+        """Substitute RatFunc values for the variables; exact.
+
+        With reduced values P_i/Q_i, a term c*x^e becomes the single reduced
+        fraction c*prod P_i^e_i / prod Q_i^e_i, each power computed once per
+        call.  The terms are added left to right, as the normal form of a
+        sum depends on its order (see the class docstring).
+        """
         arity = None
         vals = []
         for v in values:
-            if isinstance(v, RatFunc):
-                arity = v.nvars
-            elif isinstance(v, Poly):
+            if isinstance(v, (RatFunc, Poly)):
                 arity = v.nvars
             vals.append(v)
         if arity is None:
@@ -388,20 +474,30 @@ class RatFunc:
         ]
         if len(vals) != self.nvars:
             raise ValueError("substitution arity mismatch")
-        num = RatFunc.const(arity, 0)
-        for e, c in self.num.terms.items():
-            t = RatFunc.const(arity, c)
-            for i, p in enumerate(e):
-                if p:
-                    t = t * vals[i] ** p
-            num = num + t
-        den = RatFunc.const(arity, 0)
-        for e, c in self.den.terms.items():
-            t = RatFunc.const(arity, c)
-            for i, p in enumerate(e):
-                if p:
-                    t = t * vals[i] ** p
-            den = den + t
+        origin = (0,) * arity
+        one = _poly(arity, {origin: _ONE})
+        powers = {}
+
+        def image(poly):
+            total = None
+            for e, c in poly.terms.items():
+                num = _poly(arity, {origin: c})
+                den = one
+                for i, p in enumerate(e):
+                    if p:
+                        power = powers.get((i, p))
+                        if power is None:
+                            v = vals[i]
+                            power = (v.num, v.den) if p == 1 else (v.num**p, v.den**p)
+                            powers[i, p] = power
+                        num = num * power[0]
+                        den = den * power[1]
+                term = RatFunc(num, den)
+                total = term if total is None else total + term
+            return RatFunc(_poly(arity, {})) if total is None else total
+
+        num = image(self.num)
+        den = image(self.den)
         if den.is_zero():
             raise ZeroDivisionError("denominator vanishes after substitution")
         return num / den

@@ -73,11 +73,9 @@ class RationalMap:
         names = inner.source_vars + params
         n = len(names)
         lift = {name: i for i, name in enumerate(names)}
-        inner_comps = []
-        for c in inner.components:
-            src = inner.source_vars + inner.params
-            values = [RatFunc(Poly.var(n, lift[v])) for v in src]
-            inner_comps.append(c.substitute(values))
+        src = inner.source_vars + inner.params
+        values = [RatFunc(Poly.var(n, lift[v])) for v in src]
+        inner_comps = [c.substitute(values) for c in inner.components]
         values = inner_comps + [
             RatFunc(Poly.var(n, lift[p])) for p in self.params
         ]

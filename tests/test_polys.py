@@ -1,0 +1,185 @@
+"""Polynomial and rational-function arithmetic against a reference copy.
+
+``reference_polys`` keeps the plain double-loop products and the
+factor-by-factor substitution; the library's shortcuts (single-term
+products by exponent shift, one reduction per substituted term) must give
+the same terms, the same texts and the same equality answers.  Values have
+non-monomial denominators, negative and fractional coefficients, zeros, and
+substituted sums that cancel to zero part-way, where the normal form
+depends on the order of the sum.
+"""
+
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from degkit.polys import Poly, RatFunc
+from reference_polys import (
+    ref_mul,
+    ref_one,
+    ref_pow,
+    ref_rat_pow,
+    ref_reduce,
+    ref_substitute,
+)
+
+NV = 3  # variables of the substituted function
+NAMES = ("x", "y", "z")
+
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+def polys(nvars, min_terms=0, max_terms=3):
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms)
+    return terms.map(lambda t: Poly(nvars, t))
+
+
+@st.composite
+def ratfuncs(draw, nvars, max_terms=3):
+    num = draw(polys(nvars, max_terms=max_terms))
+    return RatFunc(num, draw(polys(nvars, min_terms=1, max_terms=max_terms)))
+
+
+@st.composite
+def substitution_cases(draw):
+    """(f, values, arity).  When two values coincide, f may start with two
+    terms that cancel after substitution, so the running sum hits zero."""
+    arity = draw(st.integers(1, 3))
+    pool = draw(st.lists(ratfuncs(arity), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pool.append(RatFunc(Poly.zero(arity)))
+    values = [draw(st.sampled_from(pool)) for _ in range(NV)]
+    if draw(st.booleans()):
+        values[1] = values[0]
+    num = dict(draw(polys(NV)).terms)
+    if values[0] is values[1] and draw(st.booleans()):
+        a, c = draw(st.integers(1, 2)), draw(coeffs)
+        pair = {(a, 0, 0): c, (0, a, 0): -c}
+        num = {**pair, **{e: v for e, v in num.items() if e not in pair}}
+    f = RatFunc(Poly(NV, num), draw(polys(NV, min_terms=1)))
+    return f, values, arity
+
+
+def pair(r):
+    return dict(r.num.terms), dict(r.den.terms)
+
+
+def render_pair(num, den, nvars):
+    names = NAMES[:nvars]
+    if den == ref_one(nvars):
+        return Poly(nvars, num).render(names)
+    return "(%s)/(%s)" % (Poly(nvars, num).render(names), Poly(nvars, den).render(names))
+
+
+def ref_same(a, b):
+    cross = ref_mul(a.num.terms, b.den.terms)
+    for e, c in ref_mul(b.num.terms, a.den.terms).items():
+        cross[e] = cross.get(e, Fraction(0)) - c
+    return not any(cross.values())
+
+
+# ---------------------------------------------------------------- products
+
+
+@given(polys(NV, max_terms=4), polys(NV, max_terms=4), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_products_and_powers_match_reference(a, b, k):
+    # term order too: a substitution sums terms in this order
+    assert list((a * b).terms.items()) == list(ref_mul(a.terms, b.terms).items())
+    assert list((a**k).terms.items()) == list(ref_pow(a.terms, k, NV).items())
+
+
+@given(polys(NV), polys(NV, min_terms=1), st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_reduction_and_powers_match_reference(num, den, k):
+    r = RatFunc(num, den)
+    assert pair(r) == ref_reduce(num.terms, den.terms, NV)
+    if k < 0 and r.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            r**k
+        return
+    assert pair(r**k) == ref_rat_pow(pair(r), k, NV)
+
+
+# ------------------------------------------------------------ substitution
+
+
+def check_substitution(f, values, arity):
+    try:
+        expected = ref_substitute(pair(f), [pair(v) for v in values], arity)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.substitute(values)
+        return
+    out = f.substitute(values)
+    # equal terms in the same order: a later substitution sums in this order
+    assert list(out.num.terms.items()) == list(expected[0].items())
+    assert list(out.den.terms.items()) == list(expected[1].items())
+    assert out.render(NAMES[:arity]) == render_pair(*expected, arity)
+
+
+@given(substitution_cases())
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_reference(case):
+    check_substitution(*case)
+
+
+def test_cancelling_partial_sum_resets_the_denominator():
+    # x - y + z at x = y = 1/(u + 2v): the first two terms sum to zero, so
+    # the result is z's value with its own denominator, not a product
+    u, v = RatFunc(Poly.var(2, 0)), RatFunc(Poly.var(2, 1))
+    w = RatFunc(Poly.one(2)) / (u + 2 * v)
+    z = (u - v) / (3 * u + v)
+    f = RatFunc(Poly(NV, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1}))
+    out = f.substitute([w, w, z])
+    assert pair(out) == pair(z)
+    assert out.render(("u", "v")) == "(1/3*u - 1/3*v)/(u + 1/3*v)"
+    check_substitution(f, [w, w, z], 2)
+
+
+@given(ratfuncs(2), ratfuncs(2), polys(2, min_terms=1))
+@settings(max_examples=200, deadline=None)
+def test_same_matches_reference(a, b, p):
+    scaled = RatFunc(a.num * p, a.den * p)
+    assert a.same(scaled)
+    assert a.same(b) == ref_same(a, b)
+    assert b.same(scaled) == ref_same(b, scaled)
+
+
+# -------------------------------------------------------------- validation
+
+
+x = Poly.var(1, 0)
+
+REFUSED = [
+    ("float exponent", lambda: Poly(1, {(1.5,): 1}), TypeError),
+    ("bool exponent", lambda: Poly(1, {(True,): 1}), TypeError),
+    ("float power", lambda: x**1.5, TypeError),
+    ("float rational power", lambda: RatFunc(x) ** 2.7, TypeError),
+    ("bool power", lambda: x**True, TypeError),
+    ("float constant", lambda: Poly.const(1, 0.1), TypeError),
+    ("float coefficient", lambda: Poly(1, {(1,): 0.5}), TypeError),
+    ("float scalar", lambda: x * 0.5, TypeError),
+    ("float rational scalar", lambda: RatFunc(x) + 0.25, TypeError),
+    ("negative index", lambda: Poly.var(3, -1), ValueError),
+    ("index past the end", lambda: Poly.var(3, 3), ValueError),
+    ("bool index", lambda: Poly.var(3, True), TypeError),
+    ("float variable count", lambda: Poly(2.0), TypeError),
+]
+
+
+@pytest.mark.parametrize(
+    "build,error", [r[1:] for r in REFUSED], ids=[r[0] for r in REFUSED]
+)
+def test_inexact_input_is_refused(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_exact_input_is_accepted():
+    assert Poly(1, {(2,): Fraction(1, 2)}).render(["x"]) == "1/2*x^2"
+    assert (Poly.const(1, Fraction(1, 10)) * 10).render(["x"]) == "1"
+    assert RatFunc(x) ** -2 == RatFunc(Poly.one(1)) / RatFunc(x * x)
