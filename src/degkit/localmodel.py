@@ -62,6 +62,27 @@ def _torus_params(n):
     return tuple("sigma%d" % i for i in range(1, n + 1))
 
 
+def _sigma(n, nvars, offset, i):
+    """sigma_i of the rank-n torus in a frame whose parameters start at
+    ``offset``; the boundary convention sigma_0 = sigma_{n+1} = 1 is applied
+    here."""
+    if i == 0 or i == n + 1:
+        return RatFunc(Poly.one(nvars))
+    return RatFunc(Poly.var(nvars, offset + i - 1))
+
+
+def _base_scaling(n, count, shift):
+    """The rank-n torus on t_1..t_count, scaling t_i by
+    sigma_{i+shift} / sigma_{i+shift-1}."""
+    m = count + n
+    comps = [
+        _sigma(n, m, count, i + shift) / _sigma(n, m, count, i + shift - 1)
+        * RatFunc(Poly.var(m, i - 1))
+        for i in range(1, count + 1)
+    ]
+    return RationalMap(tuple("t%d" % i for i in range(1, count + 1)), comps, _torus_params(n))
+
+
 class GammaAtlas:
     """Charts, projections, torus actions and transitions of ``Gamma(n)``."""
 
@@ -74,7 +95,7 @@ class GammaAtlas:
         self.params = _torus_params(n)
         self.projections = tuple(self._projection(l) for l in range(1, n + 2))
         self.actions = tuple(self._action(l) for l in range(1, n + 2))
-        self.base_action = self._base_action()
+        self.base_action = _base_scaling(n, n + 1, 0)
         if transitions is None:
             transitions = tuple(self._transition(l) for l in range(1, n + 1))
         self.transitions = tuple(transitions)
@@ -85,11 +106,8 @@ class GammaAtlas:
         return RatFunc(Poly.var(nvars, i - 1))
 
     def _sigma(self, nvars, i):
-        """sigma_i as a coordinate in the (chart + params) frame; the
-        boundary convention sigma_0 = sigma_{n+1} = 1 is applied here."""
-        if i == 0 or i == self.n + 1:
-            return RatFunc(Poly.one(nvars))
-        return RatFunc(Poly.var(nvars, len(self.chart_vars) + i - 1))
+        # sigma_i as a coordinate in the (chart + params) frame
+        return _sigma(self.n, nvars, len(self.chart_vars), i)
 
     def _sigma_bar(self, nvars, i):
         return self._sigma(nvars, i) / self._sigma(nvars, i - 1)
@@ -120,20 +138,6 @@ class GammaAtlas:
             else:
                 comps.append(self._sigma_bar(m, j - 1) * u)
         return RationalMap(self.chart_vars, comps, self.params)
-
-    def _base_action(self):
-        nb = len(self.base_vars)
-        m = nb + len(self.params)
-        comps = []
-        for i in range(1, nb + 1):
-            t = RatFunc(Poly.var(m, i - 1))
-            sig = lambda k: (
-                RatFunc(Poly.one(m))
-                if k == 0 or k == self.n + 1
-                else RatFunc(Poly.var(m, nb + k - 1))
-            )
-            comps.append(sig(i) / sig(i - 1) * t)
-        return RationalMap(self.base_vars, comps, self.params)
 
     def _transition(self, l):
         m = self.n + 2
@@ -190,18 +194,8 @@ def gamma_atlas(n, bound=8):
 # ---------------------------------------------------------------------------
 
 
-def _diff_witness(f, g):
-    a, b = f._align(g)
-    for i, (x, y) in enumerate(zip(a.components, b.components)):
-        delta = x.num * y.den - y.num * x.den
-        if not delta.is_zero():
-            names = a.source_vars + a.params
-            return "component %d: %s" % (i + 1, delta.render(names))
-    return None
-
-
 def _check_equal(name, f, g):
-    w = _diff_witness(f, g)
+    w = f.difference(g)
     return CheckResult(name, w is None, w)
 
 
@@ -222,7 +216,10 @@ def verify_atlas(atlas):
         )
 
     # transition consistency: each T_l is its own inverse on the overlap and
-    # every chain of adjacent transitions is invertible by the reverse chain
+    # every chain of adjacent transitions is invertible by the reverse chain.
+    # Each chain is built once: backward[a, b] = T_a after ... after T_{b-1}
+    # grows downward from the end b, the forward chain T_{b-1} after ...
+    # after T_a grows upward from the start a.
     ident = RationalMap.identity(atlas.chart_vars)
     for l in range(1, n + 1):
         add_equal(
@@ -230,17 +227,19 @@ def verify_atlas(atlas):
             atlas.transition(l).compose(atlas.transition(l)),
             ident,
         )
+    backward = {}
+    for b in range(2, n + 2):
+        chain = ident
+        for a in range(b - 1, 0, -1):
+            chain = atlas.transition(a).compose(chain)
+            backward[a, b] = chain
     for a in range(1, n + 1):
+        forward = ident
         for b in range(a + 1, n + 2):
-            forward = ident
-            for l in range(a, b):
-                forward = atlas.transition(l).compose(forward)
-            backward = ident
-            for l in range(b - 1, a - 1, -1):
-                backward = atlas.transition(l).compose(backward)
+            forward = atlas.transition(b - 1).compose(forward)
             add_equal(
                 "transition_cocycle_%d_to_%d" % (a, b),
-                backward.compose(forward),
+                backward[a, b].compose(forward),
                 ident,
             )
 
@@ -379,23 +378,19 @@ def verify_resolution(res=None):
         res = fourfold_resolution()
     checks = []
 
-    def quadric_pullback(m):
-        z1, z2, t1, t2 = m.components
-        return z1 * z2 - t1 * t2
+    def vanishes(name, d):
+        checks.append(CheckResult(name, d.is_zero(), None if d.is_zero() else repr(d)))
 
     for name, m in (
         ("resolution_kills_quadric_homogeneous", res.resolution),
         ("resolution_kills_quadric_chart_b1", res.chart_b1),
         ("resolution_kills_quadric_chart_b0", res.chart_b0),
     ):
-        d = quadric_pullback(m)
-        checks.append(CheckResult(name, d.is_zero(), None if d.is_zero() else repr(d)))
+        z1, z2, t1, t2 = m.components
+        vanishes(name, z1 * z2 - t1 * t2)
 
     w1, w2, w3, w4 = res.quadric_param.components
-    d = w1 * w2 - w3 * w4
-    checks.append(
-        CheckResult("parametrization_on_quadric", d.is_zero(), None if d.is_zero() else repr(d))
-    )
+    vanishes("parametrization_on_quadric", w1 * w2 - w3 * w4)
 
     checks.append(
         _check_equal(
@@ -436,64 +431,28 @@ def verify_resolution(res=None):
     # axis incidence: in the chart b = [0, 1] the proper transforms of the
     # z1-axis (e2 = 0) and the t2-axis (e1 = 0) meet the exceptional curve at
     # the origin; mirror pattern for z2/t1 in the chart b = [1, 0]
-    def axis_preimage_check(name, chart, fix_zero, axis_coord):
-        # parametrize (b=0, one e free); the image must lie on the named axis
-        values = []
-        for v in chart.source_vars:
-            if v in fix_zero:
-                values.append(RatFunc(Poly.const(1, 0)))
-            else:
-                values.append(RatFunc(Poly.var(1, 0)))
+    # parametrize (b=0, one e free); the image must lie on the named axis
+    zero, free = RatFunc(Poly.const(1, 0)), RatFunc(Poly.var(1, 0))
+    for name, chart, fix_zero, axis_coord in (
+        ("z1_axis_meets_exceptional_at_b01", res.chart_b1, {"b0", "e2"}, 0),
+        ("t2_axis_meets_exceptional_at_b01", res.chart_b1, {"b0", "e1"}, 3),
+        ("z2_axis_meets_exceptional_at_b10", res.chart_b0, {"b1", "e1"}, 1),
+        ("t1_axis_meets_exceptional_at_b10", res.chart_b0, {"b1", "e2"}, 2),
+    ):
+        values = [zero if v in fix_zero else free for v in chart.source_vars]
         img = [c.substitute(values) for c in chart.components]
-        ok = True
-        for i, comp in enumerate(img):
-            if i == axis_coord:
-                ok = ok and comp.same(RatFunc(Poly.var(1, 0)))
-            else:
-                ok = ok and comp.is_zero()
-        return CheckResult(name, ok, None if ok else str([repr(c) for c in img]))
-
-    checks.append(
-        axis_preimage_check(
-            "z1_axis_meets_exceptional_at_b01", res.chart_b1, {"b0", "e2"}, 0
+        ok = all(
+            comp.same(free) if i == axis_coord else comp.is_zero()
+            for i, comp in enumerate(img)
         )
-    )
-    checks.append(
-        axis_preimage_check(
-            "t2_axis_meets_exceptional_at_b01", res.chart_b1, {"b0", "e1"}, 3
-        )
-    )
-    checks.append(
-        axis_preimage_check(
-            "z2_axis_meets_exceptional_at_b10", res.chart_b0, {"b1", "e1"}, 1
-        )
-    )
-    checks.append(
-        axis_preimage_check(
-            "t1_axis_meets_exceptional_at_b10", res.chart_b0, {"b1", "e2"}, 2
-        )
-    )
+        checks.append(CheckResult(name, ok, None if ok else str([repr(c) for c in img])))
 
     # cross pattern is empty: away from the exceptional locus the z1-axis
-    # preimage forces e1 = 0 in the chart b = [1, 0] and then z1 itself dies
-    z1_comp, z2_comp, t1_comp, t2_comp = res.chart_b0.components
-    forced = [RatFunc(Poly.var(1, 0)), RatFunc(Poly.const(1, 0)), RatFunc(Poly.const(1, 0))]
-    z1_forced = z1_comp.substitute(forced)  # e1 = e2 = 0 (t1 = z2 = 0 forced)
-    checks.append(
-        CheckResult(
-            "z1_axis_misses_chart_b10",
-            z1_forced.is_zero(),
-            None if z1_forced.is_zero() else repr(z1_forced),
-        )
-    )
-    z2c = res.chart_b1.components[1].substitute(forced)
-    checks.append(
-        CheckResult(
-            "z2_axis_misses_chart_b01",
-            z2c.is_zero(),
-            None if z2c.is_zero() else repr(z2c),
-        )
-    )
+    # preimage forces e1 = 0 in the chart b = [1, 0] and then z1 itself dies;
+    # e1 = e2 = 0 (t1 = z2 = 0 forced)
+    forced = [free, zero, zero]
+    vanishes("z1_axis_misses_chart_b10", res.chart_b0.components[0].substitute(forced))
+    vanishes("z2_axis_misses_chart_b01", res.chart_b1.components[1].substitute(forced))
     return res, Report(tuple(checks))
 
 
@@ -756,24 +715,8 @@ def relative_action(n, reversed_order=False):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    t_names = tuple("t%d" % i for i in range(1, n + 1))
-    params = _torus_params(n)
-    m = n + len(params)
-
-    def sigma(k):
-        if k == 0 or k == n + 1:
-            return RatFunc(Poly.one(m))
-        return RatFunc(Poly.var(m, n + k - 1))
-
-    comps = []
-    for i in range(1, n + 1):
-        t = RatFunc(Poly.var(m, i - 1))
-        if reversed_order:
-            comps.append(sigma(i) / sigma(i - 1) * t)
-        else:
-            comps.append(sigma(i + 1) / sigma(i) * t)
-    action = RationalMap(t_names, comps, params)
-
+    action = _base_scaling(n, n, 0 if reversed_order else 1)
+    t_names = action.source_vars
     big = gamma_atlas(n).base_action
     zero = RatFunc(Poly.const(n, 0))
     if reversed_order:
@@ -803,39 +746,28 @@ def _restrict_transition(trans, n, deleted):
     coordinate removed on both sides.  Requires the deleted target component
     to vanish on the locus; returns None if it does not."""
     m = n + 2
-    kept = [i for i in range(1, m + 1) if i != deleted]
-    values = []
-    pos = 0
-    for i in range(1, m + 1):
-        if i == deleted:
-            values.append(RatFunc(Poly.const(m - 1, 0)))
-        else:
-            values.append(RatFunc(Poly.var(m - 1, pos)))
-            pos += 1
+    values = [RatFunc(Poly.var(m - 1, k)) for k in range(m - 1)]
+    values.insert(deleted - 1, RatFunc(Poly.const(m - 1, 0)))
     comps = [c.substitute(values) for c in trans.components]
-    if not comps[deleted - 1].is_zero():
+    if not comps.pop(deleted - 1).is_zero():
         return None
-    kept_comps = [comps[i - 1] for i in kept]
-    return RationalMap(tuple("v%d" % i for i in range(1, m)), kept_comps)
+    return RationalMap(tuple("v%d" % i for i in range(1, m)), comps)
 
 
 def _extended_transition(inner_atlas, j, lead, total_vars):
     """inner transition T'_j extended by identity on ``lead`` leading
     coordinates, as a map on total_vars variables."""
     inner = inner_atlas.transition(j)
-    m_in = len(inner.source_vars)
-    values = [RatFunc(Poly.var(total_vars, lead + i)) for i in range(m_in)]
+    shifted = range(lead, lead + inner.arity_in)
     comps = [RatFunc(Poly.var(total_vars, i)) for i in range(lead)]
-    comps += [c.substitute(values) for c in inner.components]
+    comps += [c.rename(total_vars, shifted) for c in inner.components]
     return RationalMap(tuple("v%d" % i for i in range(1, total_vars + 1)), comps)
 
 
 def _mirror_map(rmap, n):
     """Conjugate a chart self-map by the coordinate reversal u_i -> u_{m+1-i}."""
     m = n + 2
-    rev = [RatFunc(Poly.var(m, m - 1 - i)) for i in range(m)]
-    comps = [c.substitute(rev) for c in rmap.components]
-    comps.reverse()
+    comps = [c.rename(m, range(m - 1, -1, -1)) for c in reversed(rmap.components)]
     return RationalMap(rmap.source_vars, comps)
 
 
@@ -946,8 +878,7 @@ def splice_check(n, l):
     mirror_ok = True
     witness = None
     for j in range(1, n + 1):
-        mirrored = _mirror_map(atlas.transition(j), n)
-        w = _diff_witness(mirrored, atlas.transition(n + 1 - j))
+        w = _mirror_map(atlas.transition(j), n).difference(atlas.transition(n + 1 - j))
         if w is not None:
             mirror_ok = False
             witness = "T%d: %s" % (j, w)
@@ -957,8 +888,19 @@ def splice_check(n, l):
     # at node n+2-l, so with the symmetry established the same checks apply
     checks.extend(right_piece_checks(atlas, n + 2 - l, "left_piece_mirrored"))
 
-    # gluing locus: both loci meet chart l in the codimension-two node locus
+    # gluing locus: both loci meet chart l in the node locus
+    # {u_l = u_{l+1} = 0}, which the projection carries onto {t_l = 0} with
+    # the other n base coordinates free
+    values = [RatFunc(Poly.var(m, i)) for i in range(m)]
+    values[l - 1] = values[l] = RatFunc.const(m, 0)
+    image = [c.substitute(values) for c in atlas.projection(l).components]
+    free = {c.bare_variable() for k, c in enumerate(image) if k != l - 1}
+    glued = image[l - 1].is_zero() and None not in free and len(free) == n
     checks.append(
-        CheckResult("gluing_locus_in_chart%d" % l, True, None)
+        CheckResult(
+            "gluing_locus_in_chart%d" % l,
+            glued,
+            None if glued else "(%s)" % ", ".join(c.render(atlas.chart_vars) for c in image),
+        )
     )
     return Report(tuple(checks))

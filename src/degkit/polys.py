@@ -28,11 +28,13 @@ def _int(value, what):
 
 
 def _coeff(c):
-    """An exact coefficient; floats are refused, never rounded."""
+    """An exact coefficient; floats and bools are refused, never rounded."""
     if type(c) is Fraction:
         return c
-    if isinstance(c, float):
-        raise TypeError("float coefficient %r; use an int or a Fraction" % c)
+    if isinstance(c, (float, bool)):
+        raise TypeError(
+            "%s coefficient %r; use an int or a Fraction" % (type(c).__name__, c)
+        )
     return Fraction(c)
 
 
@@ -268,14 +270,31 @@ class Poly:
             out = out + term
         return out
 
+    def rename(self, nvars, positions):
+        """The same polynomial in an ``nvars``-variable frame, variable i
+        renamed to variable ``positions[i]``.  The positions are distinct, so
+        this moves exponents and never multiplies."""
+        nvars = _arity(nvars)
+        positions = tuple(positions)
+        if (
+            len(positions) != self.nvars
+            or len(set(positions)) != self.nvars
+            or not all(0 <= _int(k, "position") < nvars for k in positions)
+        ):
+            raise ValueError("rename: need %d distinct positions below %d" % (self.nvars, nvars))
+        terms = {}
+        for e, c in self.terms.items():
+            exp = [0] * nvars
+            for k, p in zip(positions, e):
+                exp[k] = p
+            terms[tuple(exp)] = c
+        return _poly(nvars, terms)
+
     def extend(self, nvars, offset=0):
         """View in a larger variable list, original variable i at offset+i."""
-        nvars = _arity(nvars)
-        if _int(offset, "offset") < 0 or offset + self.nvars > nvars:
+        if _int(offset, "offset") < 0 or offset + self.nvars > _arity(nvars):
             raise ValueError("extend: does not fit")
-        before = (0,) * offset
-        after = (0,) * (nvars - offset - self.nvars)
-        return _poly(nvars, {before + e + after: c for e, c in self.terms.items()})
+        return self.rename(nvars, range(offset, offset + self.nvars))
 
     def monomial_content(self):
         """Largest monomial dividing every term (zero poly: None)."""
@@ -449,6 +468,21 @@ class RatFunc:
 
     def __hash__(self):
         raise TypeError("RatFunc is unhashable; compare with .same()")
+
+    def bare_variable(self):
+        """Index k if this is the bare variable x_k, else None."""
+        num, den = self.num.terms, self.den.terms
+        if len(num) != 1 or len(den) != 1 or any(next(iter(den))):
+            return None
+        (e, c), = num.items()
+        if c != 1 or sum(e) != 1:
+            return None
+        return e.index(1)
+
+    def rename(self, nvars, positions):
+        """:meth:`Poly.rename` of both sides.  The fraction is reduced again,
+        as renaming can change which denominator term leads."""
+        return RatFunc(self.num.rename(nvars, positions), self.den.rename(nvars, positions))
 
     def substitute(self, values):
         """Substitute RatFunc values for the variables; exact.

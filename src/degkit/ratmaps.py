@@ -2,15 +2,22 @@
 
 A :class:`RationalMap` is a tuple of reduced fractions of polynomials over Q
 in named source variables.  Extra symbols (torus parameters and their
-inverses) may appear in the formulas; composition substitutes only the
-declared source variables and leaves the parameters alone, and equality is
-decided on a dense open set by cross multiplication, which clears all
-denominators including the torus ones.
+inverses) may appear in the formulas.  The components live in the map's
+frame: its source variables followed by its parameters.
+
+Moving a map into another frame (more parameters, or the same ones in
+another order) renames variables with :meth:`RatFunc.rename`, and happens
+only when the frame changes.  Substitution is kept for real substitutions:
+composition substitutes the inner components for the outer source variables
+and leaves the parameters alone.
+
+:meth:`RationalMap.difference` is the one comparison of two maps.  It brings
+both into their common frame and cross-multiplies, which clears all
+denominators including the torus ones, so it decides equality on a dense
+open set.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .polys import Poly, RatFunc
 
@@ -31,7 +38,7 @@ class RationalMap:
             if isinstance(c, Poly):
                 c = RatFunc(c)
             elif not isinstance(c, RatFunc):
-                c = RatFunc(Poly.const(len(names), Fraction(c)))
+                c = RatFunc.const(len(names), c)
             if c.nvars != len(names):
                 raise ValueError("component arity mismatch")
             comps.append(c)
@@ -58,11 +65,24 @@ class RationalMap:
         return RatFunc(Poly.var(len(names), names.index(name)))
 
     # ------------------------------------------------------------ operations
+    def _reframe(self, params):
+        """This map over ``source_vars + params``, a frame holding its own
+        parameters in any order, and perhaps more."""
+        if params == self.params:
+            return self
+        names = self.source_vars + params
+        lift = {v: i for i, v in enumerate(names)}
+        positions = [lift[v] for v in self.source_vars + self.params]
+        comps = [c.rename(len(names), positions) for c in self.components]
+        return RationalMap(self.source_vars, comps, params)
+
     def compose(self, inner):
         """self after inner: substitute inner's components into self.
 
         Parameters of both maps are merged; inner's source variables become
-        the source of the composite.
+        the source of the composite.  When inner's components are distinct
+        bare variables the substitution is a renaming, and none at all when
+        it leaves every variable in place.
         """
         if self.arity_in != inner.arity_out:
             raise ValueError(
@@ -70,44 +90,41 @@ class RationalMap:
                 % (inner.arity_out, self.arity_in)
             )
         params = tuple(dict.fromkeys(inner.params + self.params))
-        names = inner.source_vars + params
-        n = len(names)
-        lift = {name: i for i, name in enumerate(names)}
-        src = inner.source_vars + inner.params
-        values = [RatFunc(Poly.var(n, lift[v])) for v in src]
-        inner_comps = [c.substitute(values) for c in inner.components]
-        values = inner_comps + [
+        inner = inner._reframe(params)
+        n = inner.arity_in + len(params)
+        lift = {p: i for i, p in enumerate(params, inner.arity_in)}
+        values = inner.components + tuple(
             RatFunc(Poly.var(n, lift[p])) for p in self.params
-        ]
-        out = [c.substitute(values) for c in self.components]
+        )
+        positions = tuple(v.bare_variable() for v in values)
+        if None in positions or len(set(positions)) != len(positions):
+            out = [c.substitute(values) for c in self.components]
+        elif positions == tuple(range(n)):
+            out = self.components
+        else:
+            out = [c.rename(n, positions) for c in self.components]
         return RationalMap(inner.source_vars, out, params)
+
+    def difference(self, other):
+        """The first component where the two maps differ, as the text
+        ``component i: num_a*den_b - num_b*den_a`` rendered in their common
+        frame, or None when they agree on a dense open set.  Maps with
+        different component counts differ."""
+        if self.source_vars != other.source_vars:
+            raise ValueError("maps have different source variables")
+        if self.arity_out != other.arity_out:
+            return "component count %d != %d" % (self.arity_out, other.arity_out)
+        params = tuple(dict.fromkeys(self.params + other.params))
+        a, b = self._reframe(params), other._reframe(params)
+        for i, (x, y) in enumerate(zip(a.components, b.components)):
+            delta = x.num * y.den - y.num * x.den
+            if delta:
+                return "component %d: %s" % (i + 1, delta.render(a.source_vars + params))
+        return None
 
     def equal_on_dense(self, other):
         """Componentwise equality as rational functions; exact."""
-        if self.source_vars != other.source_vars or self.params != other.params:
-            a, b = self._align(other)
-            return a.equal_on_dense(b)
-        if self.arity_out != other.arity_out:
-            return False
-        return all(a.same(b) for a, b in zip(self.components, other.components))
-
-    def _align(self, other):
-        """Re-express both maps over the union of their symbol lists."""
-        if self.source_vars != other.source_vars:
-            raise ValueError("maps have different source variables")
-        params = tuple(dict.fromkeys(self.params + other.params))
-
-        def relift(m):
-            names = m.source_vars + params
-            n = len(names)
-            lift = {v: i for i, v in enumerate(names)}
-            src = m.source_vars + m.params
-            values = [RatFunc(Poly.var(n, lift[v])) for v in src]
-            return RationalMap(
-                m.source_vars, [c.substitute(values) for c in m.components], params
-            )
-
-        return relift(self), relift(other)
+        return self.difference(other) is None
 
     def substitute_values(self, values):
         """Evaluate at rational source values; parameters stay symbolic."""

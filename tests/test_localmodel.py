@@ -251,6 +251,29 @@ def test_splice_reports(n):
         assert report.passed, (n, l, report.failures())
 
 
+@pytest.mark.parametrize(
+    "corrupt,witness",
+    [(lambda c: c[1] * c[2], "(0, u3*u4, u4)"), (lambda c: c[1] * 2, "(0, 2*u3, u4)")],
+    ids=["product", "scaled"],
+)
+def test_splice_checks_the_gluing_locus(monkeypatch, corrupt, witness):
+    # chart 1 of Gamma(2) with a second base coordinate that is not a free
+    # coordinate of the node locus {u1 = u2 = 0}; only the gluing check sees it
+    from degkit import localmodel
+
+    bad = gamma_atlas(2)
+    proj = bad.projection(1)
+    comps = list(proj.components)
+    comps[1] = corrupt(comps)
+    bad.projections = (RationalMap(proj.source_vars, comps),) + bad.projections[1:]
+    real = localmodel.gamma_atlas
+    monkeypatch.setattr(
+        localmodel, "gamma_atlas", lambda n, bound=8: bad if n == 2 else real(n, bound)
+    )
+    failed = {c.name: c.witness for c in splice_check(2, 1).failures()}
+    assert failed == {"gluing_locus_in_chart1": witness}
+
+
 def test_splice_index_range():
     with pytest.raises(ValueError):
         splice_check(2, 4)

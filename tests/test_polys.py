@@ -140,6 +140,45 @@ def test_cancelling_partial_sum_resets_the_denominator():
     check_substitution(f, [w, w, z], 2)
 
 
+# --------------------------------------------------------------- renaming
+
+
+@st.composite
+def renaming_cases(draw):
+    """(f, nvars, positions): distinct target variables, some frames larger
+    than f's own and some permuting it."""
+    nvars = draw(st.integers(NV, NV + 2))
+    positions = draw(st.permutations(range(nvars)))[:NV]
+    return draw(ratfuncs(NV)), nvars, positions
+
+
+@given(renaming_cases())
+@settings(max_examples=200, deadline=None)
+def test_rename_matches_substitution_of_bare_variables(case):
+    f, nvars, positions = case
+    out = f.rename(nvars, positions)
+    expected = f.substitute([RatFunc(Poly.var(nvars, k)) for k in positions])
+    # equal terms in the same order: a later substitution sums in this order
+    assert list(out.num.terms.items()) == list(expected.num.terms.items())
+    assert list(out.den.terms.items()) == list(expected.den.terms.items())
+
+
+@given(polys(NV, max_terms=4), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_extend_is_an_offset_renaming(p, offset, extra):
+    nvars = offset + NV + extra
+    out = p.extend(nvars, offset)
+    shifted = {(0,) * offset + e + (0,) * extra: c for e, c in p.terms.items()}
+    assert list(out.terms.items()) == list(shifted.items())
+    assert out == p.rename(nvars, range(offset, offset + NV))
+
+
+def test_rename_refuses_clashing_positions():
+    for positions in ((0, 0, 1), (0, 1), (0, 1, 3), (0, 1, True)):
+        with pytest.raises((ValueError, TypeError)):
+            Poly.var(NV, 0).rename(3, positions)
+
+
 @given(ratfuncs(2), ratfuncs(2), polys(2, min_terms=1))
 @settings(max_examples=200, deadline=None)
 def test_same_matches_reference(a, b, p):
@@ -161,6 +200,7 @@ REFUSED = [
     ("float rational power", lambda: RatFunc(x) ** 2.7, TypeError),
     ("bool power", lambda: x**True, TypeError),
     ("float constant", lambda: Poly.const(1, 0.1), TypeError),
+    ("bool constant", lambda: Poly.const(1, True), TypeError),
     ("float coefficient", lambda: Poly(1, {(1,): 0.5}), TypeError),
     ("float scalar", lambda: x * 0.5, TypeError),
     ("float rational scalar", lambda: RatFunc(x) + 0.25, TypeError),

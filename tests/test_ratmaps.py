@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from degkit import Poly, RatFunc, RationalMap, compose, equal_on_dense
+from reference_ratmaps import ref_compose, ref_diff_witness, ref_equal_on_dense
 
 
 def _v(n, i):
@@ -91,3 +94,75 @@ def test_parameters_pass_through_composition():
 def test_render_is_stable():
     f = _pool()[3]
     assert f.render() == "(x, y) -> ((1)/(y), x)"
+
+
+def test_inexact_constant_components_are_refused():
+    for const in (0.1, True, False):
+        with pytest.raises(TypeError):
+            RationalMap(("x",), [const])
+    assert RationalMap(("x",), [0, Poly.var(1, 0)]).render() == "(x) -> (0, x)"
+
+
+def test_component_count_difference_is_reported():
+    one = RationalMap(("x", "y"), [_v(2, 0)])
+    two = RationalMap(("x", "y"), [_v(2, 0), _v(2, 1)])
+    assert one.difference(two) == "component count 1 != 2"
+    assert not one.equal_on_dense(two) and not two.equal_on_dense(one)
+
+
+# ------------------------------------------- frames against the reference
+
+SOURCE = ("x", "y")
+PARAMS = ("p", "q", "r")
+
+
+@st.composite
+def plane_maps(draw):
+    """Self-maps of the plane over a drawn parameter list (a subset of
+    PARAMS in any order).  Components are bare variables of the frame or
+    small fractions with non-monomial denominators."""
+    params = tuple(draw(st.permutations(PARAMS))[: draw(st.integers(0, 3))])
+    n = len(SOURCE) + len(params)
+    exps = st.tuples(*[st.integers(0, 1)] * n)
+    coeffs = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+    poly = lambda k: st.dictionaries(exps, coeffs, min_size=k, max_size=2).map(
+        lambda t: Poly(n, t)
+    )
+    fraction = st.builds(RatFunc, poly(0), poly(1))
+    bare = st.integers(0, n - 1).map(lambda i: _v(n, i))
+    comps = draw(st.lists(st.one_of(bare, fraction), min_size=2, max_size=2))
+    return RationalMap(SOURCE, comps, params)
+
+
+def terms(m):
+    return [
+        (list(c.num.terms.items()), list(c.den.terms.items())) for c in m.components
+    ]
+
+
+@given(plane_maps(), plane_maps(), st.permutations(PARAMS))
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_reference(f, g, order):
+    # the swap of x and y over other parameters: composing with it renames
+    swap = RationalMap(SOURCE, [_v(5, 1), _v(5, 0)], order)
+    for inner in (g, swap):
+        try:
+            expected = ref_compose(f, inner)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                f.compose(inner)
+            continue
+        out = f.compose(inner)
+        assert out.params == expected.params
+        assert terms(out) == terms(expected)
+
+
+@given(plane_maps(), plane_maps(), st.permutations(PARAMS))
+@settings(max_examples=150, deadline=None)
+def test_comparison_matches_reference(f, g, order):
+    # the same map in a larger, reordered frame: equal, whatever the frames
+    same = RationalMap.identity(SOURCE, order).compose(f)
+    for a, b in ((f, g), (g, f), (f, same), (same, f)):
+        assert a.difference(b) == ref_diff_witness(a, b)
+        assert a.equal_on_dense(b) == ref_equal_on_dense(a, b)
+    assert f.difference(same) is None
