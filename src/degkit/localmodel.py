@@ -105,12 +105,9 @@ class GammaAtlas:
         # 1-based chart coordinate inside an nvars-symbol frame
         return RatFunc(Poly.var(nvars, i - 1))
 
-    def _sigma(self, nvars, i):
-        # sigma_i as a coordinate in the (chart + params) frame
-        return _sigma(self.n, nvars, len(self.chart_vars), i)
-
     def _sigma_bar(self, nvars, i):
-        return self._sigma(nvars, i) / self._sigma(nvars, i - 1)
+        c = len(self.chart_vars)
+        return _sigma(self.n, nvars, c, i) / _sigma(self.n, nvars, c, i - 1)
 
     def _projection(self, l):
         m = self.n + 2
@@ -132,9 +129,9 @@ class GammaAtlas:
             if j <= l - 1:
                 comps.append(self._sigma_bar(m, j) * u)
             elif j == l:
-                comps.append(u / self._sigma(m, l - 1))
+                comps.append(u / _sigma(self.n, m, len(self.chart_vars), l - 1))
             elif j == l + 1:
-                comps.append(self._sigma(m, l) * u)
+                comps.append(_sigma(self.n, m, len(self.chart_vars), l) * u)
             else:
                 comps.append(self._sigma_bar(m, j - 1) * u)
         return RationalMap(self.chart_vars, comps, self.params)
@@ -378,19 +375,23 @@ def verify_resolution(res=None):
         res = fourfold_resolution()
     checks = []
 
-    def vanishes(name, d):
-        checks.append(CheckResult(name, d.is_zero(), None if d.is_zero() else repr(d)))
+    def quadric_pullback(m):
+        z1, z2, t1, t2 = m.components
+        return z1 * z2 - t1 * t2
 
     for name, m in (
         ("resolution_kills_quadric_homogeneous", res.resolution),
         ("resolution_kills_quadric_chart_b1", res.chart_b1),
         ("resolution_kills_quadric_chart_b0", res.chart_b0),
     ):
-        z1, z2, t1, t2 = m.components
-        vanishes(name, z1 * z2 - t1 * t2)
+        d = quadric_pullback(m)
+        checks.append(CheckResult(name, d.is_zero(), None if d.is_zero() else repr(d)))
 
     w1, w2, w3, w4 = res.quadric_param.components
-    vanishes("parametrization_on_quadric", w1 * w2 - w3 * w4)
+    d = w1 * w2 - w3 * w4
+    checks.append(
+        CheckResult("parametrization_on_quadric", d.is_zero(), None if d.is_zero() else repr(d))
+    )
 
     checks.append(
         _check_equal(
@@ -431,28 +432,64 @@ def verify_resolution(res=None):
     # axis incidence: in the chart b = [0, 1] the proper transforms of the
     # z1-axis (e2 = 0) and the t2-axis (e1 = 0) meet the exceptional curve at
     # the origin; mirror pattern for z2/t1 in the chart b = [1, 0]
-    # parametrize (b=0, one e free); the image must lie on the named axis
-    zero, free = RatFunc(Poly.const(1, 0)), RatFunc(Poly.var(1, 0))
-    for name, chart, fix_zero, axis_coord in (
-        ("z1_axis_meets_exceptional_at_b01", res.chart_b1, {"b0", "e2"}, 0),
-        ("t2_axis_meets_exceptional_at_b01", res.chart_b1, {"b0", "e1"}, 3),
-        ("z2_axis_meets_exceptional_at_b10", res.chart_b0, {"b1", "e1"}, 1),
-        ("t1_axis_meets_exceptional_at_b10", res.chart_b0, {"b1", "e2"}, 2),
-    ):
-        values = [zero if v in fix_zero else free for v in chart.source_vars]
+    def axis_preimage_check(name, chart, fix_zero, axis_coord):
+        # parametrize (b=0, one e free); the image must lie on the named axis
+        values = []
+        for v in chart.source_vars:
+            if v in fix_zero:
+                values.append(RatFunc(Poly.const(1, 0)))
+            else:
+                values.append(RatFunc(Poly.var(1, 0)))
         img = [c.substitute(values) for c in chart.components]
-        ok = all(
-            comp.same(free) if i == axis_coord else comp.is_zero()
-            for i, comp in enumerate(img)
+        ok = True
+        for i, comp in enumerate(img):
+            if i == axis_coord:
+                ok = ok and comp.same(RatFunc(Poly.var(1, 0)))
+            else:
+                ok = ok and comp.is_zero()
+        return CheckResult(name, ok, None if ok else str([repr(c) for c in img]))
+
+    checks.append(
+        axis_preimage_check(
+            "z1_axis_meets_exceptional_at_b01", res.chart_b1, {"b0", "e2"}, 0
         )
-        checks.append(CheckResult(name, ok, None if ok else str([repr(c) for c in img])))
+    )
+    checks.append(
+        axis_preimage_check(
+            "t2_axis_meets_exceptional_at_b01", res.chart_b1, {"b0", "e1"}, 3
+        )
+    )
+    checks.append(
+        axis_preimage_check(
+            "z2_axis_meets_exceptional_at_b10", res.chart_b0, {"b1", "e1"}, 1
+        )
+    )
+    checks.append(
+        axis_preimage_check(
+            "t1_axis_meets_exceptional_at_b10", res.chart_b0, {"b1", "e2"}, 2
+        )
+    )
 
     # cross pattern is empty: away from the exceptional locus the z1-axis
-    # preimage forces e1 = 0 in the chart b = [1, 0] and then z1 itself dies;
-    # e1 = e2 = 0 (t1 = z2 = 0 forced)
-    forced = [free, zero, zero]
-    vanishes("z1_axis_misses_chart_b10", res.chart_b0.components[0].substitute(forced))
-    vanishes("z2_axis_misses_chart_b01", res.chart_b1.components[1].substitute(forced))
+    # preimage forces e1 = 0 in the chart b = [1, 0] and then z1 itself dies
+    z1_comp, z2_comp, t1_comp, t2_comp = res.chart_b0.components
+    forced = [RatFunc(Poly.var(1, 0)), RatFunc(Poly.const(1, 0)), RatFunc(Poly.const(1, 0))]
+    z1_forced = z1_comp.substitute(forced)  # e1 = e2 = 0 (t1 = z2 = 0 forced)
+    checks.append(
+        CheckResult(
+            "z1_axis_misses_chart_b10",
+            z1_forced.is_zero(),
+            None if z1_forced.is_zero() else repr(z1_forced),
+        )
+    )
+    z2c = res.chart_b1.components[1].substitute(forced)
+    checks.append(
+        CheckResult(
+            "z2_axis_misses_chart_b01",
+            z2c.is_zero(),
+            None if z2c.is_zero() else repr(z2c),
+        )
+    )
     return res, Report(tuple(checks))
 
 
@@ -746,12 +783,20 @@ def _restrict_transition(trans, n, deleted):
     coordinate removed on both sides.  Requires the deleted target component
     to vanish on the locus; returns None if it does not."""
     m = n + 2
-    values = [RatFunc(Poly.var(m - 1, k)) for k in range(m - 1)]
-    values.insert(deleted - 1, RatFunc(Poly.const(m - 1, 0)))
+    kept = [i for i in range(1, m + 1) if i != deleted]
+    values = []
+    pos = 0
+    for i in range(1, m + 1):
+        if i == deleted:
+            values.append(RatFunc(Poly.const(m - 1, 0)))
+        else:
+            values.append(RatFunc(Poly.var(m - 1, pos)))
+            pos += 1
     comps = [c.substitute(values) for c in trans.components]
-    if not comps.pop(deleted - 1).is_zero():
+    if not comps[deleted - 1].is_zero():
         return None
-    return RationalMap(tuple("v%d" % i for i in range(1, m)), comps)
+    kept_comps = [comps[i - 1] for i in kept]
+    return RationalMap(tuple("v%d" % i for i in range(1, m)), kept_comps)
 
 
 def _extended_transition(inner_atlas, j, lead, total_vars):

@@ -9,7 +9,8 @@ Moving a map into another frame (more parameters, or the same ones in
 another order) renames variables with :meth:`RatFunc.rename`, and happens
 only when the frame changes.  Substitution is kept for real substitutions:
 composition substitutes the inner components for the outer source variables
-and leaves the parameters alone.
+and leaves the parameters alone, and an inner map that moves no variable is
+not substituted at all.
 
 :meth:`RationalMap.difference` is the one comparison of two maps.  It brings
 both into their common frame and cross-multiplies, which clears all
@@ -80,9 +81,8 @@ class RationalMap:
         """self after inner: substitute inner's components into self.
 
         Parameters of both maps are merged; inner's source variables become
-        the source of the composite.  When inner's components are distinct
-        bare variables the substitution is a renaming, and none at all when
-        it leaves every variable in place.
+        the source of the composite.  When inner leaves every variable in
+        place there is nothing to substitute.
         """
         if self.arity_in != inner.arity_out:
             raise ValueError(
@@ -96,13 +96,10 @@ class RationalMap:
         values = inner.components + tuple(
             RatFunc(Poly.var(n, lift[p])) for p in self.params
         )
-        positions = tuple(v.bare_variable() for v in values)
-        if None in positions or len(set(positions)) != len(positions):
-            out = [c.substitute(values) for c in self.components]
-        elif positions == tuple(range(n)):
+        if tuple(v.bare_variable() for v in values) == tuple(range(n)):
             out = self.components
         else:
-            out = [c.rename(n, positions) for c in self.components]
+            out = [c.substitute(values) for c in self.components]
         return RationalMap(inner.source_vars, out, params)
 
     def difference(self, other):

@@ -143,7 +143,8 @@ def terms(m):
 @given(plane_maps(), plane_maps(), st.permutations(PARAMS))
 @settings(max_examples=150, deadline=None)
 def test_compose_matches_reference(f, g, order):
-    # the swap of x and y over other parameters: composing with it renames
+    # the swap of x and y over other parameters: bare variables, but not in
+    # place, so composing with it must substitute
     swap = RationalMap(SOURCE, [_v(5, 1), _v(5, 0)], order)
     for inner in (g, swap):
         try:
