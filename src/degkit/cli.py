@@ -36,9 +36,14 @@ def _load(path):
         raise InputError("this subcommand needs --input")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise InputError("cannot read %s: %s" % (path, err))
+    if not isinstance(data, dict):
+        raise InputError(
+            "%s must hold a JSON object, not %s" % (path, type(data).__name__)
+        )
+    return data
 
 
 def _emit(args, payload):

@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 
 from .linalg import Subspace
-from .polys import Poly
+from .polys import Poly, _coeff, _int
 
 
 def _frac_str(c):
@@ -297,10 +297,9 @@ class AlgebraElement:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, AlgebraElement):
+            c = _coeff(other)
             return AlgebraElement(self.algebra, tuple(a * c for a in self.coeffs))
-        other = self._coerce(other)
         self._check(other)
         dim = self.algebra.dim
         acc = [Fraction(0)] * dim
@@ -320,8 +319,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = int(k)
-        if k < 0:
+        if _int(k, "power") < 0:
             return self.inverse() ** (-k)
         out = self.algebra.one()
         base = self
@@ -582,9 +580,9 @@ class NodeRing:
 
     def _slot_reduce(self, k, elem):
         space = self._slot_spaces.get(k)
-        if space is None:
+        if space is None or not any(elem.coeffs):
             return elem
-        return self.algebra.element(space.reduce(elem.coeffs))
+        return AlgebraElement(self.algebra, space.reduce(elem.coeffs))
 
     def series(self, const, z1_tail=(), z2_tail=()):
         """Build a normal form; user tails may not reach the exposed order."""
@@ -614,7 +612,7 @@ class NodeRing:
         return self.series(self.algebra.one())
 
     def const(self, elem):
-        if isinstance(elem, (int, Fraction)):
+        if not isinstance(elem, AlgebraElement):
             elem = self.algebra.const(elem)
         return self.series(elem)
 
@@ -625,11 +623,10 @@ class NodeRing:
         return self.branch_power(2, power, coeff)
 
     def branch_power(self, branch, power, coeff=None):
-        power = int(power)
-        if power < 0:
+        if _int(power, "branch power") < 0:
             raise ValueError("negative branch power")
         coeff = coeff if coeff is not None else self.algebra.one()
-        if isinstance(coeff, (int, Fraction)):
+        if not isinstance(coeff, AlgebraElement):
             coeff = self.algebra.const(coeff)
         if power == 0:
             return self.series(coeff)
@@ -748,59 +745,90 @@ class NodeSeries:
     def _coerce(self, other):
         if isinstance(other, NodeSeries):
             return other
-        if isinstance(other, AlgebraElement):
-            return self.ring.const(other)
-        return self.ring.const(self.ring.algebra.const(other))
+        return self.ring.const(other)
+
+    def _nonzero_slots(self):
+        """(signed z-degree, nonzero (basis index, coefficient) pairs) of
+        every nonzero slot: +i for z1^i, -i for z2^i, 0 for the constant."""
+        out = []
+        for deg, c in itertools.chain(
+            ((0, self.a0),),
+            enumerate(self.a, start=1),
+            ((-i, c) for i, c in enumerate(self.b, start=1)),
+        ):
+            nonzero = [(i, ci) for i, ci in enumerate(c.coeffs) if ci]
+            if nonzero:
+                out.append((deg, nonzero))
+        return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        """Product on the nonzero slots only.
+
+        Slots of degrees p and q land in slot p + q; on opposite branches
+        they also pick up s^min(|p|, |q|) from z1 z2 = s.  Pairs past the
+        internal window or past the last nonzero power of s are skipped.
+        The coefficients are summed per (slot, power of s) through the
+        structure constants, multiplied by that power once, and the slots
+        are reduced as the ring's normal form does.
+        """
+        if isinstance(other, AlgebraElement):
+            other = self.ring.const(other)
+        elif not isinstance(other, NodeSeries):
+            c = _coeff(other)
             return NodeSeries(
                 self.ring,
                 self.a0 * c,
                 tuple(x * c for x in self.a),
                 tuple(x * c for x in self.b),
             )
-        if isinstance(other, AlgebraElement):
-            other = self.ring.const(other)
         self._check(other)
         ring = self.ring
         alg = ring.algebra
+        dim = alg.dim
         K = ring.internal - 1
         s_pows = ring._s_pows
+        zeros = [Fraction(0)] * dim
+        acc = {}
+        ys = other._nonzero_slots()
+        for p, xc in self._nonzero_slots():
+            for q, yc in ys:
+                k = p + q
+                if not -K <= k <= K:
+                    continue
+                e = min(abs(p), abs(q)) if p * q < 0 else 0
+                if e >= len(s_pows):
+                    continue
+                vec = acc.get((k, e))
+                if vec is None:
+                    vec = acc[k, e] = zeros[:]
+                for i, ci in xc:
+                    for j, cj in yc:
+                        f = ci * cj
+                        for m, pm in enumerate(alg._basis_product(i, j)):
+                            if pm:
+                                vec[m] += f * pm
+        slots = {}
+        for (k, e), vec in acc.items():
+            if e:
+                vec = (AlgebraElement(alg, vec) * s_pows[e]).coeffs
+            total = slots.get(k)
+            slots[k] = vec if total is None else [u + v for u, v in zip(total, vec)]
+        zero = alg.zero()
 
-        def A(x, i):
-            return x.a0 if i == 0 else x.a[i - 1]
+        def elem(k):
+            vec = slots.get(k)
+            return zero if vec is None else AlgebraElement(alg, vec)
 
-        def B(x, i):
-            return x.a0 if i == 0 else x.b[i - 1]
-
-        x, y = self, other
-        const = x.a0 * y.a0
-        for i in range(1, min(len(s_pows), K + 1)):
-            term = A(x, i) * B(y, i) + B(x, i) * A(y, i)
-            const = const + term * s_pows[i]
-        a_out = []
-        b_out = []
-        for k in range(1, K + 1):
-            ck = alg.zero()
-            dk = alg.zero()
-            for i in range(0, k + 1):
-                ck = ck + A(x, i) * A(y, k - i)
-                dk = dk + B(x, i) * B(y, k - i)
-            for i in range(1, len(s_pows)):
-                if k + i <= K:
-                    ck = ck + (A(x, k + i) * B(y, i) + B(x, i) * A(y, k + i)) * s_pows[i]
-                    dk = dk + (B(x, k + i) * A(y, i) + A(x, i) * B(y, k + i)) * s_pows[i]
-            a_out.append(ck)
-            b_out.append(dk)
-        return ring._series_internal(const, a_out, b_out)
+        return ring._series_internal(
+            elem(0),
+            [elem(k) for k in range(1, K + 1)],
+            [elem(-k) for k in range(1, K + 1)],
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = int(k)
-        if k < 0:
+        if _int(k, "power") < 0:
             return self.inverse() ** (-k)
         out = self.ring.one()
         base = self
@@ -812,26 +840,20 @@ class NodeSeries:
         return out
 
     def shift(self, branch):
-        """Multiply by z1 (branch 1) or z2 (branch 2); a structured shift,
-        much cheaper than a general product."""
-        ring = self.ring
-        alg = ring.algebra
-        K = ring.internal - 1
-        if branch == 1:
-            const = alg.s * self.b[0] if K >= 1 else alg.zero()
-            a = [self.a0] + [self.a[i] for i in range(K - 1)]
-            b = [
-                alg.s * self.b[j + 1] if j + 1 < K else alg.zero()
-                for j in range(K)
-            ]
-        else:
-            const = alg.s * self.a[0] if K >= 1 else alg.zero()
-            b = [self.a0] + [self.b[i] for i in range(K - 1)]
-            a = [
-                alg.s * self.a[j + 1] if j + 1 < K else alg.zero()
-                for j in range(K)
-            ]
-        return ring._series_internal(const, a, b)
+        """Multiply by z1 (branch 1) or z2 (branch 2): the tail of that
+        branch moves up one slot, the other moves down and picks up s
+        (z1 z2 = s); only its nonzero slots are multiplied."""
+        alg = self.ring.algebra
+
+        def times_s(x):
+            return x if x.is_zero() else alg.s * x
+
+        up, down = (self.a, self.b) if branch == 1 else (self.b, self.a)
+        const = times_s(down[0])
+        up = (self.a0,) + up[:-1]
+        down = [times_s(x) for x in down[1:]] + [alg.zero()]
+        a, b = (up, down) if branch == 1 else (down, up)
+        return self.ring._series_internal(const, a, b)
 
     def is_zero(self):
         return (
@@ -848,12 +870,12 @@ class NodeSeries:
             raise ZeroDivisionError("series is not a unit (constant term)")
         c = self.a0
         c_inv = c.inverse()
-        y = self * c_inv - self.ring.one()
+        neg_y = self.ring.one() - self * c_inv
         out = self.ring.one()
         power = self.ring.one()
         cap = self.ring.internal + 2 * self.ring.algebra.order + 2
         for _ in range(cap):
-            power = power * (-y)
+            power = power * neg_y
             if power.is_zero():
                 break
             out = out + power

@@ -87,7 +87,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Canonical representative of vec modulo this subspace."""
-        v = list(map(Fraction, vec))
+        v = [c if type(c) is Fraction else Fraction(c) for c in vec]
         for row, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:

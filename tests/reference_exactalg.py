@@ -1,0 +1,100 @@
+"""Slot-by-slot node-ring arithmetic kept as a test oracle.
+
+These are the series product, branch shift and geometric-series inverse
+that ``degkit.exactalg.NodeSeries`` used before its product became a sparse
+kernel over the nonzero slots.  They read the same normal form and go
+through the ring's public slot reduction, so their results must equal the
+library's bit for bit.  :func:`fixture_algebra` is the fixture base of the
+acceptance suite, an algebra of dimension above one.
+"""
+
+from fractions import Fraction
+
+from degkit import Poly, TruncatedAlgebra
+
+
+def multiply(x, y):
+    """x * y by summing every slot pair, one algebra product at a time."""
+    ring = x.ring
+    alg = ring.algebra
+    K = ring.internal - 1
+    s_pows = ring._s_pows
+
+    def A(x, i):
+        return x.a0 if i == 0 else x.a[i - 1]
+
+    def B(x, i):
+        return x.a0 if i == 0 else x.b[i - 1]
+
+    const = x.a0 * y.a0
+    for i in range(1, min(len(s_pows), K + 1)):
+        term = A(x, i) * B(y, i) + B(x, i) * A(y, i)
+        const = const + term * s_pows[i]
+    a_out = []
+    b_out = []
+    for k in range(1, K + 1):
+        ck = alg.zero()
+        dk = alg.zero()
+        for i in range(0, k + 1):
+            ck = ck + A(x, i) * A(y, k - i)
+            dk = dk + B(x, i) * B(y, k - i)
+        for i in range(1, len(s_pows)):
+            if k + i <= K:
+                ck = ck + (A(x, k + i) * B(y, i) + B(x, i) * A(y, k + i)) * s_pows[i]
+                dk = dk + (B(x, k + i) * A(y, i) + A(x, i) * B(y, k + i)) * s_pows[i]
+        a_out.append(ck)
+        b_out.append(dk)
+    return ring._series_internal(const, a_out, b_out)
+
+
+def shift(x, branch):
+    """x * z1 (branch 1) or x * z2 (branch 2), every slot rebuilt."""
+    ring = x.ring
+    alg = ring.algebra
+    K = ring.internal - 1
+    if branch == 1:
+        const = alg.s * x.b[0]
+        a = [x.a0] + [x.a[i] for i in range(K - 1)]
+        b = [alg.s * x.b[j + 1] if j + 1 < K else alg.zero() for j in range(K)]
+    else:
+        const = alg.s * x.a[0]
+        b = [x.a0] + [x.b[i] for i in range(K - 1)]
+        a = [alg.s * x.a[j + 1] if j + 1 < K else alg.zero() for j in range(K)]
+    return ring._series_internal(const, a, b)
+
+
+def inverse(x):
+    """Geometric series 1 - y + y^2 - ... of y = x / a0 - 1, with every
+    product taken by :func:`multiply`."""
+    ring = x.ring
+    c_inv = ring.const(x.a0.inverse())
+    y = multiply(x, c_inv) - ring.one()
+    out = ring.one()
+    power = ring.one()
+    for _ in range(ring.internal + 2 * ring.algebra.order + 2):
+        power = multiply(power, -y)
+        if power.is_zero():
+            break
+        out = out + power
+    else:
+        raise ArithmeticError("inversion did not terminate")
+    return multiply(out, c_inv)
+
+
+def fixture_algebra(extra=()):
+    """Q[s, c, ...] / (every extra squared, s times it, any two extras),
+    truncated at order 4."""
+    gens = ("s", "c") + tuple(extra)
+    k = len(gens)
+
+    def mono(*idx):
+        return Poly(k, {tuple(idx.count(j) for j in range(k)): 1})
+
+    rels = []
+    for i in range(1, k):
+        rels += [mono(i, i), mono(0, i)]
+        rels += [mono(i, i2) for i2 in range(i + 1, k)]
+    return TruncatedAlgebra(gens, rels, order=4)
+
+
+UNITS = (1, -1, 2, 3, Fraction(1, 2))

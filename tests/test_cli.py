@@ -341,6 +341,17 @@ def test_contact_rejects_non_exact_numbers(tmp_path, capsys, path, kind):
         assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("top", [[], [1, 2], "contact", 3, None])
+@pytest.mark.parametrize("sub", ["check", "ideal", "universality"])
+def test_contact_rejects_non_object_input(tmp_path, capsys, sub, top):
+    target = tmp_path / "not_an_object.json"
+    target.write_text(json.dumps(top))
+    code = main(["contact", sub, "--input", str(target), "--order", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must hold a JSON object" in captured.err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CONTACT = str(GOLDEN / "contact.json")
 

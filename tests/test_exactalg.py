@@ -1,14 +1,17 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
+import reference_exactalg
 from degkit import (
     AlgebraHom,
     AlgebraIdeal,
     NodeRing,
+    NodeSeries,
     Poly,
     TruncatedAlgebra,
     adjoin_nilpotent,
@@ -18,6 +21,7 @@ from degkit import (
     normal_form_stepwise,
     series_from_json,
 )
+from reference_exactalg import fixture_algebra
 
 
 def test_power_series_truncation_dimension(Qs8):
@@ -344,3 +348,135 @@ def test_element_and_series_json_roundtrip(Rs8, Qs8):
     assert element_from_json(Qs8, x.to_json()) == x
     series = Rs8.series(x, [Qs8.s], [Qs8.one(), Qs8.zero(), Qs8.s ** 2])
     assert series_from_json(Rs8, series.to_json()) == series
+
+
+# --- exact scalars only ----------------------------------------------------
+
+
+def test_series_times_float_refused(Rs8):
+    with pytest.raises(TypeError):
+        Rs8.z1() * 1.5
+    with pytest.raises(TypeError):
+        1.5 * Rs8.z1()
+
+
+def test_series_times_bool_refused(Rs8):
+    with pytest.raises(TypeError):
+        Rs8.z1() * True
+
+
+def test_element_times_bool_refused(Qs8):
+    with pytest.raises(TypeError):
+        Qs8.s * True
+
+
+def test_series_float_power_refused(Rs8):
+    with pytest.raises(TypeError):
+        (Rs8.one() + Rs8.z1()) ** 1.5
+
+
+def test_element_float_power_refused(Qs8):
+    with pytest.raises(TypeError):
+        Qs8.s ** 2.7
+
+
+def test_float_branch_power_refused(Rs8):
+    with pytest.raises(TypeError):
+        Rs8.z1(2.0)
+
+
+def test_exact_scalars_still_work(Rs8, Qs8):
+    x = Rs8.one() + Rs8.z1(2, Qs8.s)
+    assert x * 2 == x + x == 2 * x
+    assert (x * Fraction(1, 2)) * 2 == x
+    assert (Qs8.s * Fraction(3, 2)).coeffs[1] == Fraction(3, 2)
+    assert x ** 2 == x * x and (Qs8.s ** 2) == Qs8.s * Qs8.s
+    assert Rs8.z1(2, Fraction(1, 3)).z1_coeff(2) == Qs8.const(Fraction(1, 3))
+
+
+# --- the sparse product against the slot-by-slot oracle ----------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_ring(name):
+    """Q[s]/s^N for N = 4, 5, 6 and the fixture algebra Q[s, c, d]."""
+    if name == "fixture":
+        return NodeRing(fixture_algebra(("d",)), order=4)
+    N = int(name)
+    return NodeRing(TruncatedAlgebra(("s",), order=N), order=N - 1)
+
+
+@st.composite
+def _oracle_series(draw, ring):
+    """A series whose slots reach the internal window: a product, an
+    inverse or a coordinate swap of short series, or a short series."""
+    alg = ring.algebra
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+    def short():
+        const = alg.element(draw(st.lists(coeff, min_size=alg.dim, max_size=alg.dim)))
+        if not const.is_unit():
+            const = const + alg.one()
+        tails = [
+            [
+                alg.element(draw(st.lists(coeff, min_size=alg.dim, max_size=alg.dim)))
+                for _ in range(draw(st.integers(0, ring.order - 1)))
+            ]
+            for _ in (1, 2)
+        ]
+        return ring.series(const, *tails)
+
+    how = draw(st.sampled_from(["short", "product", "inverse", "swapped"]))
+    x = short()
+    if how == "product":
+        x = x * short()
+    elif how == "inverse":
+        x = x.inverse()
+    elif how == "swapped":
+        x = x * short()
+        x = NodeSeries(ring, x.a0, x.b, x.a)
+    return x
+
+
+@st.composite
+def _oracle_pairs(draw):
+    ring = _oracle_ring(draw(st.sampled_from(["4", "5", "6", "fixture"])))
+    return ring, draw(_oracle_series(ring)), draw(_oracle_series(ring))
+
+
+def _deep(x):
+    K = x.ring.order - 1
+    return any(not c.is_zero() for c in x.a[K:] + x.b[K:])
+
+
+@given(_oracle_pairs())
+@settings(max_examples=60, deadline=None)
+def test_sparse_product_matches_slot_oracle(pair):
+    ring, x, y = pair
+    event("deep factor" if _deep(x) or _deep(y) else "exposed factors")
+    prod = x * y
+    assert prod == reference_exactalg.multiply(x, y)
+    assert prod == _brute_multiply(ring, x, y)
+    assert prod == y * x
+
+
+@given(_oracle_pairs())
+@settings(max_examples=40, deadline=None)
+def test_inverse_matches_slot_oracle(pair):
+    ring, x, _ = pair
+    if not x.is_unit():
+        x = x + ring.one()
+    event("deep" if _deep(x) else "exposed")
+    inv = x.inverse()
+    assert inv == reference_exactalg.inverse(x)
+    assert x * inv == ring.one()
+
+
+@given(_oracle_pairs(), st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_shift_matches_slot_oracle(pair, branch):
+    ring, x, _ = pair
+    z = ring.z1() if branch == 1 else ring.z2()
+    shifted = x.shift(branch)
+    assert shifted == reference_exactalg.shift(x, branch)
+    assert shifted == x * z == reference_exactalg.multiply(x, z)
