@@ -220,7 +220,8 @@ def pure_data(rng, ring, n, swap):
         for _ in (1, 2)
     ]
     beta = ring.series(alg.const(rng.choice(UNITS)), *tails)
-    eps = alg.const(rng.choice([1, 2, -3, Fraction(3, 2)])) + alg.s * rng.randrange(-2, 3)
+    eps = alg.const(rng.choice([1, 2, -3, Fraction(3, 2)]))
+    eps = eps + alg.s * rng.randrange(-2, 3)
     phi1 = beta * ring.z1(n)
     phi2 = (beta.inverse() * eps) * ring.z2(n)
     if swap == "roles":
@@ -275,13 +276,19 @@ def shape_data(shape, u, v, w):
     return ContactData(R, A.const(u * v) * A.s**n, phi1, phi2), n
 
 
+SHAPES = ("obstructed order two", "obstructed order three", "two obstructions", "unit twist")
+
+
 def contact_pins():
     """Node-ring arithmetic over Q[s]/s^N (N = 4, 5, 6) and the fixture
     algebras; pure-contact reports and forcing at orders 4-6, contact
     orders 1-3, straight and swapped; certificates of non-pure inputs; the
     ideal generators of the fixture shapes."""
     pins = {}
-    rings = [("Q[s]/s^%d" % N, NodeRing(TruncatedAlgebra(("s",), order=N), order=N)) for N in (4, 5, 6)]
+    rings = [
+        ("Q[s]/s^%d" % N, NodeRing(TruncatedAlgebra(("s",), order=N), order=N))
+        for N in (4, 5, 6)
+    ]
     rings.append(("Q[s,c] order 6", NodeRing(fixture_algebra(), order=6)))
     rings.append(("Q[s,c,d] order 4", NodeRing(fixture_algebra(("d",)), order=4)))
     for seed, (label, ring) in enumerate(rings):
@@ -298,13 +305,14 @@ def contact_pins():
         ring = NodeRing(fixture_algebra(), order=order)
         alg = ring.algebra
         for n, j in ((2, 1), (3, 1), (3, 2)):
-            beta = ring.series(alg.const(rng.choice(UNITS)), [alg.s * rng.randrange(-2, 3)], [alg.s])
+            const = alg.const(rng.choice(UNITS))
+            beta = ring.series(const, [alg.s * rng.randrange(-2, 3)], [alg.s])
             phi2 = (beta.inverse() * alg.const(rng.choice(UNITS))) * ring.z2(n)
             phi1 = beta * ring.z1(n) + ring.z1(j, alg.gen(1) * rng.choice([1, -1, 2]))
             data = ContactData(ring, (phi1 * phi2).a0, phi1, phi2)
             report = check_pure_contact(data, n)
             pins["nonpure order=%d n=%d j=%d" % (order, n, j)] = report_pin(report)
-    for shape in ("obstructed order two", "obstructed order three", "two obstructions", "unit twist"):
+    for shape in SHAPES:
         for k in range(3):
             u, v, w = rng.choice(UNITS), rng.choice(UNITS), rng.choice([1, -1, 2])
             data, n = shape_data(shape, u, v, w)
