@@ -17,8 +17,11 @@ symmetry group computed by brute force.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
+
+from .polys import _int
 
 
 class SplitMapError(ValueError):
@@ -217,7 +220,8 @@ class SplitMap:
                 return False
         for i in (1, self.n + 2):
             for p, piece in enumerate(self.groups[i - 1]):
-                if piece.marks < _mark_need(self, i, p):
+                need = _mark_need(piece, True, self.piece_contact_count(i, p))
+                if piece.marks < need:
                     return False
         return True
 
@@ -553,6 +557,16 @@ def enumerate_split_maps(t, caps=EnumerationCaps(), stable_only=False, max_norm=
     three-special-point rule.  Piece counts, interface sizes, node weights
     and the total node budget are bounded by the declared caps.
     """
+    for data in (t, caps):
+        for field in dataclasses.fields(data):
+            value = getattr(data, field.name)
+            # a cap of None means no cap; every other field is a count
+            if value is None and data is caps:
+                continue
+            if _int(value, field.name) < 0:
+                raise SplitMapError(
+                    "%s must be nonnegative, got %d" % (field.name, value)
+                )
     if t.norm() > max_norm:
         raise SplitMapError("norm above the configured bound %d" % max_norm)
     results = []
@@ -606,19 +620,18 @@ def _enumerate_for_n(t, n, caps, stable_only=False):
                 yield from _distribute_marks(skeleton, t.marks)
 
 
-def _mark_need(sm, i, p):
-    """Least number of marked points the generation rules force on a piece;
-    contacts are counted only for the pieces whose rule reads them."""
-    piece = sm.groups[i - 1][p]
-    if i in (1, sm.n + 2):
+def _mark_need(piece, end, contacts):
+    """Least number of marked points the generation rules force on a piece
+    with the given number of contacts, in an end group or a middle one."""
+    if end:
         if piece.degree == 0:
             if piece.genus == 0:
-                return max(0, 3 - sm.piece_contact_count(i, p))
+                return max(0, 3 - contacts)
             if piece.genus == 1:
-                return max(0, 1 - sm.piece_contact_count(i, p))
+                return max(0, 1 - contacts)
         return 0
     if piece.degree > 0:
-        w0 = piece.degree + 2 * piece.genus - 2 + sm.piece_contact_count(i, p)
+        w0 = piece.degree + 2 * piece.genus - 2 + contacts
         return max(0, 1 - w0)
     return 0
 
@@ -627,7 +640,13 @@ def _distribute_marks(skeleton, k):
     """All placements of k marked points on a mark-free skeleton, one
     representative per orbit of the skeleton's automorphisms."""
     ids = [(i, p) for i, g in enumerate(skeleton.groups) for p in range(len(g))]
-    needs = [_mark_need(skeleton, i + 1, p) for i, p in ids]
+    ends = (0, skeleton.n + 1)
+    needs = [
+        _mark_need(
+            skeleton.groups[i][p], i in ends, skeleton.piece_contact_count(i + 1, p)
+        )
+        for i, p in ids
+    ]
     shortfall = k - sum(needs)
     if shortfall < 0:
         return
@@ -945,7 +964,15 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     of every interface first (group weights depend only on those counts, so
     the stability cut happens before any attachment is drawn), then fill in
     attachments left to right in per-class canonical order; the weight rule
-    for positive middle pieces is relaxed by the pending mark budget."""
+    for positive middle pieces is relaxed by the pending mark budget.
+
+    Only connected skeletons whose forced marks fit ``mark_budget`` are
+    built.  While interfaces are drawn, each piece of the current right
+    group carries the label of its component among the pieces joined so
+    far; a component that reaches no piece of the next group is closed for
+    good, so the partial assembly is dropped.  A group's forced marks are
+    final once both of its interfaces are drawn, and their running sum
+    drops a partial assembly as soon as it exceeds the budget."""
     ifaces = n + 1
     min_per_iface = 0 if n == 0 else 1
     min_fiber = [
@@ -977,16 +1004,15 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
         return
     group_classes = [_data_classes(g) for g in pieces]
 
-    def rec(i, chosen, q, classes):
-        if i > ifaces:
-            try:
-                yield SplitMap(pieces, chosen)
-            except DisconnectedMapError:
-                pass
-            return
+    def rec(i, chosen, q, classes, comps, need):
         left_group = pieces[i - 1]
         right_group = pieces[i]
-        prev = chosen[-1] if chosen else None
+        width = len(right_group)
+        last = i == ifaces
+        prev = chosen[-1] if chosen else ()
+        arrivals = [0] * len(left_group)
+        for _, _, b in prev:
+            arrivals[b] += 1
         left_spec = []
         for p, piece in enumerate(left_group):
             cid = classes[p]
@@ -998,23 +1024,54 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
                     return
                 left_spec.append(("fiber", cid, s))
             else:
-                lcount = sum(1 for _, _, b in prev if b == p)
                 allowance = (
-                    piece.degree + 2 * piece.genus - 2 + lcount + mark_budget
+                    piece.degree + 2 * piece.genus - 2 + arrivals[p] + mark_budget
                 )
                 left_spec.append(("mid", cid, allowance))
         right_spec = tuple(
             (group_classes[i][p2], piece2.degree == 0)
             for p2, piece2 in enumerate(right_group)
         )
+        size = width + max(comps, default=-1) + 1
         for iface, refined in _interface_options(
             tuple(left_spec), q[i - 1], wcap, right_spec, i <= n
         ):
-            yield from rec(i + 1, chosen + [iface], q, list(refined))
+            # both interfaces of the left group are drawn now, so its forced
+            # marks are final; the last group has only this one
+            contacts = list(arrivals)
+            for _, a, _ in iface:
+                contacts[a] += 1
+            got = need + sum(
+                _mark_need(piece, i == 1, c) for piece, c in zip(left_group, contacts)
+            )
+            if last:
+                entries = [0] * width
+                for _, _, b in iface:
+                    entries[b] += 1
+                got += sum(
+                    _mark_need(piece, True, c) for piece, c in zip(right_group, entries)
+                )
+            if got > mark_budget:
+                continue
+            # the right pieces come first, so their labels count up in order
+            # of first appearance among them, and a component that reaches
+            # none of them gets a larger label: it is closed for good.  After
+            # the last interface only one component may remain.
+            labels = _components(size, [(b, width + comps[a]) for _, a, b in iface])
+            right = labels[:width]
+            if any(labels) if last else max(labels) > max(right):
+                continue
+            chosen.append(iface)
+            if last:
+                yield SplitMap(pieces, chosen)
+            else:
+                yield from rec(i + 1, chosen, q, refined, right, got)
+            chosen.pop()
 
     seen = set()
+    alone = list(range(len(pieces[0])))
     for q in q_options:
-        for sm in rec(1, [], q, list(group_classes[0])):
+        for sm in rec(1, [], q, group_classes[0], alone, 0):
             key = sm.canonical_key()
             if key not in seen:
                 seen.add(key)
@@ -1035,10 +1092,15 @@ class ClassGroup:
     deg_d: tuple
 
     def __post_init__(self):
+        _int(self.rank, "rank")
         if len(self.deg_h) != self.rank or len(self.deg_d) != self.rank:
             raise GraphError("functional length must match the rank")
-        object.__setattr__(self, "deg_h", tuple(int(x) for x in self.deg_h))
-        object.__setattr__(self, "deg_d", tuple(int(x) for x in self.deg_d))
+        object.__setattr__(
+            self, "deg_h", tuple(_int(x, "functional value") for x in self.deg_h)
+        )
+        object.__setattr__(
+            self, "deg_d", tuple(_int(x, "functional value") for x in self.deg_d)
+        )
 
     def pair_h(self, vec):
         return sum(a * b for a, b in zip(self.deg_h, vec))
@@ -1064,18 +1126,22 @@ class AdmissibleGraph:
         nv = len(self.genera)
         if len(self.classes) != nv:
             raise GraphError("need one class vector per vertex")
-        object.__setattr__(self, "genera", tuple(int(g) for g in self.genera))
+        object.__setattr__(self, "genera", tuple(_int(g, "genus") for g in self.genera))
         if any(g < 0 for g in self.genera):
             raise GraphError("genera must be nonnegative")
         object.__setattr__(
-            self, "classes", tuple(tuple(int(x) for x in c) for c in self.classes)
+            self,
+            "classes",
+            tuple(tuple(_int(x, "class entry") for x in c) for c in self.classes),
         )
         for c in self.classes:
             if len(c) != self.group.rank:
                 raise GraphError("class vector has wrong rank")
-        object.__setattr__(self, "legs", tuple(int(v) for v in self.legs))
+        object.__setattr__(self, "legs", tuple(_int(v, "leg") for v in self.legs))
         object.__setattr__(
-            self, "roots", tuple((int(v), int(w)) for v, w in self.roots)
+            self,
+            "roots",
+            tuple((_int(v, "root"), _int(w, "root weight")) for v, w in self.roots),
         )
         for v in self.legs:
             if not 0 <= v < nv:

@@ -72,8 +72,7 @@ class TruncatedAlgebra:
             raise ValueError("need at least one generator (the parameter s)")
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator names")
-        order = int(order)
-        if order < 1:
+        if _int(order, "order") < 1:
             raise ValueError("order must be positive")
         self.gens = gens
         self.order = order
@@ -550,8 +549,7 @@ class NodeRing:
     """Two-branch ring over a truncated algebra with z1*z2 = s."""
 
     def __init__(self, algebra, order=8):
-        order = int(order)
-        if order < 2:
+        if _int(order, "series order") < 2:
             raise ValueError("series order must be at least 2")
         self.algebra = algebra
         self.order = order
@@ -584,18 +582,26 @@ class NodeRing:
             return elem
         return AlgebraElement(self.algebra, space.reduce(elem.coeffs))
 
+    def _element(self, x):
+        """``x`` as an algebra element; exact scalars are lifted, floats and
+        bools refused."""
+        if isinstance(x, AlgebraElement):
+            return x
+        return self.algebra.const(x)
+
     def series(self, const, z1_tail=(), z2_tail=()):
-        """Build a normal form; user tails may not reach the exposed order."""
+        """Build a normal form from algebra elements or exact scalars; user
+        tails may not reach the exposed order."""
         tails = []
         for tail in (z1_tail, z2_tail):
-            tail = list(tail)
+            tail = [self._element(x) for x in tail]
             if len(tail) > self.order - 1:
                 raise ValueError(
                     "tail of length %d overflows the series order %d"
                     % (len(tail) + 1, self.order)
                 )
             tails.append(tail)
-        return self._series_internal(const, tails[0], tails[1])
+        return self._series_internal(self._element(const), tails[0], tails[1])
 
     def _series_internal(self, const, z1_tail, z2_tail):
         K = self.internal - 1
@@ -612,8 +618,6 @@ class NodeRing:
         return self.series(self.algebra.one())
 
     def const(self, elem):
-        if not isinstance(elem, AlgebraElement):
-            elem = self.algebra.const(elem)
         return self.series(elem)
 
     def z1(self, power=1, coeff=None):
@@ -625,9 +629,7 @@ class NodeRing:
     def branch_power(self, branch, power, coeff=None):
         if _int(power, "branch power") < 0:
             raise ValueError("negative branch power")
-        coeff = coeff if coeff is not None else self.algebra.one()
-        if not isinstance(coeff, AlgebraElement):
-            coeff = self.algebra.const(coeff)
+        coeff = self._element(coeff) if coeff is not None else self.algebra.one()
         if power == 0:
             return self.series(coeff)
         if power >= self.internal:

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from degkit import (
     AdmissibleGraph,
     AdmissibleTriple,
+    ClassGroup,
     EnumerationCaps,
     GraphError,
     NUMERIC_GROUP,
@@ -36,11 +37,15 @@ from degkit import (
     triples_equivalent,
 )
 import degkit.combgraphs as cg
-from degkit.combgraphs import (
-    DisconnectedMapError,
-    _alphabet_graphs,
-    _assemble,
-    _distribute_marks,
+from degkit.combgraphs import DisconnectedMapError, _alphabet_graphs, _assemble
+from reference_combgraphs import (
+    HEAVY_TYPES,
+    NORM3_TYPES,
+    WINDOW_CAPS,
+    acceptance_caps,
+    ref_assemble,
+    ref_distribute_marks,
+    ref_mark_need,
 )
 
 
@@ -107,8 +112,7 @@ def test_invalid_maps_rejected():
 def test_disconnection_has_its_own_error():
     with pytest.raises(DisconnectedMapError):
         SplitMap([[Piece(0, 1, 0)], [Piece(0, 1, 0)]], [()])
-    # the enumerator drops disconnected candidates only; other rejections
-    # must not look like disconnections
+    # other rejections must not look like disconnections
     with pytest.raises(SplitMapError) as info:
         SplitMap([[Piece(0, 1, 0)], [Piece(0, 1, 0)]], [((0, 0, 0),)])
     assert not isinstance(info.value, DisconnectedMapError)
@@ -191,22 +195,69 @@ def test_enumeration_stability_agreement():
             assert m.is_stable() == m.stability_oracle()
 
 
-# --- the node-total window --------------------------------------------------
-
-WINDOW_CAPS = {
-    "default": EnumerationCaps(),
-    "total2": EnumerationCaps(max_total_nodes=2),
-    "total0": EnumerationCaps(max_total_nodes=0),
-    "npi1": EnumerationCaps(nodes_per_interface=1),
-    "w1npi3": EnumerationCaps(max_weight=1, nodes_per_interface=3),
-}
-NORM3_TYPES = [
-    TopType(b, g, k)
-    for b in range(6)
-    for g in range(3)
-    for k in range(6)
-    if TopType(b, g, k).norm() <= 3
+REFUSED_ENUMERATIONS = [
+    ("negative degree", TopType(-1, 0, 4), EnumerationCaps(), SplitMapError),
+    ("negative marks", TopType(3, 0, -1), EnumerationCaps(), SplitMapError),
+    (
+        "negative interface cap",
+        TopType(1, 0, 1),
+        EnumerationCaps(nodes_per_interface=-1),
+        SplitMapError,
+    ),
+    (
+        "negative node budget",
+        TopType(1, 0, 1),
+        EnumerationCaps(max_total_nodes=-1),
+        SplitMapError,
+    ),
+    ("bool cap", TopType(1, 0, 2), EnumerationCaps(pieces_per_group=True), TypeError),
+    ("float cap", TopType(1, 0, 2), EnumerationCaps(max_weight=2.0), TypeError),
+    ("float degree", TopType(2.0, 0, 1), EnumerationCaps(), TypeError),
 ]
+
+
+@pytest.mark.parametrize(
+    "t, caps, error",
+    [case[1:] for case in REFUSED_ENUMERATIONS],
+    ids=[case[0] for case in REFUSED_ENUMERATIONS],
+)
+def test_enumeration_refuses_bad_input(t, caps, error):
+    with pytest.raises(error):
+        enumerate_split_maps(t, caps)
+
+
+def test_enumeration_accepts_zero_and_absent_caps():
+    caps = EnumerationCaps(max_weight=None, max_total_nodes=0)
+    assert len(enumerate_split_maps(TopType(1, 0, 1), caps)) == 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ClassGroup(2, (1.5, 0), (0, 1)),
+        lambda: ClassGroup(2, (1, 0), (0, True)),
+        lambda: ClassGroup(2.0, (1, 0), (0, 1)),
+    ],
+    ids=["float", "bool", "float rank"],
+)
+def test_class_group_refuses_inexact_values(build):
+    # int() made these the numeric group (1, 0), (0, 1)
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("genera", (1.5,)), ("classes", ((1, 0.5),)), ("roots", ((0, True),))],
+)
+def test_graph_refuses_inexact_values(field, value):
+    data = {"genera": (1,), "classes": ((1, 0),), "legs": (), "roots": ((0, 1),)}
+    data[field] = value
+    with pytest.raises(TypeError):
+        AdmissibleGraph(NUMERIC_GROUP, **data)
+
+
+# --- the node-total window --------------------------------------------------
 
 # (all maps, stable maps) per type (degree, genus, marks) under each caps
 # variant, recorded before the node-total window moved into the search
@@ -348,29 +399,36 @@ def _reference_candidates(t, n, caps, stable_only):
             yield pieces, node_total
 
 
+def _reference_maps(t, caps, stable_only, candidates):
+    """The maps the reference assembly and mark placement make of the given
+    (n, pieces, node_total) candidates, deduped in order."""
+    maps, seen = [], set()
+    for n, pieces, node_total in candidates:
+        for skeleton in ref_assemble(
+            n, pieces, node_total, caps, caps.weight_cap(t), stable_only, t.marks
+        ):
+            for sm in ref_distribute_marks(skeleton, t.marks):
+                if stable_only and not sm.is_stable():
+                    continue
+                key = (sm.n, sm.canonical_key())
+                if key not in seen:
+                    seen.add(key)
+                    maps.append(sm)
+    return maps
+
+
 def _reference_enumeration(t, caps, stable_only):
     """(maps, candidates handed to _assemble) of the unwindowed search."""
-    maps, seen, calls = [], set(), []
-    for n in range(max(0, t.norm()) + 1):
-        for pieces, node_total in _reference_candidates(t, n, caps, stable_only):
-            calls.append((n, tuple(pieces), node_total))
-            for skeleton in _assemble(
-                n, pieces, node_total, caps, caps.weight_cap(t), stable_only, t.marks
-            ):
-                for sm in _distribute_marks(skeleton, t.marks):
-                    if stable_only and not sm.is_stable():
-                        continue
-                    key = (sm.n, sm.canonical_key())
-                    if key not in seen:
-                        seen.add(key)
-                        maps.append(sm)
-    return maps, calls
+    calls = [
+        (n, tuple(pieces), node_total)
+        for n in range(max(0, t.norm()) + 1)
+        for pieces, node_total in _reference_candidates(t, n, caps, stable_only)
+    ]
+    return _reference_maps(t, caps, stable_only, calls), calls
 
 
-@pytest.fixture(scope="module")
-def windowed_runs():
-    """enumerate_split_maps on every type of norm <= 3, both modes, under
-    each caps variant, with the candidates it hands to _assemble."""
+def _recorded_enumeration(t, caps, stable_only):
+    """enumerate_split_maps with the candidates it hands to _assemble."""
     calls = []
     real = cg._assemble
 
@@ -378,16 +436,22 @@ def windowed_runs():
         calls.append((n, tuple(pieces), node_total))
         return real(n, pieces, node_total, *rest)
 
-    runs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cg, "_assemble", recording)
-        for name, caps in WINDOW_CAPS.items():
-            for t in NORM3_TYPES:
-                for stable in (False, True):
-                    calls.clear()
-                    maps = enumerate_split_maps(t, caps, stable_only=stable)
-                    runs[name, t, stable] = (maps, list(calls))
-    return runs
+        maps = enumerate_split_maps(t, caps, stable_only=stable_only)
+    return maps, calls
+
+
+@pytest.fixture(scope="module")
+def windowed_runs():
+    """enumerate_split_maps on every type of norm <= 3, both modes, under
+    each caps variant, with the candidates it hands to _assemble."""
+    return {
+        (name, t, stable): _recorded_enumeration(t, caps, stable)
+        for name, caps in WINDOW_CAPS.items()
+        for t in NORM3_TYPES
+        for stable in (False, True)
+    }
 
 
 def test_all_maps_counts_pinned(windowed_runs):
@@ -416,6 +480,32 @@ def test_window_matches_unwindowed_reference(windowed_runs, variant):
             )
             assert calls == ref_calls, (t, stable)
             assert maps == ref_maps, (t, stable)
+
+
+def _forced_marks(skeleton):
+    return sum(
+        ref_mark_need(skeleton, i + 1, p)
+        for i, g in enumerate(skeleton.groups)
+        for p in range(len(g))
+    )
+
+
+@pytest.mark.parametrize("t", HEAVY_TYPES[:3], ids=str)
+def test_pruned_assembly_matches_reference(t):
+    # for every candidate, _assemble yields exactly the reference's connected
+    # skeletons whose forced marks fit the budget, in order, and the emitted
+    # list is the reference's; the norm-four types of the benchmark draw
+    # three and more interfaces over groups of two pieces, where components
+    # merge and close mid-assembly
+    caps = acceptance_caps(t)
+    maps, calls = _recorded_enumeration(t, caps, True)
+    for n, pieces, node_total in calls:
+        args = (n, pieces, node_total, caps, caps.weight_cap(t), True, t.marks)
+        expected = [
+            sk for sk in ref_assemble(*args) if _forced_marks(sk) <= t.marks
+        ]
+        assert list(_assemble(*args)) == expected, (n, pieces, node_total)
+    assert maps == _reference_maps(t, caps, True, calls)
 
 
 # --- canonical form and automorphisms -------------------------------------

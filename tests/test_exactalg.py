@@ -385,6 +385,34 @@ def test_float_branch_power_refused(Rs8):
         Rs8.z1(2.0)
 
 
+@pytest.mark.parametrize("order", [4.7, True], ids=["float", "bool"])
+def test_node_ring_order_refused(Qs8, order):
+    # int() would build an order-4 (or order-1) ring
+    with pytest.raises(TypeError):
+        NodeRing(Qs8, order=order)
+
+
+@pytest.mark.parametrize("order", [3.9, True], ids=["float", "bool"])
+def test_algebra_order_refused(order):
+    with pytest.raises(TypeError):
+        TruncatedAlgebra(("s",), order=order)
+
+
+@pytest.mark.parametrize("where", ["const", "tail"])
+def test_float_series_coefficient_refused(Rs8, Qs8, where):
+    # a float stored as a slot only failed later, in a product
+    with pytest.raises(TypeError):
+        if where == "const":
+            Rs8.series(1.5)
+        else:
+            Rs8.series(Qs8.one(), [Qs8.s, 0.5])
+
+
+def test_series_lifts_exact_scalars(Rs8, Qs8):
+    x = Rs8.series(Fraction(1, 2), [0, 3])
+    assert x == Rs8.series(Qs8.const(Fraction(1, 2)), [Qs8.zero(), Qs8.const(3)])
+
+
 def test_exact_scalars_still_work(Rs8, Qs8):
     x = Rs8.one() + Rs8.z1(2, Qs8.s)
     assert x * 2 == x + x == 2 * x

@@ -12,9 +12,13 @@ of the resolution and splice checks on corrupted inputs.  Rewrites of the
 polynomial arithmetic must keep these bytes.  ``contact_pins.json`` holds
 node-ring products, inverses and shifts with their whole internal window,
 and the pure-contact, forcing and ideal answers built on them.
+``enumeration_pins.json`` holds the count and a sha256 of the ordered JSON
+list of split maps for every enumeration the window tests and the
+``enumerate`` benchmark run.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -31,6 +35,7 @@ from degkit import (
     NodeSeries,
     TruncatedAlgebra,
     check_pure_contact,
+    enumerate_split_maps,
     flat_local_forcing,
     localmodel,
     predeformability_ideal,
@@ -47,6 +52,12 @@ from degkit.localmodel import (
 )
 from degkit.polys import RatFunc
 from degkit.ratmaps import RationalMap
+from reference_combgraphs import (
+    HEAVY_TYPES,
+    NORM3_TYPES,
+    WINDOW_CAPS,
+    acceptance_caps,
+)
 from reference_exactalg import UNITS, fixture_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -329,3 +340,39 @@ def contact_pins():
 def test_contact_pins():
     text = json.dumps(contact_pins(), indent=1) + "\n"
     assert text.encode() == (GOLDEN / "contact_pins.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# split-map enumeration, in emitted order
+# ---------------------------------------------------------------------------
+
+
+def maps_pin(maps):
+    text = json.dumps([m.to_json() for m in maps], separators=(",", ":"))
+    return {"count": len(maps), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def enumeration_pins():
+    """Every norm <= 3 type under each caps variant of the window tests, in
+    both modes, and the benchmark's norm-four and norm-five types, stable,
+    at the acceptance caps."""
+    pins = {}
+    for name, caps in WINDOW_CAPS.items():
+        for t in NORM3_TYPES:
+            for stable in (False, True):
+                maps = enumerate_split_maps(t, caps, stable_only=stable)
+                key = "%s (%d, %d, %d) %s" % (
+                    name, t.degree, t.genus, t.marks, "stable" if stable else "all"
+                )
+                pins[key] = maps_pin(maps)
+    for t in HEAVY_TYPES:
+        maps = enumerate_split_maps(t, acceptance_caps(t), stable_only=True)
+        pins["acceptance (%d, %d, %d) stable" % (t.degree, t.genus, t.marks)] = (
+            maps_pin(maps)
+        )
+    return pins
+
+
+def test_enumeration_pins():
+    text = json.dumps(enumeration_pins(), indent=1) + "\n"
+    assert text.encode() == (GOLDEN / "enumeration_pins.json").read_bytes()
