@@ -39,8 +39,10 @@ NORM3_TYPES = [
     for k in range(6)
     if TopType(b, g, k).norm() <= 3
 ]
-# the norm-four types of the enumerate benchmark and its norm-five type
-HEAVY_TYPES = [TopType(2, 1, 2), TopType(2, 2, 0), TopType(3, 0, 3), TopType(5, 0, 2)]
+# the enumerate benchmark's norm-four types; with its norm-five type, every
+# type it runs at the acceptance caps
+NORM4_TYPES = [TopType(2, 1, 2), TopType(2, 2, 0), TopType(3, 0, 3)]
+HEAVY_TYPES = NORM4_TYPES + [TopType(5, 0, 2)]
 
 
 def acceptance_caps(t):

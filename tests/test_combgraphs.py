@@ -39,8 +39,8 @@ from degkit import (
 import degkit.combgraphs as cg
 from degkit.combgraphs import DisconnectedMapError, _alphabet_graphs, _assemble
 from reference_combgraphs import (
-    HEAVY_TYPES,
     NORM3_TYPES,
+    NORM4_TYPES,
     WINDOW_CAPS,
     acceptance_caps,
     ref_assemble,
@@ -490,7 +490,7 @@ def _forced_marks(skeleton):
     )
 
 
-@pytest.mark.parametrize("t", HEAVY_TYPES[:3], ids=str)
+@pytest.mark.parametrize("t", NORM4_TYPES, ids=str)
 def test_pruned_assembly_matches_reference(t):
     # for every candidate, _assemble yields exactly the reference's connected
     # skeletons whose forced marks fit the budget, in order, and the emitted
