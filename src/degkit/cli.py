@@ -67,9 +67,19 @@ def _contact_data(args, data):
         if base_order is None:
             base_order = data["algebra"]["order"]
         algebra = TruncatedAlgebra.from_json({**data["algebra"], "order": base_order})
-        series_order = args.trunc_series
-        if series_order is None:
-            series_order = data.get("series_order", 8)
+        # each series' own order must agree with the file's, whatever the
+        # override asks for
+        series_order = data.get("series_order", 8)
+        for key in ("phi_w1", "phi_w2"):
+            series = data[key]
+            own = series["order"] if "order" in series else series_order
+            if _json_int(own) != series_order:
+                raise ValueError(
+                    "%s has order %r but series_order is %r"
+                    % (key, own, series_order)
+                )
+        if args.trunc_series is not None:
+            series_order = args.trunc_series
         ring = NodeRing(algebra, series_order)
         psi_t = element_from_json(algebra, data["psi_t"])
         phi1 = series_from_json(ring, data["phi_w1"])

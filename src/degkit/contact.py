@@ -24,7 +24,7 @@ from .exactalg import (
     NodeSeries,
     hom_apply,
 )
-from .linalg import Subspace, solve_linear
+from .linalg import Subspace, eliminate, particular_solution, solve_linear
 
 
 class ContactError(ValueError):
@@ -160,7 +160,13 @@ def is_nondegenerate(data):
         if not s_span.contains(phi.a0.coeffs):
             return False, None
     dim = alg.dim * (2 * (ring.internal - 1) + 1)
-    vectors = _shifted_family(data.phi_w1) + _shifted_family(data.phi_w2)
+    vectors = []
+    for phi in (data.phi_w1, data.phi_w2):
+        for col in _family_columns(_shift_levels(phi)):
+            vec = [Fraction(0)] * dim
+            for r, v in col.items():
+                vec[r] = v
+            vectors.append(vec)
     ideal_span = Subspace(vectors, dim)
     for m in range(1, ring.order + 1):
         good = True
@@ -182,46 +188,52 @@ def is_nondegenerate(data):
     return False, None
 
 
-def _shifted_family(x):
-    """Flat vectors of x * e_j over the basis e_j of the base, then of
-    z1^k x * e_j for k = 1 .. internal - 1 (level by level), then of
-    z2^k x * e_j.
-
-    Together they span the ideal generated by x in the internal window.
-    Each level z^k x is one shift of the one before; multiplying a level by
-    e_j multiplies every slot by e_j through the algebra's structure
-    constants and reduces the tail slots as the ring's normal form does.
-    """
-    ring = x.ring
-    alg = ring.algebra
-    dim = alg.dim
+def _shift_levels(x):
+    """x, then z1^k x for k = 1 .. internal - 1, then z2^k x: each level is
+    one shift of the one before.  Level u is what the u-th unknown of beta
+    multiplies in the pure-contact equations (its constant, then its z1
+    tail, then its z2 tail)."""
     levels = [x]
     for branch in (1, 2):
         y = x
-        for _ in range(ring.internal - 1):
+        for _ in range(x.ring.internal - 1):
             y = y.shift(branch)
             levels.append(y)
-    zero = [Fraction(0)] * dim
+    return levels
+
+
+def _family_columns(levels):
+    """Sparse flat vectors {position: value} of y * e_j over the levels y
+    of :func:`_shift_levels` and the basis e_j of the base, level by level.
+
+    Together they span the ideal generated by levels[0] in the internal
+    window.  Multiplying a level by e_j multiplies each nonzero slot by e_j
+    through the algebra's structure constants and reduces the tail slots as
+    the ring's normal form does.  Flat positions run over the constant
+    slot, then the z1 tail, then the z2 tail, ``dim`` coordinates a slot.
+    """
+    ring = levels[0].ring
+    alg = ring.algebra
+    dim = alg.dim
+    K = ring.internal - 1
+    basis_product = alg._basis_product
     fam = []
     for y in levels:
-        slots = [(0, y.a0)]
-        slots.extend(enumerate(y.a, start=1))
-        slots.extend(enumerate(y.b, start=1))
-        vecs = [[] for _ in range(dim)]
-        for k, c in slots:
-            nonzero = [(i, ci) for i, ci in enumerate(c.coeffs) if ci]
-            for j in range(dim):
-                if not nonzero:
-                    vecs[j].extend(zero)
-                    continue
+        cols = [{} for _ in range(dim)]
+        for k, pairs in y._nonzero_slots():
+            offset = dim * (k if k >= 0 else K - k)
+            space = ring._slot_spaces.get(abs(k))
+            for j, col in enumerate(cols):
                 acc = [Fraction(0)] * dim
-                for i, ci in nonzero:
-                    for m, pm in enumerate(alg._basis_product(i, j)):
-                        if pm:
-                            acc[m] += ci * pm
-                elem = ring._slot_reduce(k, AlgebraElement(alg, acc))
-                vecs[j].extend(elem.coeffs)
-        fam.extend(vecs)
+                for i, ci in pairs:
+                    for m, pm in basis_product(i, j):
+                        acc[m] += ci * pm
+                if space is not None:
+                    acc = space.reduce(acc)
+                for m, v in enumerate(acc):
+                    if v:
+                        col[offset + m] = v
+        fam.extend(cols)
     return fam
 
 
@@ -241,24 +253,23 @@ class _Row:
         self.label = label
 
 
-def _linear_rows(phi1, phi2, n):
+def _linear_rows(phi1, levels2, n):
     """The coefficient equations of phi1 = beta z1^n and beta phi2 = eps
     z2^n, A-linear in the unknowns, on the exposed slots z^1..z^order.
 
-    Unknowns: 0 is the constant of beta, 1..K its z1 tail, K+1..2K its z2
-    tail, 2K+1 is eps.  The slots past the exposed order are reduced
-    modulo powers of s and give no exact equation.
+    ``levels2`` is :func:`_shift_levels` of phi2.  Unknowns: 0 is the
+    constant of beta, 1..K its z1 tail, K+1..2K its z2 tail, 2K+1 is eps;
+    unknown u of beta multiplies levels2[u].  The slots past the exposed
+    order are reduced modulo powers of s and give no exact equation.
     """
     ring = phi1.ring
     alg = ring.algebra
     K = ring.internal - 1
     top = ring.order
-    s_pow = [alg.one()]
-    for _ in range(alg.order):
-        s_pow.append(s_pow[-1] * alg.s)
+    s_pows = ring._s_pows
 
     def spow(j):
-        return s_pow[j] if j < len(s_pow) else alg.zero()
+        return s_pows[j] if j < len(s_pows) else alg.zero()
 
     rows = []
     # first identity: slot matching of beta * z1^n against phi1;
@@ -283,36 +294,16 @@ def _linear_rows(phi1, phi2, n):
         rows.append(
             _Row(coeffs, phi1.z2_coeff(slot), "first branch z2^%d slot" % slot)
         )
-    # second identity: beta * phi2 = eps z2^n; precompute shifted products
-    z1_shift = [phi2]
-    z2_shift = [phi2]
-    one = alg.one()
-    for i in range(1, K + 1):
-        z1_shift.append(z1_shift[-1].shift(1))
-        z2_shift.append(z2_shift[-1].shift(2))
-
-    def beta_coeff(unknown, getter, slot):
-        if unknown == 0:
-            return getter(phi2, slot)
-        if unknown <= K:
-            return getter(z1_shift[unknown], slot)
-        return getter(z2_shift[unknown - K], slot)
-
-    g_const = lambda s, _: s.a0
-    g_z1 = lambda s, m: s.z1_coeff(m)
-    g_z2 = lambda s, m: s.z2_coeff(m)
-
-    coeffs = {
-        u: beta_coeff(u, g_const, 0) for u in range(2 * K + 1)
-    }
+    # second identity: beta * phi2 = eps z2^n, slot by slot
+    coeffs = {u: y.a0 for u, y in enumerate(levels2)}
     rows.append(_Row(coeffs, alg.zero(), "second branch constant slot"))
     for slot in range(1, top + 1):
-        coeffs = {u: beta_coeff(u, g_z1, slot) for u in range(2 * K + 1)}
+        coeffs = {u: y.z1_coeff(slot) for u, y in enumerate(levels2)}
         rows.append(_Row(coeffs, alg.zero(), "second branch z1^%d slot" % slot))
     for slot in range(1, top + 1):
-        coeffs = {u: beta_coeff(u, g_z2, slot) for u in range(2 * K + 1)}
+        coeffs = {u: y.z2_coeff(slot) for u, y in enumerate(levels2)}
         if slot == n:
-            coeffs[2 * K + 1] = -one
+            coeffs[2 * K + 1] = -alg.one()
         rows.append(_Row(coeffs, alg.zero(), "second branch z2^%d slot" % slot))
     return rows
 
@@ -361,38 +352,48 @@ def _obstructions(rows):
     return [r for r in live if not r.coeffs and not r.rhs.is_zero()]
 
 
-def _dense_pure_solve(phi1, phi2, n):
+def _pure_solve(phi1, levels2, n):
     """Exact Q-linear decision of phi1 = beta z1^n and beta phi2 = eps z2^n
-    over the whole quotient ring.
+    over the whole quotient ring, on sparse rows.
 
-    The unknowns are the Q-coordinates of beta (constant block, then the z1
-    tail, then the z2 tail, in the column order of :func:`_shifted_family`)
-    and of eps.  That order fixes the particular solution, and so the
-    reported beta.  Returns (beta, eps, None) or (None, None, certificate).
+    ``levels2`` is :func:`_shift_levels` of phi2.  The unknowns are the
+    Q-coordinates of beta (constant block, then the z1 tail, then the z2
+    tail, in the column order of :func:`_family_columns`) and of eps; the
+    right-hand side is the last column.  There is one row per flat position
+    of the first identity, then of the second.  The reduced row echelon
+    form is unique, so the particular solution read from it, and so the
+    reported beta, and the index of an inconsistent row do not depend on how
+    the elimination reaches it.  Returns (beta, eps, None) or
+    (None, None, certificate).
     """
     ring = phi1.ring
     alg = ring.algebra
     dim = alg.dim
     K = ring.internal - 1
-    one = alg.one()
-    zn_a = ring.branch_power(1, n, one)
     vec_len = dim * (2 * K + 1)
-    columns = [
-        ua + u2 for ua, u2 in zip(_shifted_family(zn_a), _shifted_family(phi2))
-    ]
+    ncols = vec_len + dim
+    rows = [{} for _ in range(2 * vec_len)]
+    first = _family_columns(_shift_levels(ring.branch_power(1, n)))
+    for c, (ua, u2) in enumerate(zip(first, _family_columns(levels2))):
+        for r, v in ua.items():
+            rows[r][c] = v
+        for r, v in u2.items():
+            rows[vec_len + r][c] = v
     # eps e_j z2^n: the basis element e_j alone in the z2^n slot
-    zero_block = [Fraction(0)] * vec_len
+    offset = vec_len + dim * (K + n)
     for j in range(dim):
-        col = zero_block + zero_block
         second = ring._slot_reduce(n, alg.basis_element(j)).coeffs
-        offset = vec_len + dim * (K + n)
-        col[offset : offset + dim] = [-c for c in second]
-        columns.append(col)
-    rhs = _series_vec(phi1) + [Fraction(0)] * vec_len
-    rows = [[col[i] for col in columns] for i in range(2 * vec_len)]
-    solution, info = solve_linear(rows, rhs)
+        for m, v in enumerate(second):
+            if v:
+                rows[offset + m][vec_len + j] = -v
+    for r, v in enumerate(_series_vec(phi1)):
+        if v:
+            rows[r][ncols] = v
+    solution, index = particular_solution(
+        eliminate(row for row in rows if row), ncols
+    )
     if solution is None:
-        return None, None, "unsolvable coefficient equation (reduced row %d)" % info
+        return None, None, "unsolvable coefficient equation (reduced row %d)" % index
     # solution blocks of beta: constant, z1^1 .. z1^K, z2^1 .. z2^K
     blocks = [alg.element(solution[i : i + dim]) for i in range(0, vec_len, dim)]
     beta = ring._series_internal(blocks[0], blocks[1 : K + 1], blocks[K + 1 :])
@@ -410,8 +411,9 @@ def _pure_witness(data, n, swap):
 
     A non-unit leading coefficient rules purity out at once.  Otherwise the
     first obstruction row of the unit-pivot elimination, if there is one,
-    names the failing coefficient equation; with none, the dense exact
-    solve decides and supplies the witnesses.
+    names the failing coefficient equation; with none, the exact solve
+    decides and supplies the witnesses.  Both read the shift levels of
+    phi2, built once here.
     """
     phi1 = _zswap(data.phi_w1) if swap else data.phi_w1
     phi2 = _zswap(data.phi_w2) if swap else data.phi_w2
@@ -419,7 +421,8 @@ def _pure_witness(data, n, swap):
         raise ContactError("order_overflow", "contact order outside the window")
     if not phi1.z1_coeff(n).is_unit():
         return None, None, "leading first-branch coefficient is not a unit"
-    obstructions = _obstructions(_linear_rows(phi1, phi2, n))
+    levels2 = _shift_levels(phi2)
+    obstructions = _obstructions(_linear_rows(phi1, levels2, n))
     if obstructions:
         row = obstructions[0]
         return (
@@ -428,7 +431,7 @@ def _pure_witness(data, n, swap):
             "unsolvable coefficient equation at the %s: %s"
             % (row.label, row.rhs.render()),
         )
-    beta, eps, cert = _dense_pure_solve(phi1, phi2, n)
+    beta, eps, cert = _pure_solve(phi1, levels2, n)
     if beta is None:
         return None, None, cert
     if swap:
@@ -436,12 +439,35 @@ def _pure_witness(data, n, swap):
     return beta, eps, None
 
 
+def _witnesses_hold(phi1, phi2, beta, eps, n, branch):
+    """phi1 = beta z^n on ``branch`` and beta phi2 = eps z^n on the other
+    branch: one product each, no inverse (see :func:`check_pure_contact`)."""
+    ring = phi1.ring
+    return (
+        beta * ring.branch_power(branch, n) == phi1
+        and beta * phi2 == ring.branch_power(3 - branch, n, eps)
+    )
+
+
 def check_pure_contact(data, n, allow_swap=True):
     """Decide pure n-contact, producing witnesses or a certificate.
 
     The reported beta satisfies phi_w1 = beta z^n on the branch named by the
-    orientation, and phi_w2 = eps beta^{-1} on the other branch; both
-    identities re-verify exactly by multiplication.
+    orientation, and phi_w2 = eps beta^{-1} z^n on the other branch.  Both
+    identities re-verify exactly, each by one product: the second as
+    beta phi_w2 = eps z^n, with no inverse.
+
+    That test is exactly as strong.  The internal window is the quotient of
+    A[z1, z2]/(z1 z2 - s) by the A-span of s^e(k) z^k, e(k) = max(N - k, 0),
+    over both branches and all k >= 1, N the internal window.  Multiplying
+    s^e(k) z1^k by z1 gives s^e(k) z1^(k+1), a multiple of s^e(k+1) z1^(k+1);
+    by z2 it gives s^(e(k)+1) z1^(k-1), a multiple of s^e(k-1) z1^(k-1), or
+    s^N = 0 in A when k = 1.  So the span is an ideal, the truncated node
+    ring is a quotient ring, commutative and associative, and by the
+    uniqueness of the normal form, equality there is equality of the stored
+    slots.  For a unit beta, multiplication by beta is a bijection with
+    inverse multiplication by beta^{-1}, so phi_w2 = beta^{-1} eps z^n holds
+    iff beta phi_w2 = eps z^n does.
     """
     try:
         n1, n2 = contact_orders(data)
@@ -454,11 +480,8 @@ def check_pure_contact(data, n, allow_swap=True):
         orientation = "swapped"
     if beta is None:
         return ContactReport(n1, n2, False, n, certificate=cert)
-    ring = data.ring
-    one = ring.algebra.one()
-    zn_a = ring.branch_power(2 if orientation == "swapped" else 1, n, one)
-    zn_b = ring.branch_power(1 if orientation == "swapped" else 2, n, one)
-    if beta * zn_a != data.phi_w1 or (beta.inverse() * zn_b) * eps != data.phi_w2:
+    branch = 2 if orientation == "swapped" else 1
+    if not _witnesses_hold(data.phi_w1, data.phi_w2, beta, eps, n, branch):
         raise ArithmeticError("pure-contact witnesses failed re-verification")
     return ContactReport(n1, n2, True, n, beta, eps, orientation)
 
@@ -487,7 +510,7 @@ def predeformability_ideal(data, n):
             "nonunit_leading",
             "both branch coefficients at the requested order must be units",
         )
-    rows = _obstructions(_linear_rows(data.phi_w1, data.phi_w2, n))
+    rows = _obstructions(_linear_rows(data.phi_w1, _shift_levels(data.phi_w2), n))
     return AlgebraIdeal(alg, [row.rhs for row in rows])
 
 

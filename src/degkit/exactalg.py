@@ -57,6 +57,14 @@ def _json_int(value):
     return value
 
 
+def _json_bool(value):
+    """Boolean field of JSON input; anything but true or false raises
+    ValueError."""
+    if type(value) is not bool:
+        raise ValueError("expected a boolean, got %r" % (value,))
+    return value
+
+
 class TruncatedAlgebra:
     """Finite-dimensional truncation of a presented Q-algebra.
 
@@ -100,6 +108,9 @@ class TruncatedAlgebra:
             raise ValueError("the relations collapse the algebra to zero")
         self._mul_table = {}
         self._mpowers = None
+        # elements are immutable, so every caller may share these two
+        self._zero = AlgebraElement(self, (Fraction(0),) * self.dim)
+        self._one = self.from_poly(Poly.one(len(gens)))
 
     # ------------------------------------------------------------ internals
     def _all_monomials(self):
@@ -141,10 +152,10 @@ class TruncatedAlgebra:
         return AlgebraElement(self, coeffs)
 
     def zero(self):
-        return AlgebraElement(self, tuple([Fraction(0)] * self.dim))
+        return self._zero
 
     def one(self):
-        return self.from_poly(Poly.one(len(self.gens)))
+        return self._one
 
     def const(self, c):
         return self.from_poly(Poly.const(len(self.gens), c))
@@ -172,16 +183,18 @@ class TruncatedAlgebra:
         return AlgebraElement(self, tuple(vec))
 
     def _basis_product(self, i, j):
+        """The nonzero (index, coefficient) pairs of e_i * e_j, memoized."""
         key = (i, j) if i <= j else (j, i)
         got = self._mul_table.get(key)
         if got is None:
             exp = tuple(a + b for a, b in zip(self.basis[key[0]], self.basis[key[1]]))
             if sum(exp) >= self.order:
-                got = tuple([Fraction(0)] * self.dim)
+                got = ()
             else:
-                got = self._fullvec_to_coeffs(
+                coeffs = self._fullvec_to_coeffs(
                     self._poly_to_fullvec(Poly.monomial(exp))
                 )
+                got = tuple((m, c) for m, c in enumerate(coeffs) if c)
             self._mul_table[key] = got
         return got
 
@@ -260,7 +273,7 @@ class TruncatedAlgebra:
             data["generators"],
             rels,
             _json_int(data["order"]),
-            data.get("local", True),
+            _json_bool(data.get("local", True)),
         )
 
 
@@ -300,19 +313,16 @@ class AlgebraElement:
             c = _coeff(other)
             return AlgebraElement(self.algebra, tuple(a * c for a in self.coeffs))
         self._check(other)
-        dim = self.algebra.dim
-        acc = [Fraction(0)] * dim
+        basis_product = self.algebra._basis_product
+        acc = [Fraction(0)] * self.algebra.dim
+        ys = [(j, cj) for j, cj in enumerate(other.coeffs) if cj]
         for i, ci in enumerate(self.coeffs):
             if not ci:
                 continue
-            for j, cj in enumerate(other.coeffs):
-                if not cj:
-                    continue
-                prod = self.algebra._basis_product(i, j)
+            for j, cj in ys:
                 f = ci * cj
-                for k, pk in enumerate(prod):
-                    if pk:
-                        acc[k] += f * pk
+                for k, pk in basis_product(i, j):
+                    acc[k] += f * pk
         return AlgebraElement(self.algebra, tuple(acc))
 
     __rmul__ = __mul__
@@ -689,6 +699,15 @@ class NodeRing:
         return "NodeRing(%r, order=%d)" % (self.algebra, self.order)
 
 
+def _slot_add(x, y):
+    """x + y for two slots; where one of them is zero the other is reused."""
+    if y.is_zero():
+        return x
+    if x.is_zero():
+        return y
+    return x + y
+
+
 class NodeSeries:
     """Normal form a0 + sum a_i z1^i + sum b_i z2^i over a node ring."""
 
@@ -726,9 +745,9 @@ class NodeSeries:
         self._check(other)
         return NodeSeries(
             self.ring,
-            self.a0 + other.a0,
-            tuple(x + y for x, y in zip(self.a, other.a)),
-            tuple(x + y for x, y in zip(self.b, other.b)),
+            _slot_add(self.a0, other.a0),
+            tuple(map(_slot_add, self.a, other.a)),
+            tuple(map(_slot_add, self.b, other.b)),
         )
 
     __radd__ = __add__
@@ -786,10 +805,10 @@ class NodeSeries:
         self._check(other)
         ring = self.ring
         alg = ring.algebra
-        dim = alg.dim
+        basis_product = alg._basis_product
         K = ring.internal - 1
         s_pows = ring._s_pows
-        zeros = [Fraction(0)] * dim
+        zeros = [Fraction(0)] * alg.dim
         acc = {}
         ys = other._nonzero_slots()
         for p, xc in self._nonzero_slots():
@@ -806,9 +825,8 @@ class NodeSeries:
                 for i, ci in xc:
                     for j, cj in yc:
                         f = ci * cj
-                        for m, pm in enumerate(alg._basis_product(i, j)):
-                            if pm:
-                                vec[m] += f * pm
+                        for m, pm in basis_product(i, j):
+                            vec[m] += f * pm
         slots = {}
         for (k, e), vec in acc.items():
             if e:

@@ -3,9 +3,11 @@
 Vectors are lists/tuples of Fractions.  The systems range from a handful of
 rows (truncated algebras, coefficient collections) to the pure-contact
 systems of a few hundred rows and columns, which are mostly zeros.  One
-exact elimination, :func:`rref`, serves all of them: it works on the
-nonzero entries of each row only, and its output is the unique reduced
-row echelon form.
+exact elimination, :func:`eliminate`, serves all of them: it works on
+sparse rows, touches the nonzero entries only, and its output is the
+unique reduced row echelon form.  :func:`rref` and :func:`solve_linear`
+are its dense wrappers; the pure-contact solve hands it sparse rows
+directly.
 """
 
 from __future__ import annotations
@@ -24,30 +26,22 @@ def _subtract(row, f, prow):
             del row[j]
 
 
-def rref(rows):
-    """Reduced row echelon form.
+def eliminate(rows):
+    """The sparse elimination core: reduced row echelon form of sparse rows.
 
-    Returns (echelon_rows, pivot_columns); zero rows are dropped, the rows
-    are dense lists of Fractions and the pivots are increasing.
+    ``rows`` is an iterable of dicts {column: nonzero Fraction}; each is
+    consumed (reduced in place).  Returns {pivot column: pivot row}, where
+    each pivot row holds 1 at its pivot and no other pivot column.
 
-    Each row is held as a dict of its nonzero columns.  An incoming row is
-    reduced against the pivot rows found so far, always at its leading
-    column, until that column holds no pivot; it is then scaled to a new
-    pivot row.  A final back-substitution clears every pivot column from the
-    other pivot rows.  The reduced row echelon form of a row space is
-    unique, so the result does not depend on the order of the steps.
+    An incoming row is reduced against the pivot rows found so far, always
+    at its leading column, until that column holds no pivot; it is then
+    scaled to a new pivot row.  A final back-substitution clears every
+    pivot column from the other pivot rows.  The reduced row echelon form
+    of a row space is unique, so the result does not depend on the order
+    of the steps.
     """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     pivot_rows = {}
-    for r in rows:
-        row = {
-            j: c if type(c) is Fraction else Fraction(c)
-            for j, c in enumerate(r)
-            if c
-        }
+    for row in rows:
         while row:
             lead = min(row)
             prow = pivot_rows.get(lead)
@@ -56,11 +50,38 @@ def rref(rows):
                 pivot_rows[lead] = {j: c * inv for j, c in row.items()}
                 break
             _subtract(row, row[lead], prow)
-    pivots = sorted(pivot_rows)
-    for p in reversed(pivots):
+    for p in sorted(pivot_rows, reverse=True):
         row = pivot_rows[p]
         for q in [q for q in row if q != p and q in pivot_rows]:
             _subtract(row, row[q], pivot_rows[q])
+    return pivot_rows
+
+
+def _sparse(rows):
+    """Dense rows as sparse dicts of Fractions; zero rows are dropped."""
+    for r in rows:
+        row = {
+            j: c if type(c) is Fraction else Fraction(c)
+            for j, c in enumerate(r)
+            if c
+        }
+        if row:
+            yield row
+
+
+def rref(rows):
+    """Reduced row echelon form of dense rows.
+
+    Returns (echelon_rows, pivot_columns); zero rows are dropped, the rows
+    are dense lists of Fractions and the pivots are increasing.  A dense
+    wrapper around :func:`eliminate`.
+    """
+    rows = list(rows)
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivot_rows = eliminate(_sparse(rows))
+    pivots = sorted(pivot_rows)
     echelon = []
     for p in pivots:
         dense = [Fraction(0)] * ncols
@@ -68,6 +89,25 @@ def rref(rows):
             dense[j] = c
         echelon.append(dense)
     return echelon, pivots
+
+
+def particular_solution(pivot_rows, ncols):
+    """Read the solution of an eliminated augmented system.
+
+    ``pivot_rows`` is :func:`eliminate` of the rows of A x = b, each with b
+    in column ``ncols``.  Returns (the solution whose free unknowns are
+    zero, None), or (None, index) where index is the position of the
+    inconsistent row 0 = 1 among the echelon rows: the last one, after
+    every pivot of A.
+    """
+    if ncols in pivot_rows:
+        return None, len(pivot_rows) - 1
+    solution = [Fraction(0)] * ncols
+    for p, row in pivot_rows.items():
+        value = row.get(ncols)
+        if value is not None:
+            solution[p] = value
+    return solution, None
 
 
 class Subspace:
@@ -123,26 +163,26 @@ def solve_linear(matrix_rows, rhs):
     matrix_rows: list of equation coefficient rows, rhs: list of Fractions.
     Returns (particular_solution, nullspace_basis) or (None, index) where
     index is the position of the first inconsistent equation row in the
-    reduced system (used to surface certificates).
+    reduced system (used to surface certificates).  A dense wrapper around
+    :func:`eliminate`.
     """
     if not matrix_rows:
         return [], []
     ncols = len(matrix_rows[0])
     aug = [list(row) + [b] for row, b in zip(matrix_rows, rhs)]
-    echelon, pivots = rref(aug)
-    for i, (row, p) in enumerate(zip(echelon, pivots)):
-        if p == ncols:
-            return None, i
-    solution = [Fraction(0)] * ncols
-    for row, p in zip(echelon, pivots):
-        solution[p] = row[ncols]
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
+    pivot_rows = eliminate(_sparse(aug))
+    solution, index = particular_solution(pivot_rows, ncols)
+    if solution is None:
+        return None, index
     null_basis = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in pivot_rows:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for row, p in zip(echelon, pivots):
-            v[p] = -row[f]
+        for p, row in pivot_rows.items():
+            c = row.get(f)
+            if c is not None:
+                v[p] = -c
         null_basis.append(v)
     return solution, null_basis

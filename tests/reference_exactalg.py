@@ -98,3 +98,15 @@ def fixture_algebra(extra=()):
 
 
 UNITS = (1, -1, 2, 3, Fraction(1, 2))
+
+
+def witnesses_hold(phi1, phi2, beta, beta_inv, eps, n, branch):
+    """phi1 = beta z^n on ``branch`` and phi2 = beta^{-1} eps z^n on the
+    other, with ``beta_inv`` the :func:`inverse` of beta."""
+    ring = phi1.ring
+    one = ring.algebra.one()
+    zn_a = ring.branch_power(branch, n, one)
+    zn_b = ring.branch_power(3 - branch, n, one)
+    return multiply(beta, zn_a) == phi1 and (
+        multiply(multiply(beta_inv, zn_b), ring.const(eps)) == phi2
+    )

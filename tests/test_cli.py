@@ -217,6 +217,38 @@ def test_truncation_overrides(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("local", ["no", "false", 0, None])
+def test_contact_local_must_be_boolean(tmp_path, capsys, local):
+    path = contact_input(tmp_path)
+    data = json.loads(path.read_text())
+    data["algebra"]["local"] = local
+    path.write_text(json.dumps(data))
+    for sub in ("check", "ideal"):
+        code, out = run_cli(capsys, "contact", sub, "--input", str(path))
+        assert code == 2 and out == ""
+    data["algebra"]["local"] = False
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "contact", "check", "--input", str(path))
+    assert code == 0 and json.loads(out)["pure"] is True
+
+
+@pytest.mark.parametrize("key", ["phi_w1", "phi_w2"])
+def test_contact_series_order_must_match_file(tmp_path, capsys, key):
+    # each series is checked against the file's own series_order, before
+    # and whatever the --trunc-series override says
+    path = contact_input(tmp_path)
+    data = json.loads(path.read_text())
+    data[key]["order"] = 3
+    path.write_text(json.dumps(data))
+    for extra in ([], ["--trunc-series", "3"], ["--trunc-series", "6"]):
+        code, out = run_cli(capsys, "contact", "check", "--input", str(path), *extra)
+        assert code == 2 and out == ""
+    del data[key]["order"]
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "contact", "check", "--input", str(path))
+    assert code == 0
+
+
 def test_failure_report_carries_witness(capsys):
     from degkit import gamma_atlas, verify_atlas
 

@@ -11,6 +11,7 @@ from degkit import (
     ContactData,
     ContactError,
     NodeRing,
+    NodeSeries,
     Poly,
     TruncatedAlgebra,
     adjoin_nilpotent,
@@ -311,7 +312,7 @@ def test_obstruction_exit_agrees_with_dense_solve(seed):
     # the unit-pivot obstruction rows are the one fast exit before the
     # dense solve: an input they reject must have no dense solution, and on
     # every other input the witnesses are the dense solve's own
-    from degkit.contact import _dense_pure_solve, _pure_witness, _zswap
+    from degkit.contact import _pure_solve, _pure_witness, _shift_levels, _zswap
 
     alg = TruncatedAlgebra(
         ("s", "c"),
@@ -351,7 +352,7 @@ def test_obstruction_exit_agrees_with_dense_solve(seed):
     else:
         data = ContactData(ring, prod.a0, phi1, phi2)
     beta, eps, cert = _pure_witness(data, n, swap)
-    dense_beta, dense_eps, _ = _dense_pure_solve(phi1, phi2, n)
+    dense_beta, dense_eps, _ = _pure_solve(phi1, _shift_levels(phi2), n)
     if cert is not None and cert.startswith("unsolvable coefficient equation at"):
         assert dense_beta is None
         return
@@ -409,6 +410,17 @@ def _reference_shifted_family(x):
             level = [y.shift(branch) for y in level]
             fam.extend(level)
     return [_reference_series_vec(y) for y in fam]
+
+
+def _densify(columns, ring):
+    length = ring.algebra.dim * (2 * ring.internal - 1)
+    out = []
+    for col in columns:
+        vec = [Fraction(0)] * length
+        for r, v in col.items():
+            vec[r] = v
+        out.append(vec)
+    return out
 
 
 def _reference_dense_pure_solve(phi1, phi2, n):
@@ -514,20 +526,95 @@ def _solve_inputs(draw):
 @given(_solve_inputs())
 @settings(max_examples=120, deadline=None)
 def test_structured_solve_matches_dense_reference(inputs):
-    # the shift-first family, the sparse elimination and beta read off the
-    # solution blocks reproduce the product-first dense solve exactly:
-    # witnesses, certificates and their reduced-row indices
+    # the shift-first sparse family, the sparse elimination and beta read
+    # off the solution blocks reproduce the product-first dense solve
+    # exactly: witnesses, certificates and their reduced-row indices
     phi1, phi2, n = inputs
     for x in (phi1, phi2):
-        assert contact._shifted_family(x) == _reference_shifted_family(x)
-    got = contact._dense_pure_solve(phi1, phi2, n)
+        fam = contact._family_columns(contact._shift_levels(x))
+        assert _densify(fam, x.ring) == _reference_shifted_family(x)
+    got = contact._pure_solve(phi1, contact._shift_levels(phi2), n)
     assert got == _reference_dense_pure_solve(phi1, phi2, n)
     event("solved" if got[2] is None else got[2])
     prod = phi1 * phi2
     if all(x.is_zero() for x in prod.a + prod.b):
         data = ContactData(phi1.ring, prod.a0, phi1, phi2)
         flag = is_nondegenerate(data)
-        with mock.patch.object(
-            contact, "_shifted_family", _reference_shifted_family
-        ):
+
+        def reference_columns(levels):
+            return [
+                {r: v for r, v in enumerate(vec) if v}
+                for vec in _reference_shifted_family(levels[0])
+            ]
+
+        with mock.patch.object(contact, "_family_columns", reference_columns):
             assert flag == is_nondegenerate(data)
+
+
+# --- re-verification by one product against the inverse-based test -------
+
+
+@st.composite
+def _witness_inputs(draw):
+    """(phi1, phi2, beta, eps, n, branch) over the rings of the solve tests:
+    the witnesses of a pure pair, the same pair perturbed in one slot or with
+    a perturbed eps, and arbitrary series, on either branch."""
+    ring = draw(st.sampled_from(_RINGS))
+    alg = ring.algebra
+    n = draw(st.integers(1, 3))
+    branch = draw(st.sampled_from([1, 2]))
+    beta = draw(_series(ring, unit=True))
+    eps = draw(_elements(alg, unit=draw(st.integers(0, 3)) > 0))
+    phi1 = beta * ring.branch_power(branch, n)
+    phi2 = (beta.inverse() * eps) * ring.branch_power(3 - branch, n)
+    kind = draw(st.sampled_from(["pure", "phi1", "phi2", "eps", "arbitrary"]))
+    k = draw(st.integers(0, ring.order - 1))
+    bump = ring.branch_power(draw(st.sampled_from([1, 2])), k, draw(_elements(alg)))
+    if kind == "phi1":
+        phi1 = phi1 + bump
+    elif kind == "phi2":
+        phi2 = phi2 + bump
+    elif kind == "eps":
+        eps = eps + draw(_elements(alg))
+    elif kind == "arbitrary":
+        phi1, phi2 = draw(_series(ring)), draw(_series(ring))
+    return phi1, phi2, beta, eps, n, branch
+
+
+@given(_witness_inputs())
+@settings(max_examples=150, deadline=None)
+def test_product_reverification_matches_inverse(inputs):
+    # for a unit beta, beta phi2 = eps z^n holds exactly when the old test
+    # phi2 = beta^{-1} eps z^n does, through the reference inverse
+    from reference_exactalg import inverse, witnesses_hold
+
+    phi1, phi2, beta, eps, n, branch = inputs
+    got = contact._witnesses_hold(phi1, phi2, beta, eps, n, branch)
+    assert got == witnesses_hold(phi1, phi2, beta, inverse(beta), eps, n, branch)
+    event("holds" if got else "fails")
+
+
+def test_pure_check_makes_no_series_inverse(Rs6, Qs6):
+    # re-verification is by products only, in either orientation; forcing
+    # inverts beta once, for beta2
+    beta = Rs6.one() + Rs6.z1(1, Qs6.s) + Rs6.z2(2)
+    eps = Qs6.one() + Qs6.s * 2
+    phi1 = beta * Rs6.z1(2)
+    phi2 = (beta.inverse() * eps) * Rs6.z2(2)
+    zswap = contact._zswap
+    cases = (
+        ((phi1, phi2), "straight", True),
+        ((zswap(phi2), zswap(phi1)), "straight", True),
+        ((zswap(phi1), zswap(phi2)), "swapped", False),
+    )
+    for (x, y), orientation, forces in cases:
+        data = ContactData(Rs6, (x * y).a0, x, y)
+        with mock.patch.object(
+            NodeSeries, "inverse", autospec=True, side_effect=NodeSeries.inverse
+        ) as inverse:
+            report = check_pure_contact(data, 2)
+            assert report.pure and report.orientation == orientation
+            assert inverse.call_count == 0
+            if forces:
+                flat_local_forcing(data)
+                assert inverse.call_count == 1

@@ -334,6 +334,29 @@ def test_adjoin_nilpotent(obstructed):
     assert not d.is_zero()
 
 
+# --- structure constants -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["Qs8", "Qs6", "Qs4", "QQ", "Qeps", "Qc2", "obstructed", "fixture", "fixture_d"],
+)
+def test_basis_product_pairs_match_monomial_reduction(request, name):
+    # e_i * e_j is the product monomial reduced by the relations and the
+    # truncation; the table holds exactly its nonzero coordinates
+    if name.startswith("fixture"):
+        alg = fixture_algebra(("d",) if name == "fixture_d" else ())
+    else:
+        alg = request.getfixturevalue(name)
+    for i, mi in enumerate(alg.basis):
+        for j, mj in enumerate(alg.basis):
+            reduced = alg.from_poly(Poly.monomial(mi) * Poly.monomial(mj))
+            expected = tuple((m, c) for m, c in enumerate(reduced.coeffs) if c)
+            got = alg._basis_product(i, j)
+            assert got == expected
+            assert all(type(c) is Fraction for _, c in got)
+
+
 # --- serialization -------------------------------------------------------
 
 
@@ -341,6 +364,16 @@ def test_algebra_json_roundtrip(obstructed):
     data = obstructed.to_json()
     back = TruncatedAlgebra.from_json(data)
     assert back == obstructed
+
+
+@pytest.mark.parametrize("local", ["no", "yes", "true", 0, 1, None, []])
+def test_algebra_json_local_must_be_boolean(obstructed, local):
+    data = obstructed.to_json()
+    with pytest.raises(ValueError):
+        TruncatedAlgebra.from_json({**data, "local": local})
+    assert TruncatedAlgebra.from_json({**data, "local": False}).local is False
+    del data["local"]
+    assert TruncatedAlgebra.from_json(data).local is True
 
 
 def test_element_and_series_json_roundtrip(Rs8, Qs8):

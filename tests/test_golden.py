@@ -342,6 +342,36 @@ def test_contact_pins():
     assert text.encode() == (GOLDEN / "contact_pins.json").read_bytes()
 
 
+def test_product_reverification_on_pinned_inputs():
+    # every re-verification behind the pins agrees with the inverse-based
+    # test of the reference arithmetic, on the witnesses as found and with
+    # phi_w2 or eps moved off them
+    from degkit import contact
+    from reference_exactalg import inverse, witnesses_hold
+
+    real = contact._witnesses_hold
+    seen = []
+
+    def checked(phi1, phi2, beta, eps, n, branch):
+        ring = phi1.ring
+        beta_inv = inverse(beta)
+        moved = (
+            (phi2, eps),
+            (phi2 + ring.branch_power(3 - branch, n), eps),
+            (phi2, eps + ring.algebra.s),
+        )
+        for x, e in moved:
+            got = real(phi1, x, beta, e, n, branch)
+            assert got == witnesses_hold(phi1, x, beta, beta_inv, e, n, branch)
+            seen.append(got)
+        return seen[-3]
+
+    with mock.patch.object(contact, "_witnesses_hold", checked):
+        text = json.dumps(contact_pins(), indent=1) + "\n"
+    assert text.encode() == (GOLDEN / "contact_pins.json").read_bytes()
+    assert seen.count(True) * 2 == seen.count(False) > 0
+
+
 # ---------------------------------------------------------------------------
 # split-map enumeration, in emitted order
 # ---------------------------------------------------------------------------

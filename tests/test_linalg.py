@@ -2,17 +2,25 @@
 
 The reduced row echelon form of a row space is unique, so the sparse
 ``rref`` must reproduce the dense routine's rows and pivots exactly, and
-``solve_linear`` and ``Subspace`` built on it must give the same particular
-solutions, null bases, inconsistency indices, equality and hashes.
+``solve_linear``, ``Subspace`` and the sparse solve of the pure-contact
+systems (``eliminate`` on sparse rows, read by ``particular_solution``)
+must give the same particular solutions, null bases, inconsistency
+indices, equality and hashes.
 """
 
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
-from degkit.linalg import Subspace, rref, solve_linear
+from degkit.linalg import (
+    Subspace,
+    eliminate,
+    particular_solution,
+    rref,
+    solve_linear,
+)
 from dense_linalg import dense_rref, dense_solve_linear
 
 ENTRY = st.one_of(
@@ -71,6 +79,34 @@ def test_solve_linear_matches_dense(rows, data):
     assert rref(aug) == dense_rref(aug)
     if got[0] is None:
         assert got[1] == len(dense_rref(rows)[0])
+
+
+@given(matrices(min_rows=1), st.data())
+@settings(max_examples=400, deadline=None)
+def test_sparse_solve_matches_dense(rows, data):
+    # sparse augmented rows straight into the elimination, in shuffled
+    # order, against the dense solve: the particular solution, or the
+    # reduced-row index of the inconsistent equation
+    ncols = len(rows[0])
+    x = data.draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
+    rhs = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rhs[i] += data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    sparse = []
+    for row, b in zip(rows, rhs):
+        entry = {j: Fraction(c) for j, c in enumerate(list(row) + [b]) if c}
+        if entry:
+            sparse.append(entry)
+    random.Random(data.draw(st.integers(0, 2**16))).shuffle(sparse)
+    got = particular_solution(eliminate(sparse), ncols)
+    solution, info = dense_solve_linear(rows, rhs)
+    if solution is None:
+        assert got == (None, info)
+        event("inconsistent")
+    else:
+        assert got == (solution, None)
+        event("solved")
 
 
 @given(matrices(), st.integers(0, 2**16))
