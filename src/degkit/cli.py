@@ -227,7 +227,7 @@ def run(args):
         triple = cg.AdmissibleTriple(
             cg.graph_from_json(data["first"]),
             cg.graph_from_json(data["second"]),
-            tuple(data.get("first_legs", [])),
+            cg._json_ints(cg.GraphError, *data.get("first_legs", [])),
         )
         if args.subcommand == "glue":
             glued, genus, degree, ttype = cg.glue(triple)

@@ -312,21 +312,12 @@ class SplitMap:
 
     def automorphisms(self):
         """Per-group permutations of identical pieces preserving every
-        interface as a multiset of weighted attachments."""
-        out = []
-        for perms in self._equal_data_permutations():
-            ok = True
-            for i, iface in enumerate(self.nodes):
-                orig = sorted((mu, a, b) for mu, a, b in iface)
-                mapped = sorted(
-                    (mu, perms[i][a], perms[i + 1][b]) for mu, a, b in iface
-                )
-                if orig != mapped:
-                    ok = False
-                    break
-            if ok:
-                out.append(perms)
-        return out
+        interface as a multiset of weighted attachments: the relabelings
+        whose node encoding (the one ``canonical_key`` minimizes) is the
+        identity's."""
+        relabelings = list(self._equal_data_permutations())
+        fixed = self._encode_nodes(relabelings[0])
+        return [perms for perms in relabelings if self._encode_nodes(perms) == fixed]
 
     def automorphism_interface_image(self, l):
         """Subgroup of permutations of the interface-l node instances induced
@@ -522,7 +513,7 @@ def specialization_sum_check(coarse, fine, assignment):
 
 @dataclass(frozen=True)
 class EnumerationCaps:
-    """Declared search caps; the enumeration is exhaustive within them.
+    """Declared search caps; the enumeration draws nothing beyond them.
 
     The default budget for the total number of nodes is norm + 1, which is
     exactly enough for the longest chains the stability bound allows; a
@@ -546,10 +537,14 @@ class EnumerationCaps:
 
 
 def enumerate_split_maps(t, caps=EnumerationCaps(), stable_only=False, max_norm=6):
-    """All split maps of total type ``t`` up to piece relabeling, for every
-    expansion length up to the norm bound.
+    """Split maps of total type ``t``, pairwise non-isomorphic under piece
+    relabeling, for every expansion length up to the norm bound.
 
-    Generation conventions (documented choices, exhaustive within them):
+    Skeletons are pairwise non-isomorphic.  Marks are placed as
+    :func:`_distribute_marks` says: that reaches every class when a
+    skeleton's automorphism group is the full product of symmetric groups
+    on its piece orbits and can miss classes otherwise, so some lists are
+    short.  Generation conventions (documented choices):
     fiber pieces -- middle pieces of degree zero touch both neighboring
     interfaces with equal total weight; positive-degree middle pieces have
     positive weight (sufficiently ample polarization); end groups are
@@ -567,20 +562,14 @@ def enumerate_split_maps(t, caps=EnumerationCaps(), stable_only=False, max_norm=
                 raise SplitMapError(
                     "%s must be nonnegative, got %d" % (field.name, value)
                 )
-    if t.norm() > max_norm:
+    if t.norm() > _int(max_norm, "max_norm"):
         raise SplitMapError("norm above the configured bound %d" % max_norm)
-    results = []
-    seen = set()
-    top_n = max(0, t.norm())
-    for n in range(0, top_n + 1):
-        for sm in _enumerate_for_n(t, n, caps, stable_only):
-            if stable_only and not sm.is_stable():
-                continue
-            key = (sm.n, sm.canonical_key())
-            if key not in seen:
-                seen.add(key)
-                results.append(sm)
-    return results
+    return [
+        sm
+        for n in range(max(0, t.norm()) + 1)
+        for sm in _enumerate_for_n(t, n, caps, stable_only)
+        if not stable_only or sm.is_stable()
+    ]
 
 
 def enumerate_stable_types(t, caps=EnumerationCaps(), max_norm=6):
@@ -637,8 +626,16 @@ def _mark_need(piece, end, contacts):
 
 
 def _distribute_marks(skeleton, k):
-    """All placements of k marked points on a mark-free skeleton, one
-    representative per orbit of the skeleton's automorphisms."""
+    """Placements of k marked points on a mark-free skeleton: every piece
+    gets its forced marks, and each orbit of pieces under the skeleton's
+    automorphisms a non-increasing tuple of the extra ones.
+
+    No two placements are isomorphic: an automorphism keeps the multiset
+    of extras on every orbit, and the tuples are those multisets.  They are
+    one per isomorphism class when the automorphism group is the full
+    product of symmetric groups on the orbits; when one automorphism moves
+    several orbits together, some classes are never placed and the list is
+    short."""
     ids = [(i, p) for i, g in enumerate(skeleton.groups) for p in range(len(g))]
     ends = (0, skeleton.n + 1)
     needs = [
@@ -1302,7 +1299,7 @@ class AdmissibleTriple:
         if self.first.root_weights() != self.second.root_weights():
             raise GraphError("root weights must match pairwise")
         k1, k2 = self.first.num_legs, self.second.num_legs
-        I = tuple(int(x) for x in self.first_legs)
+        I = tuple(_int(x, "leg index") for x in self.first_legs)
         object.__setattr__(self, "first_legs", I)
         if len(I) != k1 or list(I) != sorted(set(I)):
             raise GraphError("leg subset must be strictly increasing of size k1")

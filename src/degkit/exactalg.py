@@ -372,10 +372,6 @@ class AlgebraElement:
             out = out + power
         return out * (Fraction(1) / c)
 
-    def residue(self):
-        """Image in the residue field A/m = Q (local algebras)."""
-        return self.constant_term()
-
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)

@@ -138,9 +138,6 @@ class Subspace:
     def contains(self, vec):
         return not any(self.reduce(vec))
 
-    def contains_all(self, vectors):
-        return all(self.contains(v) for v in vectors)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import rref
-from .polys import Poly, RatFunc
+from .polys import Poly, RatFunc, _int
 from .ratmaps import RationalMap
 
 
@@ -181,7 +181,7 @@ class GammaAtlas:
 
 def gamma_atlas(n, bound=8):
     """Atlas of ``Gamma(n)``; n = 0 is the single-chart model u1*u2 = t1."""
-    if n > bound:
+    if _int(n, "n") > _int(bound, "bound"):
         raise ValueError("n exceeds the configured bound %d" % bound)
     return GammaAtlas(n)
 

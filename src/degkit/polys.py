@@ -137,12 +137,6 @@ class Poly:
     def const_coeff(self):
         return self.terms.get(tuple([0] * self.nvars), Fraction(0))
 
-    def total_degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -241,10 +235,6 @@ class Poly:
         return out
 
     # -------------------------------------------------------- manipulation
-    def truncate(self, order):
-        """Drop all terms of total degree >= order."""
-        return _poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) < order})
-
     def substitute(self, values):
         """Substitute values[i] (Poly or Fraction, common arity) for variable i.
 

@@ -70,8 +70,10 @@ def ref_mark_need(sm, i, p):
 
 
 def ref_distribute_marks(skeleton, k):
-    """All placements of k marked points on a mark-free skeleton, one
-    representative per orbit of the skeleton's automorphisms."""
+    """Placements of k marked points on a mark-free skeleton: forced marks,
+    then a non-increasing tuple of extra marks per orbit of pieces under
+    the skeleton's automorphisms (short where those automorphisms are not
+    the full product of symmetric groups on the orbits)."""
     ids = [(i, p) for i, g in enumerate(skeleton.groups) for p in range(len(g))]
     needs = [ref_mark_need(skeleton, i + 1, p) for i, p in ids]
     shortfall = k - sum(needs)

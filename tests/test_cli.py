@@ -329,6 +329,20 @@ def test_graphs_reject_non_integers(tmp_path, capsys, path, bad):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("bad", [1.9, True, "1"])
+@pytest.mark.parametrize("sub", ["glue", "eq-group"])
+def test_graphs_reject_non_integer_first_legs(tmp_path, capsys, sub, bad):
+    legged = AdmissibleGraph(NUMERIC_GROUP, (0,), ((1, 1),), (0,), ((0, 1),))
+    bare = AdmissibleGraph(NUMERIC_GROUP, (0,), ((1, 1),), (), ((0, 1),))
+    path = tmp_path / "triple.json"
+    for legs, expected in (([1], 0), ([bad], 2)):
+        data = {"first": legged.to_json(), "second": bare.to_json(), "first_legs": legs}
+        path.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "graphs", sub, "--input", str(path))
+        assert code == expected
+    assert out == ""
+
+
 CONTACT_FIELDS = [
     ("order",),
     ("series_order",),

@@ -196,34 +196,45 @@ def test_enumeration_stability_agreement():
 
 
 REFUSED_ENUMERATIONS = [
-    ("negative degree", TopType(-1, 0, 4), EnumerationCaps(), SplitMapError),
-    ("negative marks", TopType(3, 0, -1), EnumerationCaps(), SplitMapError),
+    ("negative degree", (TopType(-1, 0, 4), EnumerationCaps()), SplitMapError),
+    ("negative marks", (TopType(3, 0, -1), EnumerationCaps()), SplitMapError),
     (
         "negative interface cap",
-        TopType(1, 0, 1),
-        EnumerationCaps(nodes_per_interface=-1),
+        (TopType(1, 0, 1), EnumerationCaps(nodes_per_interface=-1)),
         SplitMapError,
     ),
     (
         "negative node budget",
-        TopType(1, 0, 1),
-        EnumerationCaps(max_total_nodes=-1),
+        (TopType(1, 0, 1), EnumerationCaps(max_total_nodes=-1)),
         SplitMapError,
     ),
-    ("bool cap", TopType(1, 0, 2), EnumerationCaps(pieces_per_group=True), TypeError),
-    ("float cap", TopType(1, 0, 2), EnumerationCaps(max_weight=2.0), TypeError),
-    ("float degree", TopType(2.0, 0, 1), EnumerationCaps(), TypeError),
+    ("bool cap", (TopType(1, 0, 2), EnumerationCaps(pieces_per_group=True)), TypeError),
+    ("float cap", (TopType(1, 0, 2), EnumerationCaps(max_weight=2.0)), TypeError),
+    ("float degree", (TopType(2.0, 0, 1), EnumerationCaps()), TypeError),
+    # (1, 0, 1) has norm 0, so comparing with the bound let these through
+    ("float norm bound", (TopType(1, 0, 1), EnumerationCaps(), False, 2.5), TypeError),
+    ("bool norm bound", (TopType(1, 0, 1), EnumerationCaps(), False, True), TypeError),
 ]
 
 
 @pytest.mark.parametrize(
-    "t, caps, error",
+    "args, error",
     [case[1:] for case in REFUSED_ENUMERATIONS],
     ids=[case[0] for case in REFUSED_ENUMERATIONS],
 )
-def test_enumeration_refuses_bad_input(t, caps, error):
+def test_enumeration_refuses_bad_input(args, error):
     with pytest.raises(error):
-        enumerate_split_maps(t, caps)
+        enumerate_split_maps(*args)
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1"])
+def test_triple_refuses_inexact_leg_indices(bad):
+    # int() made each of these leg 1
+    legged = AdmissibleGraph(NUMERIC_GROUP, (0,), ((1, 1),), (0,), ((0, 1),))
+    bare = AdmissibleGraph(NUMERIC_GROUP, (0,), ((1, 1),), (), ((0, 1),))
+    assert AdmissibleTriple(legged, bare, (1,)).first_legs == (1,)
+    with pytest.raises(TypeError):
+        AdmissibleTriple(legged, bare, (bad,))
 
 
 def test_enumeration_accepts_zero_and_absent_caps():
@@ -577,6 +588,94 @@ def test_automorphisms_match_brute_force(data):
     m, shuffled = _draw_shuffled(data)
     for sm in (m, shuffled):
         assert sorted(sm.automorphisms()) == _brute_force_automorphisms(sm)
+
+
+# --- mark placement against a Burnside count ----------------------------------
+
+
+def _cycle_lengths(perm):
+    seen = set()
+    for start in range(len(perm)):
+        length = 0
+        p = start
+        while p not in seen:
+            seen.add(p)
+            p = perm[p]
+            length += 1
+        if length:
+            yield length
+
+
+def _placement_classes(automorphisms, shortfall):
+    """Orbits of the automorphisms on the ways to hand ``shortfall`` extra
+    marks to the pieces, by Cauchy-Frobenius: a placement fixed by sigma is
+    constant on its cycles, so sigma fixes [x^shortfall] of the product over
+    its cycles of 1 / (1 - x^length) of them; the orbits are the mean."""
+    if shortfall < 0:
+        return 0
+    fixed = 0
+    for perms in automorphisms:
+        coeffs = [1] + [0] * shortfall
+        for perm in perms:
+            for length in _cycle_lengths(perm):
+                for j in range(length, shortfall + 1):
+                    coeffs[j] += coeffs[j - length]
+        fixed += coeffs[shortfall]
+    assert fixed % len(automorphisms) == 0
+    return fixed // len(automorphisms)
+
+
+def _orbit_factorials(automorphisms):
+    """Product of (orbit size)! over the orbits of pieces: the order of the
+    full product of symmetric groups on the orbits."""
+    out = 1
+    for i, perm in enumerate(automorphisms[0]):
+        orbits = {frozenset(perms[i][p] for perms in automorphisms) for p in perm}
+        for orbit in orbits:
+            out *= math.factorial(len(orbit))
+    return out
+
+
+def _recorded_placements(runs):
+    """The emitted list of each (type, caps, stable) run, and every
+    _distribute_marks call as (skeleton, marks, placements yielded)."""
+    calls = []
+    real = cg._distribute_marks
+
+    def recording(skeleton, k):
+        placed = list(real(skeleton, k))
+        calls.append((skeleton, k, placed))
+        return iter(placed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "_distribute_marks", recording)
+        lists = [enumerate_split_maps(t, caps, stable_only=s) for t, caps, s in runs]
+    return lists, calls
+
+
+BURNSIDE_RUNS = [
+    (t, EnumerationCaps(), stable) for t in NORM3_TYPES for stable in (False, True)
+] + [(t, acceptance_caps(t), True) for t in NORM4_TYPES]
+
+
+def test_mark_placements_against_burnside_count():
+    # enumerate_split_maps keeps no dedupe of its own: no two emitted maps
+    # may be isomorphic, and every skeleton's placements must be distinct
+    # classes, as many as the Burnside count when the automorphisms are the
+    # full product of symmetric groups on the piece orbits and at most that
+    # many otherwise (there the per-orbit placement can fall short)
+    lists, calls = _recorded_placements(BURNSIDE_RUNS)
+    for maps in lists:
+        keys = [(m.n, m.canonical_key()) for m in maps]
+        assert len(set(keys)) == len(keys)
+    assert len(calls) > 8000
+    for skeleton, k, placed in calls:
+        assert len({m.canonical_key() for m in placed}) == len(placed), skeleton
+        automorphisms = _brute_force_automorphisms(skeleton)
+        classes = _placement_classes(automorphisms, k - _forced_marks(skeleton))
+        assert len(placed) <= classes, skeleton
+        if len(automorphisms) == _orbit_factorials(automorphisms):
+            assert len(placed) == classes, skeleton
 
 
 # --- decompose / glue ---------------------------------------------------------

@@ -100,6 +100,12 @@ def test_atlas_bound():
         gamma_atlas(9)
 
 
+@pytest.mark.parametrize("args", [(True,), (2, 2.5)], ids=["bool n", "float bound"])
+def test_atlas_refuses_inexact_parameters(args):
+    with pytest.raises(TypeError):
+        gamma_atlas(*args)
+
+
 def test_trivial_model():
     at = gamma_atlas(0)
     assert len(at.projections) == 1
