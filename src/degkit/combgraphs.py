@@ -98,6 +98,8 @@ class TopType:
 def max_length_bound(t):
     """Upper bound for the expansion length of any stable split map of this
     type: the norm itself."""
+    for field in dataclasses.fields(t):
+        _int(getattr(t, field.name), field.name)
     n = t.norm()
     if n < 1:
         raise SplitMapError("norm must be positive, got %d" % n)
@@ -120,6 +122,10 @@ class Piece:
 class SplitMap:
     """groups: n+2 tuples of pieces; nodes[i]: interface i+1 instances
     (weight, left piece index in group i, right piece index in group i+1)."""
+
+    # set only on the mark-free skeletons that _assemble emits; they die
+    # after mark placement, so no emitted map holds a relabeling list
+    _automorphisms = None
 
     def __init__(self, groups, nodes):
         groups = tuple(tuple(g) for g in groups)
@@ -256,27 +262,41 @@ class SplitMap:
         """Deterministic encoding, minimized over relabelings of identical
         pieces inside each group."""
         if self._canonical is None:
-            # every relabeling that sorts the pieces is one fixed sorting
-            # relabeling after a permutation of identical pieces
-            groups = []
-            sorting = []
-            for g in self.groups:
-                order = sorted(range(len(g)), key=g.__getitem__)
-                rank = [0] * len(g)
-                for k, p in enumerate(order):
-                    rank[p] = k
-                sorting.append(rank)
-                groups.append(
-                    tuple((g[p].genus, g[p].degree, g[p].marks) for p in order)
-                )
-            nodes = min(
-                self._encode_nodes(
-                    [[rank[q] for q in sigma] for rank, sigma in zip(sorting, perms)]
-                )
-                for perms in self._equal_data_permutations()
-            )
-            self._canonical = (tuple(groups), nodes)
+            self._canonical = self._symmetry()[0]
         return self._canonical
+
+    def _symmetry(self):
+        """The canonical key and the automorphisms, from one pass over the
+        relabelings of identical pieces; nothing is stored on the map."""
+        # every relabeling that sorts the pieces is one fixed sorting
+        # relabeling after a permutation of identical pieces
+        per_group = self._equal_data_permutations()
+        groups = []
+        sorted_options = []
+        for g, options in zip(self.groups, per_group):
+            order = sorted(range(len(g)), key=g.__getitem__)
+            rank = [0] * len(g)
+            for k, p in enumerate(order):
+                rank[p] = k
+            sorted_options.append([[rank[q] for q in sigma] for sigma in options])
+            groups.append(tuple((g[p].genus, g[p].degree, g[p].marks) for p in order))
+        # the sorting relabeling is a bijection, so a relabeling fixes the
+        # node encoding after it exactly when it fixes the plain encoding:
+        # the automorphisms are the relabelings whose sorted encoding is the
+        # identity's, which comes first
+        best = fixed = None
+        automorphisms = []
+        for perms, relabel in zip(
+            itertools.product(*per_group), itertools.product(*sorted_options)
+        ):
+            code = self._encode_nodes(relabel)
+            if fixed is None:
+                best = fixed = code
+            elif code < best:
+                best = code
+            if code == fixed:
+                automorphisms.append(perms)
+        return (tuple(groups), best), automorphisms
 
     def _encode_nodes(self, relabel):
         return tuple(
@@ -287,14 +307,18 @@ class SplitMap:
         )
 
     def _equal_data_permutations(self, limit=20000):
-        """Per-group permutations moving pieces only inside equal-data
-        classes, identity first."""
+        """Per group, the permutations moving pieces only inside equal-data
+        classes, identity first; a relabeling of identical pieces is one
+        choice per group."""
         per_group = []
         count = 1
         for g in self.groups:
             classes = {}
             for p, piece in enumerate(g):
                 classes.setdefault(piece, []).append(p)
+            if len(classes) == len(g):
+                per_group.append([tuple(range(len(g)))])
+                continue
             options = []
             for combo in itertools.product(
                 *[itertools.permutations(members) for members in classes.values()]
@@ -308,16 +332,17 @@ class SplitMap:
             if count > limit:
                 raise SplitMapError("too many relabelings to search")
             per_group.append(options)
-        return itertools.product(*per_group)
+        return per_group
 
     def automorphisms(self):
         """Per-group permutations of identical pieces preserving every
         interface as a multiset of weighted attachments: the relabelings
         whose node encoding (the one ``canonical_key`` minimizes) is the
-        identity's."""
-        relabelings = list(self._equal_data_permutations())
-        fixed = self._encode_nodes(relabelings[0])
-        return [perms for perms in relabelings if self._encode_nodes(perms) == fixed]
+        identity's.  A skeleton that :func:`_assemble` emits carries them
+        from its dedupe."""
+        if self._automorphisms is None:
+            return self._symmetry()[1]
+        return self._automorphisms
 
     def automorphism_interface_image(self, l):
         """Subgroup of permutations of the interface-l node instances induced
@@ -544,7 +569,9 @@ def enumerate_split_maps(t, caps=EnumerationCaps(), stable_only=False, max_norm=
     :func:`_distribute_marks` says: that reaches every class when a
     skeleton's automorphism group is the full product of symmetric groups
     on its piece orbits and can miss classes otherwise, so some lists are
-    short.  Generation conventions (documented choices):
+    short.  With ``stable_only`` the placement builds only stable maps, so
+    every map built is emitted and none is filtered afterwards.
+    Generation conventions (documented choices):
     fiber pieces -- middle pieces of degree zero touch both neighboring
     interfaces with equal total weight; positive-degree middle pieces have
     positive weight (sufficiently ample polarization); end groups are
@@ -568,7 +595,6 @@ def enumerate_split_maps(t, caps=EnumerationCaps(), stable_only=False, max_norm=
         sm
         for n in range(max(0, t.norm()) + 1)
         for sm in _enumerate_for_n(t, n, caps, stable_only)
-        if not stable_only or sm.is_stable()
     ]
 
 
@@ -606,7 +632,7 @@ def _enumerate_for_n(t, n, caps, stable_only=False):
             for skeleton in _assemble(
                 n, pieces, node_total, caps, wcap, stable_only, t.marks
             ):
-                yield from _distribute_marks(skeleton, t.marks)
+                yield from _distribute_marks(skeleton, t.marks, stable_only)
 
 
 def _mark_need(piece, end, contacts):
@@ -625,7 +651,7 @@ def _mark_need(piece, end, contacts):
     return 0
 
 
-def _distribute_marks(skeleton, k):
+def _distribute_marks(skeleton, k, stable_only=False):
     """Placements of k marked points on a mark-free skeleton: every piece
     gets its forced marks, and each orbit of pieces under the skeleton's
     automorphisms a non-increasing tuple of the extra ones.
@@ -635,15 +661,24 @@ def _distribute_marks(skeleton, k):
     one per isomorphism class when the automorphism group is the full
     product of symmetric groups on the orbits; when one automorphism moves
     several orbits together, some classes are never placed and the list is
-    short."""
-    ids = [(i, p) for i, g in enumerate(skeleton.groups) for p in range(len(g))]
+    short.
+
+    With ``stable_only`` only stable maps are built, in the same order.
+    Forced marks already satisfy the end-piece rule.  Orbits never cross
+    groups and come group by group, so a middle group's weight is final
+    once the last orbit of the group has its extras; a branch that leaves
+    it at zero or below is cut there.  (Every middle group of a skeleton
+    has a piece, so each has a last orbit.)  Contacts are counted once, in
+    one pass over the nodes."""
+    groups = skeleton.groups
+    contacts = [[0] * len(g) for g in groups]
+    for i, iface in enumerate(skeleton.nodes):
+        for _, a, b in iface:
+            contacts[i][a] += 1
+            contacts[i + 1][b] += 1
+    ids = [(i, p) for i, g in enumerate(groups) for p in range(len(g))]
     ends = (0, skeleton.n + 1)
-    needs = [
-        _mark_need(
-            skeleton.groups[i][p], i in ends, skeleton.piece_contact_count(i + 1, p)
-        )
-        for i, p in ids
-    ]
+    needs = [_mark_need(groups[i][p], i in ends, contacts[i][p]) for i, p in ids]
     shortfall = k - sum(needs)
     if shortfall < 0:
         return
@@ -659,8 +694,23 @@ def _distribute_marks(skeleton, k):
     orbit_members = {}
     for j, label in enumerate(labels):
         orbit_members.setdefault(label, []).append(j)
-    # labels number the orbits by their least member, so these come sorted
+    # labels number the orbits by their least member, so these come sorted,
+    # and group by group
     orbits = list(orbit_members.values())
+    orbit_group = [ids[members[0]][0] for members in orbits]
+    # last[o]: orbit o is the last of its group; closing[o]: with
+    # stable_only, the weight with forced marks only of the middle group that
+    # orbit o closes, else None
+    last = [i != nxt for i, nxt in zip(orbit_group, orbit_group[1:])] + [True]
+    closing = [None] * len(orbits)
+    if stable_only:
+        weights = [0] * len(groups)
+        for j, (i, p) in enumerate(ids):
+            pc = groups[i][p]
+            weights[i] += pc.degree + 2 * pc.genus - 2 + needs[j] + contacts[i][p]
+        for o, i in enumerate(orbit_group):
+            if last[o] and 1 <= i <= skeleton.n:
+                closing[o] = weights[i]
 
     def orbit_extras(size, budget):
         # non-increasing tuples of the given length summing to at most budget
@@ -674,27 +724,34 @@ def _distribute_marks(skeleton, k):
 
         yield from rec(size, budget, budget)
 
-    def assign(oidx, budget, extras):
+    def assign(oidx, budget, extras, group_extra):
+        # group_extra: extras handed so far to the group of orbit oidx
         if oidx == len(orbits):
             if budget == 0:
                 marks = list(needs)
                 for members, vals in zip(orbits, extras):
                     for j, v in zip(members, vals):
                         marks[j] += v
-                groups = []
-                for i, g in enumerate(skeleton.groups):
-                    groups.append(
+                placed = []
+                for i, g in enumerate(groups):
+                    placed.append(
                         tuple(
                             Piece(pc.genus, pc.degree, marks[index[(i, p)]])
                             for p, pc in enumerate(g)
                         )
                     )
-                yield SplitMap(groups, skeleton.nodes)
+                yield SplitMap(placed, skeleton.nodes)
             return
         for vals in orbit_extras(len(orbits[oidx]), budget):
-            yield from assign(oidx + 1, budget - sum(vals), extras + [vals])
+            spent = sum(vals)
+            added = group_extra + spent
+            if closing[oidx] is not None and closing[oidx] + added <= 0:
+                continue
+            yield from assign(
+                oidx + 1, budget - spent, extras + [vals], 0 if last[oidx] else added
+            )
 
-    yield from assign(0, shortfall, [])
+    yield from assign(0, shortfall, [], 0)
 
 
 _PIECE_CACHE = {}
@@ -969,7 +1026,11 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     far; a component that reaches no piece of the next group is closed for
     good, so the partial assembly is dropped.  A group's forced marks are
     final once both of its interfaces are drawn, and their running sum
-    drops a partial assembly as soon as it exceeds the budget."""
+    drops a partial assembly as soon as it exceeds the budget.
+
+    The dedupe walks each built skeleton's relabelings once, for its key
+    and its automorphisms together; an emitted skeleton keeps the
+    automorphisms, which mark placement reads."""
     ifaces = n + 1
     min_per_iface = 0 if n == 0 else 1
     min_fiber = [
@@ -1069,9 +1130,10 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     alone = list(range(len(pieces[0])))
     for q in q_options:
         for sm in rec(1, [], q, group_classes[0], alone, 0):
-            key = sm.canonical_key()
+            key, automorphisms = sm._symmetry()
             if key not in seen:
                 seen.add(key)
+                sm._automorphisms = automorphisms
                 yield sm
 
 
@@ -1414,7 +1476,7 @@ def eq_group(triple, bound=8):
     sides' canonical keys (a group, so sigma and its inverse are members
     together), with a subgroup sanity check."""
     r = triple.num_roots
-    if r > bound:
+    if r > _int(bound, "bound"):
         raise GraphError("root count above the brute-force bound %d" % bound)
     identity = triple.canonical_keys()
     elements = [
@@ -1440,6 +1502,7 @@ def phi_degree(triple, bound=8):
 
 def triples_equivalent(t1, t2, bound=8):
     """Whether some root reordering carries one triple onto the other."""
+    _int(bound, "bound")
     r = t1.num_roots
     if r != t2.num_roots:
         return False
@@ -1635,6 +1698,7 @@ def fiber_count(triple, split_map, l, bound=8):
     computed independently by brute force, this reproduces the degree of
     the gluing morphism: fiber_count * |induced automorphism image| = |Eq|.
     """
+    _int(bound, "bound")
     side1, side2, sigma = decompose(split_map, l)
     r = len(sigma)
     if r != triple.num_roots:

@@ -362,9 +362,12 @@ class AlgebraElement:
         if not self.is_unit():
             raise ZeroDivisionError("element is not a unit")
         c = self.constant_term()
-        y = self * (Fraction(1) / c) - self.algebra.one()
-        out = self.algebra.one()
-        power = self.algebra.one()
+        one = self.algebra.one()
+        if self == one * c:
+            # a rational constant: the series below would return 1 / c
+            return one * (Fraction(1) / c)
+        y = self * (Fraction(1) / c) - one
+        out = power = one
         for _ in range(self.algebra.order + 1):
             power = power * (-y)
             if power.is_zero():

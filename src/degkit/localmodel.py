@@ -87,7 +87,7 @@ class GammaAtlas:
     """Charts, projections, torus actions and transitions of ``Gamma(n)``."""
 
     def __init__(self, n, transitions=None):
-        if n < 0:
+        if _int(n, "n") < 0:
             raise ValueError("n must be nonnegative")
         self.n = n
         self.chart_vars = _chart_vars(n)

@@ -2,7 +2,8 @@
 
 These are the series product, branch shift and geometric-series inverse
 that ``degkit.exactalg.NodeSeries`` used before its product became a sparse
-kernel over the nonzero slots.  They read the same normal form and go
+kernel over the nonzero slots, and the algebra-element inverse by the
+geometric series alone, as it was before constants were inverted directly.  They read the same normal form and go
 through the ring's public slot reduction, so their results must equal the
 library's bit for bit.  :func:`fixture_algebra` is the fixture base of the
 acceptance suite, an algebra of dimension above one.
@@ -79,6 +80,22 @@ def inverse(x):
     else:
         raise ArithmeticError("inversion did not terminate")
     return multiply(out, c_inv)
+
+
+def algebra_inverse(x):
+    """Geometric series 1 - y + y^2 - ... of y = x / c - 1 for an element x
+    of a truncated algebra with constant term c, run for constants too."""
+    alg = x.algebra
+    c = x.constant_term()
+    y = x * (Fraction(1) / c) - alg.one()
+    out = alg.one()
+    power = alg.one()
+    for _ in range(alg.order + 1):
+        power = power * (-y)
+        if power.is_zero():
+            break
+        out = out + power
+    return out * (Fraction(1) / c)
 
 
 def fixture_algebra(extra=()):

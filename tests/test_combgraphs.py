@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,15 @@ def test_max_length_bound():
     assert max_length_bound(TopType(3, 1, 2)) == 5
     with pytest.raises(SplitMapError):
         max_length_bound(TopType(0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "t", [TopType(2.5, 0, 1), TopType(1, True, 1)], ids=["float", "bool"]
+)
+def test_max_length_bound_refuses_inexact_fields(t):
+    # TopType(2.5, 0, 1) had the bound 1.5
+    with pytest.raises(TypeError):
+        max_length_bound(t)
 
 
 def test_split_map_json_roundtrip():
@@ -638,13 +648,14 @@ def _orbit_factorials(automorphisms):
 
 def _recorded_placements(runs):
     """The emitted list of each (type, caps, stable) run, and every
-    _distribute_marks call as (skeleton, marks, placements yielded)."""
+    _distribute_marks call as (skeleton, marks, stable_only, placements
+    yielded)."""
     calls = []
     real = cg._distribute_marks
 
-    def recording(skeleton, k):
-        placed = list(real(skeleton, k))
-        calls.append((skeleton, k, placed))
+    def recording(skeleton, k, stable_only):
+        placed = list(real(skeleton, k, stable_only))
+        calls.append((skeleton, k, stable_only, placed))
         return iter(placed)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -663,19 +674,69 @@ def test_mark_placements_against_burnside_count():
     # may be isomorphic, and every skeleton's placements must be distinct
     # classes, as many as the Burnside count when the automorphisms are the
     # full product of symmetric groups on the piece orbits and at most that
-    # many otherwise (there the per-orbit placement can fall short)
+    # many otherwise (there the per-orbit placement can fall short).  The
+    # stable placements are the all-mode ones that pass is_stable, in order,
+    # and the Burnside bounds apply to the all-mode list
     lists, calls = _recorded_placements(BURNSIDE_RUNS)
     for maps in lists:
         keys = [(m.n, m.canonical_key()) for m in maps]
         assert len(set(keys)) == len(keys)
     assert len(calls) > 8000
-    for skeleton, k, placed in calls:
+    for skeleton, k, stable_only, placed in calls:
+        if stable_only:
+            assert all(m.stability_oracle() for m in placed), skeleton
+            everything = list(cg._distribute_marks(skeleton, k, False))
+            assert placed == [m for m in everything if m.is_stable()], skeleton
+            placed = everything
         assert len({m.canonical_key() for m in placed}) == len(placed), skeleton
         automorphisms = _brute_force_automorphisms(skeleton)
         classes = _placement_classes(automorphisms, k - _forced_marks(skeleton))
         assert len(placed) <= classes, skeleton
         if len(automorphisms) == _orbit_factorials(automorphisms):
             assert len(placed) == classes, skeleton
+
+
+def test_mark_placement_builds_only_stable_maps():
+    # over the stable runs, mark placement builds no unstable map, each
+    # skeleton's relabelings are walked once (its dedupe key and its
+    # automorphisms come from one pass), and contacts are never recounted
+    # through piece_contact_count
+    built, placed = [], []
+    real_init = SplitMap.__init__
+    real_place = cg._distribute_marks
+
+    def init(self, groups, nodes):
+        real_init(self, groups, nodes)
+        built.append(self)
+
+    def placing(skeleton, k, stable_only):
+        start = len(built)
+        out = list(real_place(skeleton, k, stable_only))
+        assert built[start:] == out
+        placed.extend(out)
+        return iter(out)
+
+    with pytest.MonkeyPatch.context() as mp, mock.patch.object(
+        SplitMap,
+        "_equal_data_permutations",
+        autospec=True,
+        side_effect=SplitMap._equal_data_permutations,
+    ) as relabelings, mock.patch.object(
+        SplitMap,
+        "piece_contact_count",
+        autospec=True,
+        side_effect=SplitMap.piece_contact_count,
+    ) as contacts:
+        mp.setattr(SplitMap, "__init__", init)
+        mp.setattr(cg, "_distribute_marks", placing)
+        for t, caps, stable in BURNSIDE_RUNS:
+            if stable:
+                enumerate_split_maps(t, caps, stable_only=True)
+        assert contacts.call_count == 0
+        skeletons = len(built) - len(placed)
+        assert skeletons > 4000
+        assert relabelings.call_count == skeletons
+    assert all(m.is_stable() for m in placed)
 
 
 # --- decompose / glue ---------------------------------------------------------
@@ -845,6 +906,27 @@ def test_eq_group_bound():
     )
     with pytest.raises(GraphError):
         eq_group(sym, bound=1)
+
+
+BOUND_READERS = {
+    "eq_group": lambda eta, bound: eq_group(eta, bound),
+    "phi_degree": lambda eta, bound: phi_degree(eta, bound),
+    "triples_equivalent": lambda eta, bound: triples_equivalent(eta, eta, bound),
+    "fiber_count": lambda eta, bound: fiber_count(
+        eta, realize_split_map(eta), 1, bound
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", list(BOUND_READERS))
+def test_brute_force_bound_refuses_inexact_values(name, bad):
+    # a root count of one is within either value, so comparing with it let
+    # them through
+    eta = AdmissibleTriple(_vertex_graph(1), _vertex_graph(2), ())
+    assert BOUND_READERS[name](eta, 8) is not None
+    with pytest.raises(TypeError):
+        BOUND_READERS[name](eta, bad)
 
 
 def test_legs_pin_the_isomorphism():

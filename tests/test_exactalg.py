@@ -71,6 +71,21 @@ def test_units_and_inverse(Qs8):
         Qs8.s.inverse()
 
 
+@pytest.mark.parametrize(
+    "algebra", ["Qs8", "Qs6", "Qs4", "QQ", "Qeps", "Qc2", "obstructed", "fixture"]
+)
+def test_constant_inverse_matches_series(request, algebra):
+    # a rational constant is inverted as 1 / c; the geometric series agrees
+    alg = fixture_algebra() if algebra == "fixture" else request.getfixturevalue(algebra)
+    for c in reference_exactalg.UNITS + (Fraction(-7, 3),):
+        x = alg.const(c)
+        got = x.inverse()
+        assert got == reference_exactalg.algebra_inverse(x)
+        assert got == alg.const(Fraction(1) / c)
+    u = alg.one() + alg.gen(len(alg.gens) - 1)
+    assert u.inverse() == reference_exactalg.algebra_inverse(u)
+
+
 def test_valuation(Qs8):
     assert Qs8.valuation(Qs8.one()) == 0
     assert Qs8.valuation(Qs8.s ** 3) == 3

@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 
 from degkit import (
+    GammaAtlas,
     Poly,
     RatFunc,
     RationalMap,
@@ -104,6 +105,13 @@ def test_atlas_bound():
 def test_atlas_refuses_inexact_parameters(args):
     with pytest.raises(TypeError):
         gamma_atlas(*args)
+
+
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+def test_atlas_class_refuses_inexact_n(n):
+    # GammaAtlas(True) built an atlas with n == True
+    with pytest.raises(TypeError):
+        GammaAtlas(n)
 
 
 def test_trivial_model():
