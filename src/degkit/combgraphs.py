@@ -174,8 +174,15 @@ class SplitMap:
         """Sorted weight multiset of interface i (1-based, 1..n+1)."""
         return tuple(sorted(mu for mu, _, _ in self.nodes[i - 1]))
 
-    def piece_contact_count(self, i, p):
-        return len(self.left_contacts(i, p)) + len(self.right_contacts(i, p))
+    def contact_counts(self):
+        """counts[i - 1][p]: the number of nodes on piece p of group i, from
+        one pass over the nodes."""
+        counts = [[0] * len(g) for g in self.groups]
+        for i, iface in enumerate(self.nodes):
+            for _, a, b in iface:
+                counts[i][a] += 1
+                counts[i + 1][b] += 1
+        return counts
 
     def total_type(self):
         degree = sum(p.degree for g in self.groups for p in g)
@@ -187,23 +194,17 @@ class SplitMap:
 
     # -------------------------------------------------------------- weights
     def weight(self, i):
-        """Group weight: sum over pieces of degree + 2 genus - 2 + marks +
-        attached nodes; the empty group weighs zero."""
         if not 1 <= i <= self.n + 2:
             raise SplitMapError("group index out of range")
-        out = 0
-        for p, piece in enumerate(self.groups[i - 1]):
-            out += (
-                piece.degree
-                + 2 * piece.genus
-                - 2
-                + piece.marks
-                + self.piece_contact_count(i, p)
-            )
-        return out
+        return self.weights()[i - 1]
 
     def weights(self):
-        return tuple(self.weight(i) for i in range(1, self.n + 3))
+        """Group weights: sum over pieces of degree + 2 genus - 2 + marks +
+        attached nodes; the empty group weighs zero."""
+        return tuple(
+            sum(pc.degree + 2 * pc.genus - 2 + pc.marks + c for pc, c in zip(g, counts))
+            for g, counts in zip(self.groups, self.contact_counts())
+        )
 
     def is_trivial_piece(self, i, p):
         piece = self.groups[i - 1][p]
@@ -221,15 +222,14 @@ class SplitMap:
     def is_stable(self):
         """Positive weight on every middle group, and no end piece breaking
         the three-special-point rule for contracted pieces."""
-        for i in range(2, self.n + 2):
-            if self.weight(i) <= 0:
-                return False
-        for i in (1, self.n + 2):
-            for p, piece in enumerate(self.groups[i - 1]):
-                need = _mark_need(piece, True, self.piece_contact_count(i, p))
-                if piece.marks < need:
-                    return False
-        return True
+        if any(w <= 0 for w in self.weights()[1:-1]):
+            return False
+        counts = self.contact_counts()
+        return all(
+            piece.marks >= _mark_need(piece, True, c)
+            for i in (0, self.n + 1)
+            for piece, c in zip(self.groups[i], counts[i])
+        )
 
     def stability_oracle(self):
         """Independent route: a map is unstable exactly when some middle
@@ -349,15 +349,15 @@ class SplitMap:
         by automorphisms (instances with equal data are interchangeable)."""
         iface = self.nodes[l - 1]
         r = len(iface)
+        slots = {}
+        for j, data in enumerate(iface):
+            slots.setdefault(data, []).append(j)
         perms_set = set()
         for auto in self.automorphisms():
             mapped = [
                 (mu, auto[l - 1][a], auto[l][b]) for mu, a, b in iface
             ]
             # all bijections i -> j with iface[j] == mapped[i]
-            slots = {}
-            for j, data in enumerate(iface):
-                slots.setdefault(data, []).append(j)
             choices = []
             feasible = True
             for i in range(r):
@@ -522,11 +522,10 @@ def specialization_sum_check(coarse, fine, assignment):
         raise SplitMapError("assignment must be monotone")
     if set(assignment) != set(range(1, coarse.n + 3)):
         raise SplitMapError("assignment must be onto the coarse groups")
-    for j in range(1, coarse.n + 3):
-        total = sum(
-            fine.weight(i + 1) for i, tgt in enumerate(assignment) if tgt == j
-        )
-        if total != coarse.weight(j):
+    fine_weights = fine.weights()
+    for j, coarse_weight in enumerate(coarse.weights(), 1):
+        total = sum(w for w, tgt in zip(fine_weights, assignment) if tgt == j)
+        if total != coarse_weight:
             return False
     return True
 
@@ -668,14 +667,10 @@ def _distribute_marks(skeleton, k, stable_only=False):
     groups and come group by group, so a middle group's weight is final
     once the last orbit of the group has its extras; a branch that leaves
     it at zero or below is cut there.  (Every middle group of a skeleton
-    has a piece, so each has a last orbit.)  Contacts are counted once, in
-    one pass over the nodes."""
+    has a piece, so each has a last orbit.)  Contacts are the skeleton's
+    ``contact_counts``, read once."""
     groups = skeleton.groups
-    contacts = [[0] * len(g) for g in groups]
-    for i, iface in enumerate(skeleton.nodes):
-        for _, a, b in iface:
-            contacts[i][a] += 1
-            contacts[i + 1][b] += 1
+    contacts = skeleton.contact_counts()
     ids = [(i, p) for i, g in enumerate(groups) for p in range(len(g))]
     ends = (0, skeleton.n + 1)
     needs = [_mark_need(groups[i][p], i in ends, contacts[i][p]) for i, p in ids]
@@ -907,57 +902,41 @@ def _interface_options(left_spec, q, wcap, right_spec, needs_left):
                 )
 
     gen(0, q, (10**9, ()), [])
-    right_classes = [spec[0] for spec in right_spec]
+    right_by_class = {}
+    for p2, (c, _) in enumerate(right_spec):
+        right_by_class.setdefault(c, []).append(p2)
     filtered = []
     for iface in results:
-        if needs_left:
-            right_counts = [0] * right_count
-            for _, _, b in iface:
-                right_counts[b] += 1
-            if any(
-                fiber and right_counts[p2] == 0
-                for p2, (_, fiber) in enumerate(right_spec)
-            ):
-                continue
-        if not _right_canonical_classes(iface, right_classes):
+        profiles = [[] for _ in right_spec]
+        for mu, _, b in iface:
+            profiles[b].append(mu)
+        profiles = [tuple(sorted(prof)) for prof in profiles]
+        if needs_left and any(
+            fiber and not prof for prof, (_, fiber) in zip(profiles, right_spec)
+        ):
             continue
-        profiles = tuple(
-            tuple(sorted(mu for mu, _, b in iface if b == p2))
-            for p2 in range(right_count)
+        # interchangeable right pieces must receive their profiles in
+        # non-increasing (size, profile) order
+        keyed = [(len(prof), prof) for prof in profiles]
+        if any(
+            keyed[p2] < keyed[nxt]
+            for members in right_by_class.values()
+            for p2, nxt in zip(members, members[1:])
+        ):
+            continue
+        refined = _first_appearance(
+            (c, prof) for (c, _), prof in zip(right_spec, profiles)
         )
-        filtered.append((iface, tuple(_refine_classes(right_classes, profiles))))
+        filtered.append((iface, refined))
     got = tuple(filtered)
     _INTERFACE_CACHE[key] = got
     return got
 
 
-def _right_canonical_classes(iface, right_classes):
-    """Left profiles of interchangeable right pieces must appear sorted."""
-    profiles = {}
-    for mu, _, b in iface:
-        profiles.setdefault(b, []).append(mu)
-    keyed = [
-        tuple(sorted(profiles.get(p, []))) for p in range(len(right_classes))
-    ]
-    by_class = {}
-    for p, c in enumerate(right_classes):
-        by_class.setdefault(c, []).append(p)
-    for members in by_class.values():
-        vals = [(len(keyed[p]), keyed[p]) for p in members]
-        if vals != sorted(vals, reverse=True):
-            return False
-    return True
-
-
-def _refine_classes(classes, profiles):
-    mapping = {}
-    out = []
-    for c, prof in zip(classes, profiles):
-        key = (c, prof)
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        out.append(mapping[key])
-    return out
+def _first_appearance(keys):
+    """Labels 0, 1, ... numbering the keys by first appearance."""
+    labels = {}
+    return tuple(labels.setdefault(key, len(labels)) for key in keys)
 
 
 _COUNTVEC_CACHE = {}
@@ -967,15 +946,7 @@ _CLASS_CACHE = {}
 def _data_classes(group):
     got = _CLASS_CACHE.get(group)
     if got is None:
-        mapping = {}
-        out = []
-        for p in group:
-            key = (p.genus, p.degree, p.marks)
-            if key not in mapping:
-                mapping[key] = len(mapping)
-            out.append(mapping[key])
-        got = tuple(out)
-        _CLASS_CACHE[group] = got
+        got = _CLASS_CACHE[group] = _first_appearance(group)
     return got
 
 

@@ -70,12 +70,8 @@ class ContactData:
 
     def swapped(self):
         """Exchange the two branches and the two coordinates simultaneously."""
-
-        def zswap(x):
-            return NodeSeries(x.ring, x.a0, x.b, x.a)
-
         return ContactData(
-            self.ring, self.psi_t, zswap(self.phi_w2), zswap(self.phi_w1), self.mode
+            self.ring, self.psi_t, _zswap(self.phi_w2), _zswap(self.phi_w1), self.mode
         )
 
     def push(self, hom, target_ring=None):

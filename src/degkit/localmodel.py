@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import rref
 from .polys import Poly, RatFunc, _int
@@ -93,12 +94,23 @@ class GammaAtlas:
         self.chart_vars = _chart_vars(n)
         self.base_vars = _base_vars(n)
         self.params = _torus_params(n)
-        self.projections = tuple(self._projection(l) for l in range(1, n + 2))
-        self.actions = tuple(self._action(l) for l in range(1, n + 2))
-        self.base_action = _base_scaling(n, n + 1, 0)
         if transitions is None:
             transitions = tuple(self._transition(l) for l in range(1, n + 1))
         self.transitions = tuple(transitions)
+
+    # projections and actions are built on first use: splice checks read
+    # only the projections
+    @cached_property
+    def projections(self):
+        return tuple(self._projection(l) for l in range(1, self.n + 2))
+
+    @cached_property
+    def actions(self):
+        return tuple(self._action(l) for l in range(1, self.n + 2))
+
+    @cached_property
+    def base_action(self):
+        return _base_scaling(self.n, self.n + 1, 0)
 
     # ------------------------------------------------------------- formulas
     def _u(self, nvars, i):
@@ -750,11 +762,11 @@ def relative_action(n, reversed_order=False):
     Reversed: t_i scales by sigma_i/sigma_{i-1}; the embedding keeps slots
     1..n.  Returns (action_map, report).
     """
-    if n < 1:
+    if _int(n, "n") < 1:
         raise ValueError("n must be at least 1")
     action = _base_scaling(n, n, 0 if reversed_order else 1)
     t_names = action.source_vars
-    big = gamma_atlas(n).base_action
+    big = _base_scaling(n, n + 1, 0)
     zero = RatFunc(Poly.const(n, 0))
     if reversed_order:
         emb_comps = [RatFunc(Poly.var(n, i)) for i in range(n)] + [zero]

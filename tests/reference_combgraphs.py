@@ -56,15 +56,16 @@ def ref_mark_need(sm, i, p):
     """Least number of marked points the generation rules force on piece p
     of group i (1-based), read off a built map."""
     piece = sm.groups[i - 1][p]
+    contacts = len(sm.left_contacts(i, p)) + len(sm.right_contacts(i, p))
     if i in (1, sm.n + 2):
         if piece.degree == 0:
             if piece.genus == 0:
-                return max(0, 3 - sm.piece_contact_count(i, p))
+                return max(0, 3 - contacts)
             if piece.genus == 1:
-                return max(0, 1 - sm.piece_contact_count(i, p))
+                return max(0, 1 - contacts)
         return 0
     if piece.degree > 0:
-        w0 = piece.degree + 2 * piece.genus - 2 + sm.piece_contact_count(i, p)
+        w0 = piece.degree + 2 * piece.genus - 2 + contacts
         return max(0, 1 - w0)
     return 0
 

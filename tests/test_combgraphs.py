@@ -699,9 +699,9 @@ def test_mark_placements_against_burnside_count():
 def test_mark_placement_builds_only_stable_maps():
     # over the stable runs, mark placement builds no unstable map, each
     # skeleton's relabelings are walked once (its dedupe key and its
-    # automorphisms come from one pass), and contacts are never recounted
-    # through piece_contact_count
-    built, placed = [], []
+    # automorphisms come from one pass), and each placement call counts its
+    # skeleton's contacts once
+    built, placed, calls = [], [], []
     real_init = SplitMap.__init__
     real_place = cg._distribute_marks
 
@@ -710,6 +710,7 @@ def test_mark_placement_builds_only_stable_maps():
         built.append(self)
 
     def placing(skeleton, k, stable_only):
+        calls.append(skeleton)
         start = len(built)
         out = list(real_place(skeleton, k, stable_only))
         assert built[start:] == out
@@ -723,16 +724,16 @@ def test_mark_placement_builds_only_stable_maps():
         side_effect=SplitMap._equal_data_permutations,
     ) as relabelings, mock.patch.object(
         SplitMap,
-        "piece_contact_count",
+        "contact_counts",
         autospec=True,
-        side_effect=SplitMap.piece_contact_count,
+        side_effect=SplitMap.contact_counts,
     ) as contacts:
         mp.setattr(SplitMap, "__init__", init)
         mp.setattr(cg, "_distribute_marks", placing)
         for t, caps, stable in BURNSIDE_RUNS:
             if stable:
                 enumerate_split_maps(t, caps, stable_only=True)
-        assert contacts.call_count == 0
+        assert [c.args[0] for c in contacts.call_args_list] == calls
         skeletons = len(built) - len(placed)
         assert skeletons > 4000
         assert relabelings.call_count == skeletons
@@ -755,6 +756,26 @@ def _sample_maps():
 
 
 SAMPLES = _sample_maps()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_contact_counts_match_the_contact_lists(data):
+    # weights and stability read contact_counts; the contact lists are the
+    # independent route the stability oracle reads
+    for m in (data.draw(st.sampled_from(SAMPLES)), *_draw_shuffled(data)):
+        counts = m.contact_counts()
+        for i, g in enumerate(m.groups, 1):
+            for p in range(len(g)):
+                contacts = len(m.left_contacts(i, p)) + len(m.right_contacts(i, p))
+                assert counts[i - 1][p] == contacts
+        assert m.weights() == tuple(
+            sum(
+                pc.degree + 2 * pc.genus - 2 + pc.marks + c
+                for pc, c in zip(g, group_counts)
+            )
+            for g, group_counts in zip(m.groups, counts)
+        )
 
 
 @given(data=st.data())

@@ -114,6 +114,12 @@ def test_atlas_class_refuses_inexact_n(n):
         GammaAtlas(n)
 
 
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+def test_relative_action_refuses_inexact_n(n):
+    with pytest.raises(TypeError):
+        relative_action(n)
+
+
 def test_trivial_model():
     at = gamma_atlas(0)
     assert len(at.projections) == 1
@@ -242,6 +248,31 @@ def test_relative_action_formulas():
 def test_relative_action_equivariance(n, rev):
     _, report = relative_action(n, rev)
     assert report.passed
+
+
+def test_splice_and_relative_action_build_no_chart_action(monkeypatch):
+    # the chart actions are built on first use, and neither a splice check
+    # nor a relative action reads one; a relative action builds no atlas
+    actions, atlases = [], []
+    real_action, real_init = GammaAtlas._action, GammaAtlas.__init__
+
+    def action(self, l):
+        actions.append(l)
+        return real_action(self, l)
+
+    def init(self, *args, **kwargs):
+        atlases.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GammaAtlas, "_action", action)
+    monkeypatch.setattr(GammaAtlas, "__init__", init)
+    assert splice_check(3, 2).passed
+    assert actions == [] and atlases
+    atlases.clear()
+    assert relative_action(3)[1].passed
+    assert atlases == []
+    assert verify_atlas(gamma_atlas(2)).passed
+    assert actions == [1, 2, 3]
 
 
 # --- splice decomposition ----------------------------------------------------
