@@ -18,6 +18,7 @@ symmetry group computed by brute force.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -121,7 +122,11 @@ class Piece:
 
 class SplitMap:
     """groups: n+2 tuples of pieces; nodes[i]: interface i+1 instances
-    (weight, left piece index in group i, right piece index in group i+1)."""
+    (weight, left piece index in group i, right piece index in group i+1).
+
+    The constructor normalizes and validates its input, and every public
+    route goes through it; only the enumerator skips it, through
+    :meth:`_built`, for maps that are valid by construction."""
 
     # set only on the mark-free skeletons that _assemble emits; they die
     # after mark placement, so no emitted map holds a relabeling list
@@ -132,9 +137,6 @@ class SplitMap:
         nodes = tuple(tuple(tuple(x) for x in iface) for iface in nodes)
         if len(groups) < 2 or len(nodes) != len(groups) - 1:
             raise SplitMapError("need n+2 groups and n+1 interfaces")
-        self.groups = groups
-        self.nodes = nodes
-        self.n = len(groups) - 2
         total = 0
         for g in groups:
             for p in g:
@@ -154,6 +156,20 @@ class SplitMap:
             raise DisconnectedMapError(
                 "the piece/node incidence graph is disconnected"
             )
+        self._fill(groups, nodes)
+
+    @classmethod
+    def _built(cls, groups, nodes):
+        """A map from tuple-of-tuple fields valid by construction; nothing
+        is checked (see :func:`_assemble` and :func:`_distribute_marks`)."""
+        sm = cls.__new__(cls)
+        sm._fill(groups, nodes)
+        return sm
+
+    def _fill(self, groups, nodes):
+        self.groups = groups
+        self.nodes = nodes
+        self.n = len(groups) - 2
         self._canonical = None
 
     # ------------------------------------------------------------ structure
@@ -194,7 +210,7 @@ class SplitMap:
 
     # -------------------------------------------------------------- weights
     def weight(self, i):
-        if not 1 <= i <= self.n + 2:
+        if not 1 <= _int(i, "i") <= self.n + 2:
             raise SplitMapError("group index out of range")
         return self.weights()[i - 1]
 
@@ -347,6 +363,8 @@ class SplitMap:
     def automorphism_interface_image(self, l):
         """Subgroup of permutations of the interface-l node instances induced
         by automorphisms (instances with equal data are interchangeable)."""
+        if not 1 <= _int(l, "l") <= self.n + 1:
+            raise SplitMapError("interface index out of range")
         iface = self.nodes[l - 1]
         r = len(iface)
         slots = {}
@@ -466,7 +484,7 @@ def decompose(split_map, l):
     """Split at interface l into the two relative halves and the interface
     weight multiset; the first half is reversed so its boundary group leads.
     """
-    if not 1 <= l <= split_map.n + 1:
+    if not 1 <= _int(l, "l") <= split_map.n + 1:
         raise SplitMapError("interface index out of range")
     iface = split_map.nodes[l - 1]
     left_groups = split_map.groups[:l]
@@ -627,7 +645,7 @@ def _enumerate_for_n(t, n, caps, stable_only=False):
             node_total = links + loops
             if n == 0 and node_total > 0 and not all(group_data):
                 continue
-            pieces = [tuple(Piece(g, d, 0) for g, d in gd) for gd in group_data]
+            pieces = tuple(tuple(Piece(g, d, 0) for g, d in gd) for gd in group_data)
             for skeleton in _assemble(
                 n, pieces, node_total, caps, wcap, stable_only, t.marks
             ):
@@ -668,7 +686,12 @@ def _distribute_marks(skeleton, k, stable_only=False):
     once the last orbit of the group has its extras; a branch that leaves
     it at zero or below is cut there.  (Every middle group of a skeleton
     has a piece, so each has a last orbit.)  Contacts are the skeleton's
-    ``contact_counts``, read once."""
+    ``contact_counts``, read once.
+
+    With the identity as the only automorphism each piece is an orbit and
+    no orbit search runs.  Placements are built unchecked
+    (:meth:`SplitMap._built`): only nonnegative marks change on the checked
+    skeleton, whose nodes they share, with one Piece per (piece, marks)."""
     groups = skeleton.groups
     contacts = skeleton.contact_counts()
     ids = [(i, p) for i, g in enumerate(groups) for p in range(len(g))]
@@ -677,12 +700,13 @@ def _distribute_marks(skeleton, k, stable_only=False):
     shortfall = k - sum(needs)
     if shortfall < 0:
         return
-    index = {pid: j for j, pid in enumerate(ids)}
-    labels = _components(
+    starts = list(itertools.accumulate(map(len, groups), initial=0))
+    automorphisms = skeleton.automorphisms()
+    labels = range(len(ids)) if len(automorphisms) == 1 else _components(
         len(ids),
         (
-            (index[(i, p)], index[(i, auto[i][p])])
-            for auto in skeleton.automorphisms()
+            (starts[i] + p, starts[i] + auto[i][p])
+            for auto in automorphisms
             for i, p in ids
         ),
     )
@@ -719,6 +743,12 @@ def _distribute_marks(skeleton, k, stable_only=False):
 
         yield from rec(size, budget, budget)
 
+    flat = [pc for g in groups for pc in g]
+
+    @functools.cache
+    def piece(j, m):
+        return Piece(flat[j].genus, flat[j].degree, m)
+
     def assign(oidx, budget, extras, group_extra):
         # group_extra: extras handed so far to the group of orbit oidx
         if oidx == len(orbits):
@@ -727,15 +757,11 @@ def _distribute_marks(skeleton, k, stable_only=False):
                 for members, vals in zip(orbits, extras):
                     for j, v in zip(members, vals):
                         marks[j] += v
-                placed = []
-                for i, g in enumerate(groups):
-                    placed.append(
-                        tuple(
-                            Piece(pc.genus, pc.degree, marks[index[(i, p)]])
-                            for p, pc in enumerate(g)
-                        )
-                    )
-                yield SplitMap(placed, skeleton.nodes)
+                placed = [piece(j, m) for j, m in enumerate(marks)]
+                yield SplitMap._built(
+                    tuple(tuple(placed[a:b]) for a, b in zip(starts, starts[1:])),
+                    skeleton.nodes,
+                )
             return
         for vals in orbit_extras(len(orbits[oidx]), budget):
             spent = sum(vals)
@@ -1001,7 +1027,9 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
 
     The dedupe walks each built skeleton's relabelings once, for its key
     and its automorphisms together; an emitted skeleton keeps the
-    automorphisms, which mark placement reads."""
+    automorphisms, which mark placement reads.  They are built unchecked
+    (:meth:`SplitMap._built`): nodes join existing pieces with positive
+    weights, and the closed-component cut keeps only connected ones."""
     ifaces = n + 1
     min_per_iface = 0 if n == 0 else 1
     min_fiber = [
@@ -1092,7 +1120,7 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
                 continue
             chosen.append(iface)
             if last:
-                yield SplitMap(pieces, chosen)
+                yield SplitMap._built(pieces, tuple(chosen))
             else:
                 yield from rec(i + 1, chosen, q, refined, right, got)
             chosen.pop()

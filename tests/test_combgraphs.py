@@ -110,6 +110,31 @@ def test_invalid_maps_rejected():
         SplitMap([[Piece(0, 1, 0)], [Piece(0, 1, 0)]], [((0, 0, 0),)])  # weight
 
 
+@pytest.mark.parametrize(
+    "call, index, error",
+    [
+        (SplitMap.automorphism_interface_image, 0, SplitMapError),
+        (SplitMap.automorphism_interface_image, 3, SplitMapError),
+        (SplitMap.automorphism_interface_image, True, TypeError),
+        (SplitMap.automorphism_interface_image, 1.0, TypeError),
+        (decompose, True, TypeError),
+        (decompose, 1.0, TypeError),
+        (SplitMap.weight, True, TypeError),
+        (SplitMap.weight, 1.0, TypeError),
+    ],
+)
+def test_split_map_indices_refused(call, index, error):
+    # on a map with n = 1, interface 0 must not wrap around to interface 2,
+    # interface 3 must not leak an IndexError, and no bool or float is an
+    # index
+    m = SplitMap(
+        [[Piece(0, 1, 0)], [Piece(0, 1, 0)], [Piece(0, 1, 0)]],
+        [((1, 0, 0),), ((1, 0, 0),)],
+    )
+    with pytest.raises(error):
+        call(m, index)
+
+
 def test_disconnection_has_its_own_error():
     with pytest.raises(DisconnectedMapError):
         SplitMap([[Piece(0, 1, 0)], [Piece(0, 1, 0)]], [()])
@@ -669,7 +694,12 @@ BURNSIDE_RUNS = [
 ] + [(t, acceptance_caps(t), True) for t in NORM4_TYPES]
 
 
-def test_mark_placements_against_burnside_count():
+@pytest.fixture(scope="module")
+def burnside_placements():
+    return _recorded_placements(BURNSIDE_RUNS)
+
+
+def test_mark_placements_against_burnside_count(burnside_placements):
     # enumerate_split_maps keeps no dedupe of its own: no two emitted maps
     # may be isomorphic, and every skeleton's placements must be distinct
     # classes, as many as the Burnside count when the automorphisms are the
@@ -677,7 +707,7 @@ def test_mark_placements_against_burnside_count():
     # many otherwise (there the per-orbit placement can fall short).  The
     # stable placements are the all-mode ones that pass is_stable, in order,
     # and the Burnside bounds apply to the all-mode list
-    lists, calls = _recorded_placements(BURNSIDE_RUNS)
+    lists, calls = burnside_placements
     for maps in lists:
         keys = [(m.n, m.canonical_key()) for m in maps]
         assert len(set(keys)) == len(keys)
@@ -696,18 +726,49 @@ def test_mark_placements_against_burnside_count():
             assert len(placed) == classes, skeleton
 
 
+def _tuples_all_the_way_down(m):
+    return (
+        type(m.groups) is tuple
+        and all(type(g) is tuple for g in m.groups)
+        and type(m.nodes) is tuple
+        and all(
+            type(iface) is tuple and all(type(x) is tuple for x in iface)
+            for iface in m.nodes
+        )
+    )
+
+
+def test_enumerator_builds_only_valid_maps(burnside_placements):
+    # the enumerator builds its skeletons and placements without the
+    # constructor's checks; every one of them must pass those checks and
+    # come out equal, with the same hash and tuple containers throughout
+    lists, calls = burnside_placements
+    skeletons = [skeleton for skeleton, _, _, _ in calls]
+    for m in skeletons + [m for maps in lists for m in maps]:
+        checked = SplitMap(m.groups, m.nodes)
+        assert checked == m and hash(checked) == hash(m), m
+        assert checked.n == m.n and _tuples_all_the_way_down(m), m
+
+
 def test_mark_placement_builds_only_stable_maps():
     # over the stable runs, mark placement builds no unstable map, each
     # skeleton's relabelings are walked once (its dedupe key and its
     # automorphisms come from one pass), and each placement call counts its
-    # skeleton's contacts once
+    # skeleton's contacts once.  Maps are counted through both the checking
+    # constructor and the unchecked builder the enumerator uses
     built, placed, calls = [], [], []
     real_init = SplitMap.__init__
+    real_built = SplitMap._built
     real_place = cg._distribute_marks
 
     def init(self, groups, nodes):
         real_init(self, groups, nodes)
         built.append(self)
+
+    def build(groups, nodes):
+        sm = real_built(groups, nodes)
+        built.append(sm)
+        return sm
 
     def placing(skeleton, k, stable_only):
         calls.append(skeleton)
@@ -729,6 +790,7 @@ def test_mark_placement_builds_only_stable_maps():
         side_effect=SplitMap.contact_counts,
     ) as contacts:
         mp.setattr(SplitMap, "__init__", init)
+        mp.setattr(SplitMap, "_built", staticmethod(build))
         mp.setattr(cg, "_distribute_marks", placing)
         for t, caps, stable in BURNSIDE_RUNS:
             if stable:
