@@ -10,6 +10,7 @@ passed, 1 flags a failed check, 2 malformed input, 3 an internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -307,6 +308,7 @@ def run(args):
     raise InputError("unknown command %r" % args.command)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="degkit",

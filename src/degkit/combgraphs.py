@@ -12,7 +12,8 @@ half: vertices weighted by genus and by a class vector in a declared free
 abelian group with two integral functionals (degree against the
 polarization and intersection with the distinguished divisor), ordered legs
 and ordered weighted roots.  Triples glue, reorder, and carry a finite
-symmetry group computed by brute force.
+symmetry group, searched among the root orders that preserve each root's
+signature.
 """
 
 from __future__ import annotations
@@ -82,6 +83,34 @@ def _piece_components(groups, nodes):
         ],
     )
     return [labels[starts[i] : starts[i + 1]] for i in range(len(groups))]
+
+
+def _matchings(have, want):
+    """Every order with ``have[order[j]] == want[j]`` for all j: one
+    permutation per class of equal labels, classes in order of first
+    appearance in ``want``, so the identity comes first when the lists are
+    equal; none when they are not rearrangements of each other."""
+    slots = {}
+    for i, label in enumerate(have):
+        slots.setdefault(label, []).append(i)
+    places = slots
+    if have is not want:
+        places = {}
+        for j, label in enumerate(want):
+            places.setdefault(label, []).append(j)
+        if len(have) != len(want) or any(
+            len(slots.get(label, ())) != len(js) for label, js in places.items()
+        ):
+            return []
+    if len(places) == len(want):
+        return [tuple(slots[label][0] for label in want)]
+    # order[j] = i for the pairs (j, i) of one choice, listed by j
+    positions = list(itertools.chain(*places.values()))
+    choices = itertools.product(*map(itertools.permutations, map(slots.get, places)))
+    return [
+        tuple(i for _, i in sorted(zip(positions, itertools.chain(*images))))
+        for images in choices
+    ]
 
 
 @dataclass(frozen=True, order=True)
@@ -329,25 +358,10 @@ class SplitMap:
         per_group = []
         count = 1
         for g in self.groups:
-            classes = {}
-            for p, piece in enumerate(g):
-                classes.setdefault(piece, []).append(p)
-            if len(classes) == len(g):
-                per_group.append([tuple(range(len(g)))])
-                continue
-            options = []
-            for combo in itertools.product(
-                *[itertools.permutations(members) for members in classes.values()]
-            ):
-                perm = [None] * len(g)
-                for members, images in zip(classes.values(), combo):
-                    for p, q in zip(members, images):
-                        perm[p] = q
-                options.append(tuple(perm))
-            count *= len(options)
+            per_group.append(_matchings(g, g))
+            count *= len(per_group[-1])
             if count > limit:
                 raise SplitMapError("too many relabelings to search")
-            per_group.append(options)
         return per_group
 
     def automorphisms(self):
@@ -366,30 +380,15 @@ class SplitMap:
         if not 1 <= _int(l, "l") <= self.n + 1:
             raise SplitMapError("interface index out of range")
         iface = self.nodes[l - 1]
-        r = len(iface)
-        slots = {}
-        for j, data in enumerate(iface):
-            slots.setdefault(data, []).append(j)
-        perms_set = set()
-        for auto in self.automorphisms():
-            mapped = [
-                (mu, auto[l - 1][a], auto[l][b]) for mu, a, b in iface
-            ]
-            # all bijections i -> j with iface[j] == mapped[i]
-            choices = []
-            feasible = True
-            for i in range(r):
-                targets = slots.get(mapped[i])
-                if not targets:
-                    feasible = False
-                    break
-                choices.append(targets)
-            if not feasible:
-                continue
-            for assign in itertools.product(*choices):
-                if len(set(assign)) == r:
-                    perms_set.add(tuple(assign))
-        return sorted(perms_set)
+        return sorted(
+            {
+                order
+                for auto in self.automorphisms()
+                for order in _matchings(
+                    iface, [(mu, auto[l - 1][a], auto[l][b]) for mu, a, b in iface]
+                )
+            }
+        )
 
     def __eq__(self, other):
         return (
@@ -1470,29 +1469,45 @@ def glue(triple):
     return glued, genus, degree, TopType(degree, genus, k)
 
 
+def _root_signatures(triple):
+    """Per root: its weight and, on each side, its vertex's genus, class,
+    leg positions and sorted root weights.
+
+    The canonical keys under any root order number the vertices by first
+    appearance among legs and roots and list each number's genus, class,
+    leg positions and root weights, so they show root j's signature where
+    the order puts root j.  An order that carries one triple's keys onto
+    another's thus matches roots of equal signature."""
+    sides = []
+    for g in (triple.first, triple.second):
+        data = [
+            (
+                g.genera[v],
+                g.classes[v],
+                tuple(j for j, x in enumerate(g.legs) if x == v),
+                tuple(sorted(w for x, w in g.roots if x == v)),
+            )
+            for v in range(g.num_vertices)
+        ]
+        sides.append([data[v] for v, _ in g.roots])
+    return list(zip(triple.first.root_weights(), *sides))
+
+
+def _orders_onto(triple, target):
+    """The root orders under which ``triple`` has ``target``'s canonical
+    keys, searched among the signature-preserving ones."""
+    keys = target.canonical_keys()
+    have = _root_signatures(triple)
+    orders = _matchings(have, have if target is triple else _root_signatures(target))
+    return [sigma for sigma in orders if triple.canonical_keys(sigma) == keys]
+
+
 def eq_group(triple, bound=8):
-    """Brute-force symmetry group inside S_r: the root orders that keep both
-    sides' canonical keys (a group, so sigma and its inverse are members
-    together), with a subgroup sanity check."""
-    r = triple.num_roots
-    if r > _int(bound, "bound"):
+    """Symmetry group inside S_r: the root orders that keep both sides'
+    canonical keys, sorted."""
+    if triple.num_roots > _int(bound, "bound"):
         raise GraphError("root count above the brute-force bound %d" % bound)
-    identity = triple.canonical_keys()
-    elements = [
-        sigma
-        for sigma in itertools.permutations(range(r))
-        if triple.canonical_keys(sigma) == identity
-    ]
-    elems = set(elements)
-    for a in elements:
-        inv = tuple(a.index(i) for i in range(r))
-        if inv not in elems:
-            raise GraphError("symmetry set is not closed under inverses")
-        for b in elements:
-            comp = tuple(a[b[i]] for i in range(r))
-            if comp not in elems:
-                raise GraphError("symmetry set is not closed under composition")
-    return elements
+    return sorted(_orders_onto(triple, triple))
 
 
 def phi_degree(triple, bound=8):
@@ -1510,7 +1525,8 @@ def triples_equivalent(t1, t2, bound=8):
     return (
         t1.first.group == t2.first.group
         and t1.second.group == t2.second.group
-        and _triple_canonical_key(t1) == _triple_canonical_key(t2)
+        and t1.first_legs == t2.first_legs
+        and bool(_orders_onto(t1, t2))
     )
 
 
@@ -1571,14 +1587,13 @@ def _alphabet_graphs(alpha, weight_vector):
 
 
 def _triple_canonical_key(triple):
-    """Minimum of both sides' canonical keys over the root orders, with the
-    leg subset; equal for two triples exactly when a root reordering carries
-    one onto the other (within the same class groups)."""
+    """The least pair of canonical keys over the root orders that sort the
+    root signatures, with the leg subset; equal for two triples exactly
+    when a root reordering carries one onto the other (within the same
+    class groups).  The keys determine the sorted signatures."""
+    have = _root_signatures(triple)
     return (
-        min(
-            triple.canonical_keys(sigma)
-            for sigma in itertools.permutations(range(triple.num_roots))
-        ),
+        min(triple.canonical_keys(order) for order in _matchings(have, sorted(have))),
         triple.first_legs,
     )
 
@@ -1661,28 +1676,16 @@ def half_to_graph(half):
 def realize_split_map(triple):
     """A minimal split map (no expansion) whose decomposition at the single
     interface has the labelled type of the triple: one piece per vertex."""
-    g1, g2 = triple.first.numeric_shadow(), triple.second.numeric_shadow()
-    group1 = [
-        Piece(
-            g1.genera[v],
-            g1.deg_h(v),
-            sum(1 for x in g1.legs if x == v),
-        )
-        for v in range(g1.num_vertices)
+    g1, g2 = triple.first, triple.second
+    groups = [
+        [
+            Piece(g.genera[v], g.deg_h(v), g.legs.count(v))
+            for v in range(g.num_vertices)
+        ]
+        for g in (g1, g2)
     ]
-    group2 = [
-        Piece(
-            g2.genera[v],
-            g2.deg_h(v),
-            sum(1 for x in g2.legs if x == v),
-        )
-        for v in range(g2.num_vertices)
-    ]
-    iface = [
-        (g1.roots[i][1], g1.roots[i][0], g2.roots[i][0])
-        for i in range(triple.num_roots)
-    ]
-    return SplitMap([group1, group2], [iface])
+    iface = [(w, a, b) for (a, w), (b, _) in zip(g1.roots, g2.roots)]
+    return SplitMap(groups, [iface])
 
 
 def fiber_count(triple, split_map, l, bound=8):
@@ -1693,9 +1696,9 @@ def fiber_count(triple, split_map, l, bound=8):
     the root order).  An ordering of the interface instances (ordering[j] =
     which instance becomes root j) matches when both sides' canonical keys
     under it equal the triple's; matching orderings are counted modulo the
-    instance permutations induced by the map's automorphisms.  With Eq
-    computed independently by brute force, this reproduces the degree of
-    the gluing morphism: fiber_count * |induced automorphism image| = |Eq|.
+    instance permutations induced by the map's automorphisms.  Together with
+    :func:`eq_group` this reproduces the degree of the gluing morphism:
+    fiber_count * |induced automorphism image| = |Eq|.
     """
     _int(bound, "bound")
     side1, side2, sigma = decompose(split_map, l)
@@ -1711,12 +1714,7 @@ def fiber_count(triple, split_map, l, bound=8):
         built = AdmissibleTriple(first, second, tuple(range(1, first.num_legs + 1)))
     except GraphError:
         return 0
-    target = triple.numeric_shadow().canonical_keys()
-    matching = [
-        ordering
-        for ordering in itertools.permutations(range(r))
-        if built.canonical_keys(ordering) == target
-    ]
+    matching = _orders_onto(built, triple.numeric_shadow())
     if not matching:
         return 0
     image = split_map.automorphism_interface_image(l)

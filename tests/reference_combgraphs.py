@@ -10,8 +10,14 @@ library's interface, count-vector and data-class generators and serve the
 tests as an oracle for the pruned assembly.
 
 Also here: the caps variants and types the window tests and the ordered
-enumeration pins share.
+enumeration pins share, and walks over every root order of an admissible
+triple (and every bijection between two label lists), as the library
+searched before it kept to signature-preserving orders: the oracle for
+``_matchings``, for the orders ``fiber_count`` matches, for the triple key
+and for the group closure of ``eq_group``.
 """
+
+import itertools
 
 from degkit.combgraphs import (
     DisconnectedMapError,
@@ -204,3 +210,49 @@ def ref_assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
             if key not in seen:
                 seen.add(key)
                 yield sm
+
+
+def ref_matchings(have, want):
+    """Every bijection ``order`` with have[order[j]] == want[j], from a walk
+    over all permutations, in lexicographic order."""
+    if len(have) != len(want):
+        return []
+    return [
+        order
+        for order in itertools.permutations(range(len(have)))
+        if all(have[i] == label for i, label in zip(order, want))
+    ]
+
+
+def ref_orders_onto(triple, target):
+    """The root orders under which ``triple`` has ``target``'s canonical
+    keys, from a walk over all r! orders (``fiber_count``'s matching set)."""
+    keys = target.canonical_keys()
+    return [
+        order
+        for order in itertools.permutations(range(triple.num_roots))
+        if triple.canonical_keys(order) == keys
+    ]
+
+
+def ref_triple_key(triple):
+    """The least pair of canonical keys over all r! root orders, with the
+    leg subset."""
+    return (
+        min(
+            triple.canonical_keys(order)
+            for order in itertools.permutations(range(triple.num_roots))
+        ),
+        triple.first_legs,
+    )
+
+
+def ref_is_group(elements, r):
+    """Whether the root orders hold the identity and are closed under
+    inverse and composition."""
+    elems = set(elements)
+    return tuple(range(r)) in elems and all(
+        tuple(a.index(i) for i in range(r)) in elems
+        and all(tuple(a[b[i]] for i in range(r)) in elems for b in elements)
+        for a in elements
+    )

@@ -16,6 +16,7 @@ from degkit import (
     SplitMap,
     TruncatedAlgebra,
 )
+import degkit.cli as cli
 from degkit.cli import main
 
 
@@ -194,6 +195,32 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert code == 2
     code = main(["maps", "norm", "--input", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+def test_parser_built_once_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a refused argv must leave
+    # nothing behind that changes a later call
+    valid = ["maps", "decompose", "--input", str(map_input(tmp_path)), "--l", "1"]
+    bad = ["maps", "decompose", "--l", "one"]
+
+    def session():
+        results = []
+        for argv in (bad, valid, valid):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cli.build_parser.cache_clear()
+    cached = session()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert session() == cached
+    assert [code for code, _, _ in cached] == [2, 0, 0]
+    assert "invalid int value: 'one'" in cached[0][2] and cached[1][1]
 
 
 def test_out_file(tmp_path, capsys):

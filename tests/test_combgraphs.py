@@ -46,7 +46,11 @@ from reference_combgraphs import (
     acceptance_caps,
     ref_assemble,
     ref_distribute_marks,
+    ref_is_group,
     ref_mark_need,
+    ref_matchings,
+    ref_orders_onto,
+    ref_triple_key,
 )
 
 
@@ -1012,6 +1016,42 @@ def test_brute_force_bound_refuses_inexact_values(name, bad):
         BOUND_READERS[name](eta, bad)
 
 
+@pytest.mark.parametrize("name", list(BOUND_READERS))
+def test_brute_force_bound_refuses_more_roots(name):
+    sym = AdmissibleTriple(
+        _vertex_graph(1, weights=(1, 1)), _vertex_graph(2, weights=(1, 1)), ()
+    )
+    assert BOUND_READERS[name](sym, 2) is not None
+    with pytest.raises(GraphError, match="root count above the brute-force bound 1"):
+        BOUND_READERS[name](sym, 1)
+
+
+def test_bound_checks_keep_their_order():
+    sym = AdmissibleTriple(
+        _vertex_graph(1, weights=(1, 1)), _vertex_graph(2, weights=(1, 1)), ()
+    )
+    one = AdmissibleTriple(_vertex_graph(1), _vertex_graph(2), ())
+    # unequal root counts answer before the bound is compared, but after
+    # its type is checked
+    assert triples_equivalent(sym, one, bound=1) is False
+    with pytest.raises(TypeError):
+        triples_equivalent(sym, one, bound=1.5)
+    # fiber_count: bound type, interface index, interface size, bound, r = 0
+    m = realize_split_map(one)
+    with pytest.raises(TypeError):
+        fiber_count(sym, m, 5, bound=True)
+    with pytest.raises(SplitMapError):
+        fiber_count(sym, m, 5, bound=1)
+    with pytest.raises(GraphError, match="interface size"):
+        fiber_count(sym, m, 1, bound=0)
+    empty = AdmissibleGraph(NUMERIC_GROUP, (), (), (), ())
+    solo = AdmissibleGraph(NUMERIC_GROUP, (1,), ((3, 0),), (0,), ())
+    bare = AdmissibleTriple(empty, solo, ())
+    assert fiber_count(bare, realize_split_map(bare), 1, bound=0) == 1
+    with pytest.raises(GraphError, match="bound -1"):
+        fiber_count(bare, realize_split_map(bare), 1, bound=-1)
+
+
 def test_legs_pin_the_isomorphism():
     # two interchangeable vertices give a swap symmetry; a single leg on one
     # of them pins the forced vertex map and kills it
@@ -1158,6 +1198,106 @@ def test_eq_group_matches_brute_force():
             assert eq_group(u) == _brute_force_eq(u)
 
 
+@pytest.fixture(scope="module")
+def default_triples():
+    return enumerate_triples(TripleAlphabet())
+
+
+def _shuffled(t, rng):
+    sigma = list(range(t.num_roots))
+    rng.shuffle(sigma)
+    return t.reorder(tuple(sigma))
+
+
+def _moved(t, rng):
+    """The triple with both sides' vertices renamed and its roots reordered."""
+    first, second = (
+        _relabelled(g, rng.sample(range(g.num_vertices), g.num_vertices))
+        for g in (t.first, t.second)
+    )
+    return _shuffled(AdmissibleTriple(first, second, t.first_legs), rng)
+
+
+def _halves(m, l):
+    """The triple fiber_count builds from a split map cut at interface l."""
+    side1, side2, _ = decompose(m, l)
+    first, second = half_to_graph(side1), half_to_graph(side2)
+    return AdmissibleTriple(first, second, tuple(range(1, first.num_legs + 1)))
+
+
+def test_fiber_orders_match_the_walk_over_all_orders(default_triples):
+    # fiber_count's matching orderings: the halves of a realized map onto
+    # the triple as given, reordered, and with its vertices renamed
+    rng = random.Random(13)
+    pairs = []
+    for t in SMALL_LEG_TRIPLES + default_triples:
+        built = _halves(realize_split_map(t), 1)
+        pairs += [(built, u) for u in (t, _shuffled(t, rng), _moved(t, rng))]
+    # halves of longer maps, cut at every interface where each vertex of
+    # both halves has a root
+    for sm in enumerate_split_maps(TopType(2, 0, 3)):
+        for l in range(1, sm.n + 2):
+            try:
+                built = _halves(sm, l)
+            except GraphError:
+                continue
+            pairs.append((built, _moved(built, rng)))
+    assert len(pairs) > 5000
+    for built, target in pairs:
+        target = target.numeric_shadow()
+        got = cg._orders_onto(built, target)
+        assert sorted(got) == ref_orders_onto(built, target) != []
+    # onto a neighbouring triple with the same root weights
+    for (built, _), (other, _) in zip(pairs, pairs[1:]):
+        if built.first.root_weights() == other.first.root_weights():
+            got = cg._orders_onto(built, other)
+            assert sorted(got) == ref_orders_onto(built, other)
+
+
+def test_triple_key_matches_the_walk_over_all_orders():
+    # the same partition: two triples share a key exactly when they share
+    # the least key over all r! root orders
+    rng = random.Random(17)
+    pairs = {
+        (ref_triple_key(u), cg._triple_canonical_key(u))
+        for t in SMALL_LEG_TRIPLES
+        for u in (t, _shuffled(t, rng), _moved(t, rng))
+    }
+    walked = {a for a, _ in pairs}
+    keyed = {b for _, b in pairs}
+    assert len(pairs) == len(walked) == len(keyed) == len(SMALL_LEG_TRIPLES)
+
+
+LABELS = st.lists(st.integers(0, 2), max_size=5)
+
+
+@given(have=LABELS, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_matchings_match_the_walk_over_all_bijections(have, data):
+    # want: a rearrangement of have, or any short list (mostly not one)
+    want = data.draw(st.one_of(st.permutations(have), LABELS))
+    got = cg._matchings(have, want)
+    assert len(set(got)) == len(got)
+    assert sorted(got) == ref_matchings(have, want)
+    for same in (have, list(have)):
+        got = cg._matchings(have, same)
+        assert got[0] == tuple(range(len(have)))
+        assert sorted(got) == ref_matchings(have, have)
+
+
+def test_matchings_refuse_non_rearrangements():
+    for have, want in [
+        ([0, 0, 1], [0, 1, 1]),
+        ([0], [0, 0]),
+        ([0, 1], [0]),
+        ([0, 1], [0, 2]),
+        ([], [0]),
+    ]:
+        assert cg._matchings(have, want) == [] == ref_matchings(have, want)
+    assert cg._matchings([], []) == [()]
+    assert cg._matchings([2, 0, 1], [0, 1, 2]) == [(1, 2, 0)]
+
+
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_triple_equivalence_matches_brute_force(data):
@@ -1239,13 +1379,15 @@ def test_half_to_graph_genus():
     assert sorted(g1.root_weights()) == [1, 2]
 
 
-def test_eq_subgroup_closure_on_alphabet():
-    triples = enumerate_triples(TripleAlphabet(max_roots=3, genera=(0,)))
-    for tr in triples[:200]:
-        elems = eq_group(tr)
-        r = tr.num_roots
-        if r:
-            assert math.factorial(r) % len(elems) == 0
+def test_eq_subgroup_closure_on_alphabet(default_triples):
+    # eq_group checks no closure itself: every result holds the identity
+    # and is closed under inverse and composition, also after a reordering
+    rng = random.Random(11)
+    for t in SMALL_LEG_TRIPLES + default_triples:
+        for u in (t, _shuffled(t, rng)):
+            elems = eq_group(u)
+            assert ref_is_group(elems, u.num_roots)
+            assert math.factorial(u.num_roots) % len(elems) == 0
 
 
 def test_triple_enumeration_pinned():

@@ -6,11 +6,13 @@ it.  ``RatFunc.same`` must agree with ``sympy.cancel(A - B) == 0``, and
 """
 
 import hypothesis.strategies as st
-import sympy
+import pytest
 from hypothesis import given, settings
 
-from degkit.polys import Poly, RatFunc
-from test_polys import NV, polys, ratfuncs
+sympy = pytest.importorskip("sympy")
+
+from degkit.polys import Poly, RatFunc  # noqa: E402
+from test_polys import NV, polys, ratfuncs  # noqa: E402
 
 ARITY = 2
 X = sympy.symbols("x0:%d" % ARITY)
