@@ -730,18 +730,6 @@ def _distribute_marks(skeleton, k, stable_only=False):
             if last[o] and 1 <= i <= skeleton.n:
                 closing[o] = weights[i]
 
-    def orbit_extras(size, budget):
-        # non-increasing tuples of the given length summing to at most budget
-        def rec(left, cap, total):
-            if left == 0:
-                yield ()
-                return
-            for v in range(min(cap, total), -1, -1):
-                for rest in rec(left - 1, v, total - v):
-                    yield (v,) + rest
-
-        yield from rec(size, budget, budget)
-
     flat = [pc for g in groups for pc in g]
 
     @functools.cache
@@ -762,7 +750,7 @@ def _distribute_marks(skeleton, k, stable_only=False):
                     skeleton.nodes,
                 )
             return
-        for vals in orbit_extras(len(orbits[oidx]), budget):
+        for vals in _orbit_extras(len(orbits[oidx]), budget):
             spent = sum(vals)
             added = group_extra + spent
             if closing[oidx] is not None and closing[oidx] + added <= 0:
@@ -772,6 +760,23 @@ def _distribute_marks(skeleton, k, stable_only=False):
             )
 
     yield from assign(0, shortfall, [], 0)
+
+
+@functools.cache
+def _orbit_extras(size, budget):
+    """Non-increasing tuples of ``size`` extra marks summing to at most
+    ``budget``, in descending lexicographic order; built once per
+    (size, budget)."""
+
+    def rec(left, cap, total):
+        if left == 0:
+            yield ()
+            return
+        for v in range(min(cap, total), -1, -1):
+            for rest in rec(left - 1, v, total - v):
+                yield (v,) + rest
+
+    return tuple(rec(size, budget, budget))
 
 
 _PIECE_CACHE = {}
@@ -888,6 +893,9 @@ def _interface_options(left_spec, q, wcap, right_spec, needs_left):
     profiles; a middle positive piece must end with positive weight
     (``weight_allowance`` counts everything but its contacts here), and
     with ``needs_left`` every fiber piece on the right needs a contact.
+    The allowance is read only as ``max(0, 1 - allowance)`` contacts, so
+    every allowance of 1 or more gives the same options; callers clamp it
+    at 1 and share the cache entry.
     Returns a tuple of (interface tuple, refined right class labels).
     """
     key = (tuple(left_spec), q, wcap, tuple(right_spec), needs_left)
@@ -966,6 +974,7 @@ def _first_appearance(keys):
 
 _COUNTVEC_CACHE = {}
 _CLASS_CACHE = {}
+_LEVEL_CACHE = {}
 
 
 def _data_classes(group):
@@ -1024,6 +1033,19 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     final once both of its interfaces are drawn, and their running sum
     drops a partial assembly as soon as it exceeds the budget.
 
+    Each level is decided once per process: ``_LEVEL_CACHE`` maps a level's
+    state to the options that keep every component open, each with its
+    forced-mark increase and the right group's component labels, so a
+    level only adds the increase to its running sum and checks the budget.
+    The key holds everything those depend on: the interface's node count,
+    the weight cap, whether the level is the first or the last, per left
+    piece its class, genus, degree, arrivals and the last field of its
+    interface spec (a fiber piece's arriving weight, a positive piece's
+    allowance clamped at 1), per right piece its class, genus and degree,
+    and the component labels so far.  The running sum and the mark budget
+    stay out of it; the budget reaches the options only through the clamped
+    allowance, which is why the memo is exact across budgets.
+
     The dedupe walks each built skeleton's relabelings once, for its key
     and its automorphisms together; an emitted skeleton keeps the
     automorphisms, which mark placement reads.  They are built unchecked
@@ -1060,62 +1082,88 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
         return
     group_classes = [_data_classes(g) for g in pieces]
 
-    def rec(i, chosen, q, classes, comps, need):
+    def level_options(i, count, left_spec, arrivals, comps):
+        # the options of one level that keep every component open, each with
+        # its forced-mark increase and the right group's component labels
         left_group = pieces[i - 1]
         right_group = pieces[i]
         width = len(right_group)
         last = i == ifaces
-        prev = chosen[-1] if chosen else ()
-        arrivals = [0] * len(left_group)
-        for _, _, b in prev:
-            arrivals[b] += 1
-        left_spec = []
-        for p, piece in enumerate(left_group):
-            cid = classes[p]
-            if i == 1:
-                left_spec.append(("free", cid))
-            elif piece.degree == 0:
-                s = sum(mu for mu, _, b in prev if b == p)
-                if s == 0:
-                    return
-                left_spec.append(("fiber", cid, s))
-            else:
-                allowance = (
-                    piece.degree + 2 * piece.genus - 2 + arrivals[p] + mark_budget
-                )
-                left_spec.append(("mid", cid, allowance))
         right_spec = tuple(
-            (group_classes[i][p2], piece2.degree == 0)
-            for p2, piece2 in enumerate(right_group)
+            (cid, piece.degree == 0)
+            for cid, piece in zip(group_classes[i], right_group)
         )
         size = width + max(comps, default=-1) + 1
+        out = []
         for iface, refined in _interface_options(
-            tuple(left_spec), q[i - 1], wcap, right_spec, i <= n
+            left_spec, count, wcap, right_spec, not last
         ):
             # both interfaces of the left group are drawn now, so its forced
             # marks are final; the last group has only this one
             contacts = list(arrivals)
             for _, a, _ in iface:
                 contacts[a] += 1
-            got = need + sum(
+            delta = sum(
                 _mark_need(piece, i == 1, c) for piece, c in zip(left_group, contacts)
             )
             if last:
                 entries = [0] * width
                 for _, _, b in iface:
                     entries[b] += 1
-                got += sum(
+                delta += sum(
                     _mark_need(piece, True, c) for piece, c in zip(right_group, entries)
                 )
-            if got > mark_budget:
-                continue
             # the right pieces come first, so their labels count up in order
             # of first appearance among them, and a component that reaches
             # none of them gets a larger label: it is closed for good.  After
             # the last interface only one component may remain.
             labels = _components(size, [(b, width + comps[a]) for _, a, b in iface])
-            right = labels[:width]
+            right = tuple(labels[:width])
             if any(labels) if last else max(labels) > max(right):
+                continue
+            # right already numbers its pieces by first appearance, so the
+            # class cache hands back an equal tuple, one shared per value
+            out.append((iface, refined, delta, _data_classes(right)))
+        return tuple(out)
+
+    def rec(i, chosen, q, classes, comps, need):
+        left_group = pieces[i - 1]
+        last = i == ifaces
+        arrivals = [0] * len(left_group)
+        sums = [0] * len(left_group)
+        for mu, _, b in chosen[-1] if chosen else ():
+            arrivals[b] += 1
+            sums[b] += mu
+        key = [q[i - 1], wcap, i == 1, last, len(left_group)]
+        left_spec = []
+        for p, piece in enumerate(left_group):
+            cid = classes[p]
+            if i == 1:
+                spec = ("free", cid)
+            elif piece.degree == 0:
+                if sums[p] == 0:
+                    return
+                spec = ("fiber", cid, sums[p])
+            else:
+                allowance = (
+                    piece.degree + 2 * piece.genus - 2 + arrivals[p] + mark_budget
+                )
+                # only min(allowance, 1) matters (see _interface_options)
+                spec = ("mid", cid, min(1, allowance))
+            left_spec.append(spec)
+            key += (cid, piece.genus, piece.degree, arrivals[p], spec[-1])
+        for cid, piece in zip(group_classes[i], pieces[i]):
+            key += (cid, piece.genus, piece.degree)
+        key += comps
+        key = tuple(key)
+        options = _LEVEL_CACHE.get(key)
+        if options is None:
+            options = _LEVEL_CACHE[key] = level_options(
+                i, q[i - 1], tuple(left_spec), arrivals, comps
+            )
+        for iface, refined, delta, right in options:
+            got = need + delta
+            if got > mark_budget:
                 continue
             chosen.append(iface)
             if last:

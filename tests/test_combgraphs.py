@@ -558,6 +558,91 @@ def test_pruned_assembly_matches_reference(t):
     assert maps == _reference_maps(t, caps, True, calls)
 
 
+def _clear_enumeration_caches():
+    for name in (
+        "_PIECE_CACHE",
+        "_PROFILE_CACHE",
+        "_INTERFACE_CACHE",
+        "_COUNTVEC_CACHE",
+        "_CLASS_CACHE",
+        "_LEVEL_CACHE",
+    ):
+        getattr(cg, name).clear()
+    cg._orbit_extras.cache_clear()
+
+
+def test_level_memo_is_independent_of_fill_order():
+    # _assemble keeps each level's surviving options across calls, keyed by
+    # what they depend on; filled in the opposite order, or read warm, the
+    # memo must give the same lists in the same order
+    runs = sorted(BURNSIDE_RUNS, key=lambda run: (run[0], run[2]))
+
+    def enumerate_all(order):
+        return {
+            (t, stable): enumerate_split_maps(t, caps, stable_only=stable)
+            for t, caps, stable in order
+        }
+
+    _clear_enumeration_caches()
+    forward = enumerate_all(runs)
+    _clear_enumeration_caches()
+    backward = enumerate_all(runs[::-1])
+    assert cg._LEVEL_CACHE
+    assert backward == forward
+    assert enumerate_all(runs) == forward
+
+
+# every left piece kind around the "mid" one whose allowance varies, over
+# right groups with fiber and non-fiber pieces in one or two classes
+CLAMP_LEFT = [
+    lambda a: (("mid", 0, a),),
+    lambda a: (("mid", 0, a), ("mid", 0, a)),
+    lambda a: (("mid", 0, a), ("mid", 1, 0)),
+    lambda a: (("fiber", 0, 2), ("mid", 1, a)),
+    lambda a: (("mid", 0, a), ("mid", 1, a)),
+]
+CLAMP_RIGHT = [
+    ((0, False),),
+    ((0, True),),
+    ((0, False), (0, False)),
+    ((0, True), (1, False)),
+]
+
+
+def test_interface_options_read_the_allowance_only_up_to_one():
+    # _assemble clamps a mid piece's allowance at 1 and shares the cache
+    # entry; a clamp at 0 would not be exact
+    zero_differs = 0
+    for left, right_spec, q, wcap, needs_left in itertools.product(
+        CLAMP_LEFT, CLAMP_RIGHT, range(4), (1, 2), (False, True)
+    ):
+        at_one = cg._interface_options(left(1), q, wcap, right_spec, needs_left)
+        for a in range(-3, 5):
+            got = cg._interface_options(left(a), q, wcap, right_spec, needs_left)
+            clamped = cg._interface_options(
+                left(min(a, 1)), q, wcap, right_spec, needs_left
+            )
+            assert got == clamped, (left(a), q, wcap, right_spec, needs_left)
+        at_zero = cg._interface_options(left(0), q, wcap, right_spec, needs_left)
+        zero_differs += at_zero != at_one
+    assert zero_differs > 0
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_orbit_extras_match_a_filter_over_all_tuples(size):
+    for budget in range(7):
+        expected = sorted(
+            (
+                vals
+                for vals in itertools.product(range(budget + 1), repeat=size)
+                if sum(vals) <= budget
+                and all(a >= b for a, b in zip(vals, vals[1:]))
+            ),
+            reverse=True,
+        )
+        assert cg._orbit_extras(size, budget) == tuple(expected), budget
+
+
 # --- canonical form and automorphisms -------------------------------------
 
 
@@ -710,12 +795,15 @@ def test_mark_placements_against_burnside_count(burnside_placements):
     # full product of symmetric groups on the piece orbits and at most that
     # many otherwise (there the per-orbit placement can fall short).  The
     # stable placements are the all-mode ones that pass is_stable, in order,
-    # and the Burnside bounds apply to the all-mode list
+    # and the Burnside bounds apply to the all-mode list.  Over the all-mode
+    # runs the shortfall is pinned per type: 4 classes each on (2,0,3) and
+    # (3,0,2), none on every other type of norm <= 3
     lists, calls = burnside_placements
     for maps in lists:
         keys = [(m.n, m.canonical_key()) for m in maps]
         assert len(set(keys)) == len(keys)
     assert len(calls) > 8000
+    gap = Counter()
     for skeleton, k, stable_only, placed in calls:
         if stable_only:
             assert all(m.stability_oracle() for m in placed), skeleton
@@ -728,6 +816,13 @@ def test_mark_placements_against_burnside_count(burnside_placements):
         assert len(placed) <= classes, skeleton
         if len(automorphisms) == _orbit_factorials(automorphisms):
             assert len(placed) == classes, skeleton
+        if not stable_only:
+            t = skeleton.total_type()
+            gap[t.degree, t.genus, k] += classes - len(placed)
+    expected = {(t.degree, t.genus, t.marks): 0 for t in NORM3_TYPES}
+    expected.update({(2, 0, 3): 4, (3, 0, 2): 4})
+    assert {key: gap[key] for key in expected} == expected
+    assert set(gap) <= set(expected)
 
 
 def _tuples_all_the_way_down(m):
