@@ -638,17 +638,18 @@ def _enumerate_for_n(t, n, caps, stable_only=False):
         links = sum(counts) - 1
         if links < 0 or links > max_nodes:
             continue
-        for group_data, loops in _group_data_options(
+        for pieces, loops in _group_data_options(
             t, counts, n, caps, stable_only, max_nodes - links
         ):
             node_total = links + loops
-            if n == 0 and node_total > 0 and not all(group_data):
+            if n == 0 and node_total > 0 and not all(pieces):
                 continue
-            pieces = tuple(tuple(Piece(g, d, 0) for g, d in gd) for gd in group_data)
+            # the placements of one piece set, shared by its skeletons
+            memo = {}
             for skeleton in _assemble(
                 n, pieces, node_total, caps, wcap, stable_only, t.marks
             ):
-                yield from _distribute_marks(skeleton, t.marks, stable_only)
+                yield from _distribute_marks(skeleton, t.marks, stable_only, memo)
 
 
 def _mark_need(piece, end, contacts):
@@ -667,7 +668,7 @@ def _mark_need(piece, end, contacts):
     return 0
 
 
-def _distribute_marks(skeleton, k, stable_only=False):
+def _distribute_marks(skeleton, k, stable_only=False, memo=None):
     """Placements of k marked points on a mark-free skeleton: every piece
     gets its forced marks, and each orbit of pieces under the skeleton's
     automorphisms a non-increasing tuple of the extra ones.
@@ -687,20 +688,43 @@ def _distribute_marks(skeleton, k, stable_only=False):
     has a piece, so each has a last orbit.)  Contacts are the skeleton's
     ``contact_counts``, read once.
 
+    ``memo`` maps (contacts, automorphisms) to the placed groups of every
+    placement.  The enumerator opens one per piece set, shared by the
+    skeletons assembled from it; there the groups, ``n``, ``k`` and
+    ``stable_only`` are fixed, and the placement reads a skeleton only
+    through its contacts (forced marks and middle weights) and its
+    automorphisms (orbits), never through its nodes, so the key is exact.
+    The maps of every skeleton with one key share its placed groups.
+    Without a memo every call places afresh.
+
     With the identity as the only automorphism each piece is an orbit and
     no orbit search runs.  Placements are built unchecked
     (:meth:`SplitMap._built`): only nonnegative marks change on the checked
     skeleton, whose nodes they share, with one Piece per (piece, marks)."""
-    groups = skeleton.groups
     contacts = skeleton.contact_counts()
+    automorphisms = skeleton.automorphisms()
+    key = (tuple(map(tuple, contacts)), tuple(automorphisms))
+    if memo is None:
+        memo = {}
+    placed = memo.get(key)
+    if placed is None:
+        placed = memo[key] = _placed_groups(
+            skeleton.groups, contacts, automorphisms, k, stable_only
+        )
+    for groups in placed:
+        yield SplitMap._built(groups, skeleton.nodes)
+
+
+def _placed_groups(groups, contacts, automorphisms, k, stable_only):
+    """The groups of every placement :func:`_distribute_marks` yields, in
+    order, as tuples of tuples of Pieces."""
     ids = [(i, p) for i, g in enumerate(groups) for p in range(len(g))]
-    ends = (0, skeleton.n + 1)
+    ends = (0, len(groups) - 1)
     needs = [_mark_need(groups[i][p], i in ends, contacts[i][p]) for i, p in ids]
     shortfall = k - sum(needs)
     if shortfall < 0:
-        return
+        return ()
     starts = list(itertools.accumulate(map(len, groups), initial=0))
-    automorphisms = skeleton.automorphisms()
     labels = range(len(ids)) if len(automorphisms) == 1 else _components(
         len(ids),
         (
@@ -727,14 +751,17 @@ def _distribute_marks(skeleton, k, stable_only=False):
             pc = groups[i][p]
             weights[i] += pc.degree + 2 * pc.genus - 2 + needs[j] + contacts[i][p]
         for o, i in enumerate(orbit_group):
-            if last[o] and 1 <= i <= skeleton.n:
+            if last[o] and 1 <= i <= len(groups) - 2:
                 closing[o] = weights[i]
 
     flat = [pc for g in groups for pc in g]
+    pieces = {}
 
-    @functools.cache
     def piece(j, m):
-        return Piece(flat[j].genus, flat[j].degree, m)
+        got = pieces.get((j, m))
+        if got is None:
+            got = pieces[j, m] = Piece(flat[j].genus, flat[j].degree, m)
+        return got
 
     def assign(oidx, budget, extras, group_extra):
         # group_extra: extras handed so far to the group of orbit oidx
@@ -745,10 +772,7 @@ def _distribute_marks(skeleton, k, stable_only=False):
                     for j, v in zip(members, vals):
                         marks[j] += v
                 placed = [piece(j, m) for j, m in enumerate(marks)]
-                yield SplitMap._built(
-                    tuple(tuple(placed[a:b]) for a, b in zip(starts, starts[1:])),
-                    skeleton.nodes,
-                )
+                yield tuple(tuple(placed[a:b]) for a, b in zip(starts, starts[1:]))
             return
         for vals in _orbit_extras(len(orbits[oidx]), budget):
             spent = sum(vals)
@@ -759,7 +783,7 @@ def _distribute_marks(skeleton, k, stable_only=False):
                 oidx + 1, budget - spent, extras + [vals], 0 if last[oidx] else added
             )
 
-    yield from assign(0, shortfall, [], 0)
+    return tuple(assign(0, shortfall, [], 0))
 
 
 @functools.cache
@@ -783,7 +807,11 @@ _PIECE_CACHE = {}
 
 
 def _piece_tuples(count, deg_budget, gen_budget):
-    """Sorted tuples of (g, d) of the given length within budgets."""
+    """The ways to give ``count`` mark-free pieces degrees and genera within
+    the budgets, as sorted (g, d) tuples in the order of
+    ``combinations_with_replacement``.  Each comes as (its Pieces, degree
+    sum, genus sum, base), the base being the sum of d + 2g - 2; built once
+    per (count, budgets), so candidates share their Pieces."""
     key = (count, deg_budget, gen_budget)
     got = _PIECE_CACHE.get(key)
     if got is None:
@@ -792,19 +820,24 @@ def _piece_tuples(count, deg_budget, gen_budget):
             for g in range(gen_budget + 1)
             for d in range(deg_budget + 1)
         ]
-        got = tuple(
-            combo
-            for combo in itertools.combinations_with_replacement(options, count)
-            if sum(c[1] for c in combo) <= deg_budget
-            and sum(c[0] for c in combo) <= gen_budget
-        )
-        _PIECE_CACHE[key] = got
+        got = []
+        for combo in itertools.combinations_with_replacement(options, count):
+            degree = sum(d for _, d in combo)
+            genus = sum(g for g, _ in combo)
+            if degree <= deg_budget and genus <= gen_budget:
+                got.append((
+                    tuple(Piece(g, d, 0) for g, d in combo),
+                    degree,
+                    genus,
+                    degree + 2 * genus - 2 * count,
+                ))
+        got = _PIECE_CACHE[key] = tuple(got)
     return got
 
 
 def _group_data_options(t, counts, n, caps, stable_only, loops_max):
     """Distribute degree and genus over the groups' pieces (marks come
-    later); yields (group data as (g, d) tuples, genus left unplaced).
+    later); yields (the groups' mark-free Pieces, genus left unplaced).
 
     The genus left unplaced becomes loops, one node each, so a placement
     that leaves more than ``loops_max`` of it is dropped.
@@ -818,27 +851,21 @@ def _group_data_options(t, counts, n, caps, stable_only, loops_max):
     norm = t.norm()
     middle_floor = 1 - 2 * caps.nodes_per_interface - t.marks
 
-    def base_of(combo):
-        return sum(d + 2 * g - 2 for g, d in combo)
-
     def rec(i, deg_left, gen_left, end_base, chosen):
         if i == groups_count:
             if deg_left == 0 and gen_left <= loops_max:
                 yield chosen, gen_left
             return
-        for combo in _piece_tuples(counts[i], deg_left, gen_left):
+        for pieces, d, g, base in _piece_tuples(counts[i], deg_left, gen_left):
             if stable_only and n >= 1:
-                base = base_of(combo)
                 if 1 <= i <= groups_count - 2 and base < middle_floor:
                     continue
                 if i == groups_count - 1 and end_base + base > norm - n - 2:
                     continue
-            d = sum(c[1] for c in combo)
-            g = sum(c[0] for c in combo)
-            nxt = end_base + base_of(combo) if i == 0 else end_base
-            yield from rec(i + 1, deg_left - d, gen_left - g, nxt, chosen + [combo])
+            nxt = end_base + base if i == 0 else end_base
+            yield from rec(i + 1, deg_left - d, gen_left - g, nxt, chosen + (pieces,))
 
-    yield from rec(0, t.degree, t.genus, 0, [])
+    yield from rec(0, t.degree, t.genus, 0, ())
 
 
 _PROFILE_CACHE = {}

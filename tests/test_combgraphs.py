@@ -532,6 +532,24 @@ def test_window_matches_unwindowed_reference(windowed_runs, variant):
             assert maps == ref_maps, (t, stable)
 
 
+def test_piece_tuples_match_reference():
+    # the cached group data: the reference's (g, d) tuples in order, each
+    # as mark-free Pieces with their degree sum, genus sum and base
+    for count, deg_budget, gen_budget in itertools.product(
+        range(4), range(6), range(6)
+    ):
+        got = cg._piece_tuples(count, deg_budget, gen_budget)
+        expected = _reference_piece_tuples(count, deg_budget, gen_budget)
+        assert [
+            tuple((p.genus, p.degree) for p in pieces) for pieces, _, _, _ in got
+        ] == expected, (count, deg_budget, gen_budget)
+        for (pieces, degree, genus, base), combo in zip(got, expected):
+            assert all(type(p) is Piece and p.marks == 0 for p in pieces), combo
+            assert degree == sum(d for _, d in combo), combo
+            assert genus == sum(g for g, _ in combo), combo
+            assert base == sum(d + 2 * g - 2 for g, d in combo), combo
+
+
 def _forced_marks(skeleton):
     return sum(
         ref_mark_need(skeleton, i + 1, p)
@@ -767,8 +785,8 @@ def _recorded_placements(runs):
     calls = []
     real = cg._distribute_marks
 
-    def recording(skeleton, k, stable_only):
-        placed = list(real(skeleton, k, stable_only))
+    def recording(skeleton, k, stable_only, memo=None):
+        placed = list(real(skeleton, k, stable_only, memo))
         calls.append((skeleton, k, stable_only, placed))
         return iter(placed)
 
@@ -869,10 +887,10 @@ def test_mark_placement_builds_only_stable_maps():
         built.append(sm)
         return sm
 
-    def placing(skeleton, k, stable_only):
+    def placing(skeleton, k, stable_only, memo=None):
         calls.append(skeleton)
         start = len(built)
-        out = list(real_place(skeleton, k, stable_only))
+        out = list(real_place(skeleton, k, stable_only, memo))
         assert built[start:] == out
         placed.extend(out)
         return iter(out)
@@ -899,6 +917,33 @@ def test_mark_placement_builds_only_stable_maps():
         assert skeletons > 4000
         assert relabelings.call_count == skeletons
     assert all(m.is_stable() for m in placed)
+
+
+def test_placement_memo_matches_fresh_placement():
+    # the enumerator shares one placement memo among the skeletons of a
+    # piece set; every call through it must equal, in order, a fresh
+    # placement, and the memo must be hit
+    calls = []
+    real = cg._distribute_marks
+
+    def recording(skeleton, k, stable_only, memo=None):
+        placed = list(real(skeleton, k, stable_only, memo))
+        calls.append((skeleton, k, stable_only, memo, placed))
+        return iter(placed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "_distribute_marks", recording)
+        for t, caps, stable in BURNSIDE_RUNS:
+            enumerate_split_maps(t, caps, stable_only=stable)
+    memos = {}
+    for skeleton, k, stable_only, memo, placed in calls:
+        assert placed == list(real(skeleton, k, stable_only)), skeleton
+        memos.setdefault(id(memo), (memo, set()))[1].add(
+            (skeleton.groups, k, stable_only)
+        )
+    # one memo per piece set, and fewer placements decided than calls
+    assert all(len(piece_sets) == 1 for _, piece_sets in memos.values())
+    assert sum(len(memo) for memo, _ in memos.values()) < len(calls) // 2
 
 
 # --- decompose / glue ---------------------------------------------------------
