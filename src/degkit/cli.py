@@ -308,7 +308,7 @@ def run(args):
     raise InputError("unknown command %r" % args.command)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="degkit",

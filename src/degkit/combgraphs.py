@@ -149,6 +149,10 @@ class Piece:
             raise SplitMapError("piece data must be nonnegative")
 
 
+# the most relabelings of identical pieces a split map's symmetry search walks
+_MAX_RELABELINGS = 20000
+
+
 class SplitMap:
     """groups: n+2 tuples of pieces; nodes[i]: interface i+1 instances
     (weight, left piece index in group i, right piece index in group i+1).
@@ -351,7 +355,7 @@ class SplitMap:
             for i, iface in enumerate(self.nodes)
         )
 
-    def _equal_data_permutations(self, limit=20000):
+    def _equal_data_permutations(self):
         """Per group, the permutations moving pieces only inside equal-data
         classes, identity first; a relabeling of identical pieces is one
         choice per group."""
@@ -360,7 +364,7 @@ class SplitMap:
         for g in self.groups:
             per_group.append(_matchings(g, g))
             count *= len(per_group[-1])
-            if count > limit:
+            if count > _MAX_RELABELINGS:
                 raise SplitMapError("too many relabelings to search")
         return per_group
 
@@ -803,36 +807,26 @@ def _orbit_extras(size, budget):
     return tuple(rec(size, budget, budget))
 
 
-_PIECE_CACHE = {}
-
-
+@functools.cache
 def _piece_tuples(count, deg_budget, gen_budget):
     """The ways to give ``count`` mark-free pieces degrees and genera within
     the budgets, as sorted (g, d) tuples in the order of
     ``combinations_with_replacement``.  Each comes as (its Pieces, degree
     sum, genus sum, base), the base being the sum of d + 2g - 2; built once
     per (count, budgets), so candidates share their Pieces."""
-    key = (count, deg_budget, gen_budget)
-    got = _PIECE_CACHE.get(key)
-    if got is None:
-        options = [
-            (g, d)
-            for g in range(gen_budget + 1)
-            for d in range(deg_budget + 1)
-        ]
-        got = []
-        for combo in itertools.combinations_with_replacement(options, count):
-            degree = sum(d for _, d in combo)
-            genus = sum(g for g, _ in combo)
-            if degree <= deg_budget and genus <= gen_budget:
-                got.append((
-                    tuple(Piece(g, d, 0) for g, d in combo),
-                    degree,
-                    genus,
-                    degree + 2 * genus - 2 * count,
-                ))
-        got = _PIECE_CACHE[key] = tuple(got)
-    return got
+    options = [(g, d) for g in range(gen_budget + 1) for d in range(deg_budget + 1)]
+    got = []
+    for combo in itertools.combinations_with_replacement(options, count):
+        degree = sum(d for _, d in combo)
+        genus = sum(g for g, _ in combo)
+        if degree <= deg_budget and genus <= gen_budget:
+            got.append((
+                tuple(Piece(g, d, 0) for g, d in combo),
+                degree,
+                genus,
+                degree + 2 * genus - 2 * count,
+            ))
+    return tuple(got)
 
 
 def _group_data_options(t, counts, n, caps, stable_only, loops_max):
@@ -868,44 +862,27 @@ def _group_data_options(t, counts, n, caps, stable_only, loops_max):
     yield from rec(0, t.degree, t.genus, 0, ())
 
 
-_PROFILE_CACHE = {}
+def _profile_options(size, wcap, right_count, sum_exact):
+    """Sorted tuples of (weight, right piece) of the given size; unless
+    ``sum_exact`` is None the weights must add up to it."""
+    slots = [(mu, b) for mu in range(1, wcap + 1) for b in range(right_count)]
+
+    def rec(start, left, total):
+        if left == 0:
+            if sum_exact is None or total == sum_exact:
+                yield ()
+            return
+        for idx in range(start, len(slots)):
+            mu, b = slots[idx]
+            if sum_exact is not None and total + mu > sum_exact:
+                continue
+            for rest in rec(idx, left - 1, total + mu):
+                yield ((mu, b),) + rest
+
+    return rec(0, size, 0)
 
 
-def _profile_options(size, wcap, right_count, sum_exact=None):
-    """Sorted tuples of (weight, right piece) of the given size; with
-    ``sum_exact`` the weights must add up to it."""
-    key = (size, wcap, right_count, sum_exact)
-    got = _PROFILE_CACHE.get(key)
-    if got is not None:
-        return got
-    out = []
-    if size == 0:
-        if sum_exact in (None, 0):
-            out.append(())
-    elif right_count > 0:
-        slots = [(mu, b) for mu in range(1, wcap + 1) for b in range(right_count)]
-
-        def rec(start, left, total):
-            if left == 0:
-                if sum_exact is None or total == sum_exact:
-                    yield ()
-                return
-            for idx in range(start, len(slots)):
-                mu, b = slots[idx]
-                if sum_exact is not None and total + mu > sum_exact:
-                    continue
-                for rest in rec(idx, left - 1, total + mu):
-                    yield ((mu, b),) + rest
-
-        out.extend(rec(0, size, 0))
-    got = tuple(out)
-    _PROFILE_CACHE[key] = got
-    return got
-
-
-_INTERFACE_CACHE = {}
-
-
+@functools.cache
 def _interface_options(left_spec, q, wcap, right_spec, needs_left):
     """All admissible interfaces with exactly q nodes, fully filtered.
 
@@ -922,13 +899,9 @@ def _interface_options(left_spec, q, wcap, right_spec, needs_left):
     with ``needs_left`` every fiber piece on the right needs a contact.
     The allowance is read only as ``max(0, 1 - allowance)`` contacts, so
     every allowance of 1 or more gives the same options; callers clamp it
-    at 1 and share the cache entry.
+    at 1 and share the memo entry.
     Returns a tuple of (interface tuple, refined right class labels).
     """
-    key = (tuple(left_spec), q, wcap, tuple(right_spec), needs_left)
-    got = _INTERFACE_CACHE.get(key)
-    if got is not None:
-        return got
     right_count = len(right_spec)
     by_class = {}
     for p, spec in enumerate(left_spec):
@@ -988,9 +961,7 @@ def _interface_options(left_spec, q, wcap, right_spec, needs_left):
             (c, prof) for (c, _), prof in zip(right_spec, profiles)
         )
         filtered.append((iface, refined))
-    got = tuple(filtered)
-    _INTERFACE_CACHE[key] = got
-    return got
+    return tuple(filtered)
 
 
 def _first_appearance(keys):
@@ -999,26 +970,15 @@ def _first_appearance(keys):
     return tuple(labels.setdefault(key, len(labels)) for key in keys)
 
 
-_COUNTVEC_CACHE = {}
-_CLASS_CACHE = {}
-_LEVEL_CACHE = {}
-
-
+@functools.cache
 def _data_classes(group):
-    got = _CLASS_CACHE.get(group)
-    if got is None:
-        got = _CLASS_CACHE[group] = _first_appearance(group)
-    return got
+    return _first_appearance(group)
 
 
+@functools.cache
 def _count_vector_options(ifaces, node_total, cap, count_low, middle_bases):
     """Surviving interface node-count vectors; with ``middle_bases`` given,
     every middle group must end with positive weight."""
-    key = (ifaces, node_total, cap, count_low, middle_bases)
-    got = _COUNTVEC_CACHE.get(key)
-    if got is not None:
-        return got
-    out = []
 
     def rec(i, left):
         if i == ifaces:
@@ -1030,19 +990,12 @@ def _count_vector_options(ifaces, node_total, cap, count_low, middle_bases):
             for tail in rec(i + 1, left - v):
                 yield (v,) + tail
 
-    for q in rec(0, node_total):
-        if middle_bases is not None:
-            ok = True
-            for j, base in enumerate(middle_bases):
-                if base + q[j] + q[j + 1] < 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        out.append(q)
-    got = tuple(out)
-    _COUNTVEC_CACHE[key] = got
-    return got
+    return tuple(
+        q
+        for q in rec(0, node_total)
+        if middle_bases is None
+        or all(base + q[j] + q[j + 1] >= 1 for j, base in enumerate(middle_bases))
+    )
 
 
 def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
@@ -1060,18 +1013,12 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     final once both of its interfaces are drawn, and their running sum
     drops a partial assembly as soon as it exceeds the budget.
 
-    Each level is decided once per process: ``_LEVEL_CACHE`` maps a level's
-    state to the options that keep every component open, each with its
-    forced-mark increase and the right group's component labels, so a
-    level only adds the increase to its running sum and checks the budget.
-    The key holds everything those depend on: the interface's node count,
-    the weight cap, whether the level is the first or the last, per left
-    piece its class, genus, degree, arrivals and the last field of its
-    interface spec (a fiber piece's arriving weight, a positive piece's
-    allowance clamped at 1), per right piece its class, genus and degree,
-    and the component labels so far.  The running sum and the mark budget
-    stay out of it; the budget reaches the options only through the clamped
-    allowance, which is why the memo is exact across budgets.
+    Each level is decided once per process by :func:`_level_options`, a
+    memo over the level's state; a level only adds the forced-mark increase
+    to its running sum and checks the budget.  The running sum and the mark
+    budget stay out of the state; the budget reaches the options only
+    through a positive piece's allowance, clamped at 1, which is why the
+    memo is exact across budgets.
 
     The dedupe walks each built skeleton's relabelings once, for its key
     and its automorphisms together; an emitted skeleton keeps the
@@ -1109,50 +1056,6 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
         return
     group_classes = [_data_classes(g) for g in pieces]
 
-    def level_options(i, count, left_spec, arrivals, comps):
-        # the options of one level that keep every component open, each with
-        # its forced-mark increase and the right group's component labels
-        left_group = pieces[i - 1]
-        right_group = pieces[i]
-        width = len(right_group)
-        last = i == ifaces
-        right_spec = tuple(
-            (cid, piece.degree == 0)
-            for cid, piece in zip(group_classes[i], right_group)
-        )
-        size = width + max(comps, default=-1) + 1
-        out = []
-        for iface, refined in _interface_options(
-            left_spec, count, wcap, right_spec, not last
-        ):
-            # both interfaces of the left group are drawn now, so its forced
-            # marks are final; the last group has only this one
-            contacts = list(arrivals)
-            for _, a, _ in iface:
-                contacts[a] += 1
-            delta = sum(
-                _mark_need(piece, i == 1, c) for piece, c in zip(left_group, contacts)
-            )
-            if last:
-                entries = [0] * width
-                for _, _, b in iface:
-                    entries[b] += 1
-                delta += sum(
-                    _mark_need(piece, True, c) for piece, c in zip(right_group, entries)
-                )
-            # the right pieces come first, so their labels count up in order
-            # of first appearance among them, and a component that reaches
-            # none of them gets a larger label: it is closed for good.  After
-            # the last interface only one component may remain.
-            labels = _components(size, [(b, width + comps[a]) for _, a, b in iface])
-            right = tuple(labels[:width])
-            if any(labels) if last else max(labels) > max(right):
-                continue
-            # right already numbers its pieces by first appearance, so the
-            # class cache hands back an equal tuple, one shared per value
-            out.append((iface, refined, delta, _data_classes(right)))
-        return tuple(out)
-
     def rec(i, chosen, q, classes, comps, need):
         left_group = pieces[i - 1]
         last = i == ifaces
@@ -1161,7 +1064,6 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
         for mu, _, b in chosen[-1] if chosen else ():
             arrivals[b] += 1
             sums[b] += mu
-        key = [q[i - 1], wcap, i == 1, last, len(left_group)]
         left_spec = []
         for p, piece in enumerate(left_group):
             cid = classes[p]
@@ -1178,16 +1080,17 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
                 # only min(allowance, 1) matters (see _interface_options)
                 spec = ("mid", cid, min(1, allowance))
             left_spec.append(spec)
-            key += (cid, piece.genus, piece.degree, arrivals[p], spec[-1])
-        for cid, piece in zip(group_classes[i], pieces[i]):
-            key += (cid, piece.genus, piece.degree)
-        key += comps
-        key = tuple(key)
-        options = _LEVEL_CACHE.get(key)
-        if options is None:
-            options = _LEVEL_CACHE[key] = level_options(
-                i, q[i - 1], tuple(left_spec), arrivals, comps
-            )
+        options = _level_options(
+            q[i - 1],
+            wcap,
+            last,
+            left_group,
+            tuple(left_spec),
+            tuple(arrivals),
+            pieces[i],
+            group_classes[i],
+            comps,
+        )
         for iface, refined, delta, right in options:
             got = need + delta
             if got > mark_budget:
@@ -1200,7 +1103,7 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
             chosen.pop()
 
     seen = set()
-    alone = list(range(len(pieces[0])))
+    alone = tuple(range(len(pieces[0])))
     for q in q_options:
         for sm in rec(1, [], q, group_classes[0], alone, 0):
             key, automorphisms = sm._symmetry()
@@ -1208,6 +1111,62 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
                 seen.add(key)
                 sm._automorphisms = automorphisms
                 yield sm
+
+
+@functools.cache
+def _level_options(
+    count,
+    wcap,
+    last,
+    left_group,
+    left_spec,
+    arrivals,
+    right_group,
+    right_classes,
+    comps,
+):
+    """The interfaces with ``count`` nodes of one :func:`_assemble` level
+    that keep every component open, each with its forced-mark increase and
+    the right group's component labels.  ``comps`` labels the left group's
+    pieces by component; the first level's left pieces are the "free" ones
+    of ``left_spec``, and ``last`` marks the last level."""
+    width = len(right_group)
+    right_spec = tuple(
+        (cid, piece.degree == 0) for cid, piece in zip(right_classes, right_group)
+    )
+    size = width + max(comps, default=-1) + 1
+    out = []
+    for iface, refined in _interface_options(
+        left_spec, count, wcap, right_spec, not last
+    ):
+        # both interfaces of the left group are drawn now, so its forced
+        # marks are final; the last group has only this one
+        contacts = list(arrivals)
+        for _, a, _ in iface:
+            contacts[a] += 1
+        delta = sum(
+            _mark_need(piece, spec[0] == "free", c)
+            for piece, spec, c in zip(left_group, left_spec, contacts)
+        )
+        if last:
+            entries = [0] * width
+            for _, _, b in iface:
+                entries[b] += 1
+            delta += sum(
+                _mark_need(piece, True, c) for piece, c in zip(right_group, entries)
+            )
+        # the right pieces come first, so their labels count up in order
+        # of first appearance among them, and a component that reaches
+        # none of them gets a larger label: it is closed for good.  After
+        # the last interface only one component may remain.
+        labels = _components(size, [(b, width + comps[a]) for _, a, b in iface])
+        right = tuple(labels[:width])
+        if any(labels) if last else max(labels) > max(right):
+            continue
+        # right already numbers its pieces by first appearance, so the
+        # class memo hands back an equal tuple, one shared per value
+        out.append((iface, refined, delta, _data_classes(right)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

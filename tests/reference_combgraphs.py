@@ -6,8 +6,9 @@ for every attachment choice, drops the ones that raise
 ``DisconnectedMapError`` and dedupes the rest by canonical key;
 ``ref_distribute_marks`` computes every piece's forced marks from the built
 skeleton and drops it when they exceed the mark budget.  They use the
-library's interface, count-vector and data-class generators and serve the
-tests as an oracle for the pruned assembly.
+library's interface, count-vector and data-class generators, uncached
+through ``__wrapped__`` so that no memo is shared with the library, and
+serve the tests as an oracle for the pruned assembly.
 
 Also here: the caps variants and types the window tests and the ordered
 enumeration pins share, and walks over every root order of an admissible
@@ -19,6 +20,7 @@ and for the group closure of ``eq_group``.
 
 import itertools
 
+from degkit import combgraphs
 from degkit.combgraphs import (
     DisconnectedMapError,
     EnumerationCaps,
@@ -26,10 +28,12 @@ from degkit.combgraphs import (
     SplitMap,
     TopType,
     _components,
-    _count_vector_options,
-    _data_classes,
-    _interface_options,
 )
+
+# the builders behind the library's memos, run afresh on every call
+_count_vector_options = combgraphs._count_vector_options.__wrapped__
+_data_classes = combgraphs._data_classes.__wrapped__
+_interface_options = combgraphs._interface_options.__wrapped__
 
 WINDOW_CAPS = {
     "default": EnumerationCaps(),

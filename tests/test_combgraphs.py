@@ -577,16 +577,11 @@ def test_pruned_assembly_matches_reference(t):
 
 
 def _clear_enumeration_caches():
-    for name in (
-        "_PIECE_CACHE",
-        "_PROFILE_CACHE",
-        "_INTERFACE_CACHE",
-        "_COUNTVEC_CACHE",
-        "_CLASS_CACHE",
-        "_LEVEL_CACHE",
-    ):
-        getattr(cg, name).clear()
-    cg._orbit_extras.cache_clear()
+    # every memo of the module, found by introspection so a new one is not
+    # missed
+    for value in vars(cg).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
 
 
 def test_level_memo_is_independent_of_fill_order():
@@ -605,7 +600,7 @@ def test_level_memo_is_independent_of_fill_order():
     forward = enumerate_all(runs)
     _clear_enumeration_caches()
     backward = enumerate_all(runs[::-1])
-    assert cg._LEVEL_CACHE
+    assert cg._level_options.cache_info().currsize
     assert backward == forward
     assert enumerate_all(runs) == forward
 
@@ -702,6 +697,19 @@ def _draw_shuffled(data):
 def test_canonical_key_ignores_piece_order(data):
     m, shuffled = _draw_shuffled(data)
     assert shuffled.canonical_key() == m.canonical_key()
+
+
+def test_relabeling_search_is_bounded():
+    # k identical pieces in one group have k! relabelings: 7! = 5,040 are
+    # searched, 8! = 40,320 are too many
+    piece = Piece(0, 1, 0)
+
+    def star(size):
+        return SplitMap([[piece] * size, [piece]], [[(1, a, 0) for a in range(size)]])
+
+    assert len(star(7).automorphisms()) == math.factorial(7)
+    with pytest.raises(SplitMapError, match="too many relabelings to search"):
+        star(8).canonical_key()
 
 
 def _brute_force_automorphisms(m):
