@@ -161,8 +161,10 @@ class SplitMap:
     route goes through it; only the enumerator skips it, through
     :meth:`_built`, for maps that are valid by construction."""
 
-    # set only on the mark-free skeletons that _assemble emits; they die
-    # after mark placement, so no emitted map holds a relabeling list
+    # set only on the mark-free skeletons that _assemble emits, from their
+    # dedupe walk or, when no group repeats a piece, to one identity list
+    # shared by the call's skeletons; they die after mark placement, so no
+    # emitted map holds a relabeling list
     _automorphisms = None
 
     def __init__(self, groups, nodes):
@@ -1020,9 +1022,12 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     through a positive piece's allowance, clamped at 1, which is why the
     memo is exact across budgets.
 
-    The dedupe walks each built skeleton's relabelings once, for its key
-    and its automorphisms together; an emitted skeleton keeps the
-    automorphisms, which mark placement reads.  They are built unchecked
+    The dedupe walks each built skeleton's relabelings at most once, for
+    its key and its automorphisms together, and not at all when no group
+    repeats a piece: then the identity is the only relabeling, every
+    skeleton is its own class, and all share one identity list.  An
+    emitted skeleton keeps the automorphisms, which mark placement reads
+    and never changes.  Skeletons are built unchecked
     (:meth:`SplitMap._built`): nodes join existing pieces with positive
     weights, and the closed-component cut keeps only connected ones."""
     ifaces = n + 1
@@ -1102,15 +1107,26 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
                 yield from rec(i + 1, chosen, q, refined, right, got)
             chosen.pop()
 
-    seen = set()
     alone = tuple(range(len(pieces[0])))
-    for q in q_options:
-        for sm in rec(1, [], q, group_classes[0], alone, 0):
-            key, automorphisms = sm._symmetry()
-            if key not in seen:
-                seen.add(key)
-                sm._automorphisms = automorphisms
-                yield sm
+    skeletons = (
+        sm for q in q_options for sm in rec(1, [], q, group_classes[0], alone, 0)
+    )
+    if all(c == tuple(range(len(c))) for c in group_classes):
+        # no group repeats a piece: the identity is the only relabeling,
+        # and rec never draws one node tuple twice, so no two skeletons are
+        # isomorphic and each has the identity alone
+        identity = [tuple(group_classes)]
+        for sm in skeletons:
+            sm._automorphisms = identity
+            yield sm
+        return
+    seen = set()
+    for sm in skeletons:
+        key, automorphisms = sm._symmetry()
+        if key not in seen:
+            seen.add(key)
+            sm._automorphisms = automorphisms
+            yield sm
 
 
 @functools.cache

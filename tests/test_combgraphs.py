@@ -641,6 +641,20 @@ def test_interface_options_read_the_allowance_only_up_to_one():
     assert zero_differs > 0
 
 
+def test_interface_options_need_a_contact_on_right_fiber_pieces():
+    # one end piece on the left, two degree-zero pieces of distinct classes
+    # on the right, weights up to 1: with needs_left an interface must reach
+    # both right pieces, without it the ones that miss a piece stay
+    left, right = (("free", 0),), ((0, True), (1, True))
+    one = (((1, 0, 0),), (0, 1)), (((1, 0, 1),), (0, 1))
+    both = (((1, 0, 0), (1, 0, 1)), (0, 1))
+    two = (((1, 0, 0), (1, 0, 0)), (0, 1)), both, (((1, 0, 1), (1, 0, 1)), (0, 1))
+    assert cg._interface_options(left, 1, 1, right, False) == one
+    assert cg._interface_options(left, 1, 1, right, True) == ()
+    assert cg._interface_options(left, 2, 1, right, False) == two
+    assert cg._interface_options(left, 2, 1, right, True) == (both,)
+
+
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_orbit_extras_match_a_filter_over_all_tuples(size):
     for budget in range(7):
@@ -875,12 +889,17 @@ def test_enumerator_builds_only_valid_maps(burnside_placements):
         assert checked.n == m.n and _tuples_all_the_way_down(m), m
 
 
+def _repeats_a_piece(m):
+    return any(len(set(g)) < len(g) for g in m.groups)
+
+
 def test_mark_placement_builds_only_stable_maps():
-    # over the stable runs, mark placement builds no unstable map, each
-    # skeleton's relabelings are walked once (its dedupe key and its
-    # automorphisms come from one pass), and each placement call counts its
-    # skeleton's contacts once.  Maps are counted through both the checking
-    # constructor and the unchecked builder the enumerator uses
+    # over the stable runs, mark placement builds no unstable map, and each
+    # placement call counts its skeleton's contacts once.  The relabelings
+    # of a built skeleton are walked once (its dedupe key and its
+    # automorphisms come from one pass) when its piece set repeats a piece
+    # within some group, and never otherwise.  Maps are counted through both
+    # the checking constructor and the unchecked builder the enumerator uses
     built, placed, calls = [], [], []
     real_init = SplitMap.__init__
     real_built = SplitMap._built
@@ -921,10 +940,42 @@ def test_mark_placement_builds_only_stable_maps():
             if stable:
                 enumerate_split_maps(t, caps, stable_only=True)
         assert [c.args[0] for c in contacts.call_args_list] == calls
-        skeletons = len(built) - len(placed)
-        assert skeletons > 4000
-        assert relabelings.call_count == skeletons
+        placed_ids = set(map(id, placed))
+        skeletons = [sm for sm in built if id(sm) not in placed_ids]
+        repeating = [sm for sm in skeletons if _repeats_a_piece(sm)]
+        assert len(skeletons) > 4000
+        assert 0 < len(repeating) < len(skeletons)
+        assert [c.args[0] for c in relabelings.call_args_list] == repeating
     assert all(m.is_stable() for m in placed)
+
+
+def test_assembled_skeletons_carry_their_automorphisms():
+    # every skeleton _assemble yields carries the automorphisms that a
+    # fresh, checked copy walks and that a brute-force search finds, both
+    # when its piece set repeats a piece and when the identity is taken
+    # without a walk; no two skeletons of one call are isomorphic
+    runs = []
+    real = cg._assemble
+
+    def recording(*args):
+        skeletons = list(real(*args))
+        runs.append(skeletons)
+        return iter(skeletons)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "_assemble", recording)
+        for t, caps, stable in BURNSIDE_RUNS:
+            enumerate_split_maps(t, caps, stable_only=stable)
+    kinds = Counter()
+    for skeletons in runs:
+        for sm in skeletons:
+            automorphisms = sm.automorphisms()
+            assert automorphisms == SplitMap(sm.groups, sm.nodes)._symmetry()[1], sm
+            assert sorted(automorphisms) == _brute_force_automorphisms(sm), sm
+            kinds[_repeats_a_piece(sm)] += 1
+        keys = [sm.canonical_key() for sm in skeletons]
+        assert len(set(keys)) == len(keys), skeletons[0].groups
+    assert kinds[True] > 1000 and kinds[False] > 1000, kinds
 
 
 def test_placement_memo_matches_fresh_placement():
