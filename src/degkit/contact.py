@@ -204,7 +204,8 @@ def _family_columns(levels):
 
     Together they span the ideal generated by levels[0] in the internal
     window.  Multiplying a level by e_j multiplies each nonzero slot by e_j
-    through the algebra's structure constants and reduces the tail slots as
+    through the algebra's structure constants, on the integer numerators
+    of the level over its one denominator, and reduces the tail slots as
     the ring's normal form does.  Flat positions run over the constant
     slot, then the z1 tail, then the z2 tail, ``dim`` coordinates a slot.
     """
@@ -212,23 +213,24 @@ def _family_columns(levels):
     alg = ring.algebra
     dim = alg.dim
     K = ring.internal - 1
-    basis_product = alg._basis_product
     fam = []
     for y in levels:
         cols = [{} for _ in range(dim)]
-        for k, pairs in y._nonzero_slots():
+        d, slots = y._scaled_slots()
+        for k, pairs in slots:
             offset = dim * (k if k >= 0 else K - k)
             space = ring._slot_spaces.get(abs(k))
             for j, col in enumerate(cols):
-                acc = [Fraction(0)] * dim
-                for i, ci in pairs:
-                    for m, pm in basis_product(i, j):
-                        acc[m] += ci * pm
+                acc = {}
+                alg._accumulate(acc, pairs, ((j, 1),), d)
+                x = alg._from_numerators(acc)
                 if space is not None:
-                    acc = space.reduce(acc)
-                for m, v in enumerate(acc):
-                    if v:
-                        col[offset + m] = v
+                    for m, v in enumerate(space.reduce(x.coeffs)):
+                        if v:
+                            col[offset + m] = v
+                else:
+                    for m, _ in x._scaled()[1]:
+                        col[offset + m] = x.coeffs[m]
         fam.extend(cols)
     return fam
 
@@ -573,12 +575,9 @@ def flat_local_forcing(data):
         raise ContactError("flatness", "psi_t = 0 has torsion everywhere")
     # kernel of multiplication by psi_t, with truncation-induced torsion
     # discounted: torsion below the truncation order is a real obstruction
-    rows = []
-    for i in range(alg.dim):
-        col = []
-        for j in range(alg.dim):
-            col.append((data.psi_t * alg.basis_element(j)).coeffs[i])
-        rows.append(col)
+    # column j is psi_t * e_j, one product each
+    cols = [(data.psi_t * alg.basis_element(j)).coeffs for j in range(alg.dim)]
+    rows = [list(row) for row in zip(*cols)]
     _, kernel = solve_linear(rows, [Fraction(0)] * alg.dim)
     v_psi = alg.valuation(data.psi_t)
     for vec in kernel:

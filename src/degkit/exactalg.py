@@ -25,10 +25,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .linalg import Subspace
 from .polys import Poly, _coeff, _int
+
+
+_ZERO = Fraction(0)
 
 
 def _frac_str(c):
@@ -106,7 +110,7 @@ class TruncatedAlgebra:
         self.dim = len(self.basis)
         if self.dim == 0:
             raise ValueError("the relations collapse the algebra to zero")
-        self._mul_table = {}
+        self._structure_table = {}
         self._mpowers = None
         # elements are immutable, so every caller may share these two
         self._zero = AlgebraElement(self, (Fraction(0),) * self.dim)
@@ -182,21 +186,65 @@ class TruncatedAlgebra:
         vec[i] = Fraction(1)
         return AlgebraElement(self, tuple(vec))
 
-    def _basis_product(self, i, j):
-        """The nonzero (index, coefficient) pairs of e_i * e_j, memoized."""
+    def _structure(self, i, j):
+        """e_i * e_j as (D, ((m, n), ...)): its nonzero structure constants
+        n / D as integer numerators over their least common denominator,
+        memoized.  This is the algebra's one multiplication table."""
         key = (i, j) if i <= j else (j, i)
-        got = self._mul_table.get(key)
+        got = self._structure_table.get(key)
         if got is None:
             exp = tuple(a + b for a, b in zip(self.basis[key[0]], self.basis[key[1]]))
             if sum(exp) >= self.order:
-                got = ()
+                got = (1, ())
             else:
-                coeffs = self._fullvec_to_coeffs(
-                    self._poly_to_fullvec(Poly.monomial(exp))
-                )
-                got = tuple((m, c) for m, c in enumerate(coeffs) if c)
-            self._mul_table[key] = got
+                got = self.monomial_element(exp)._scaled()
+            self._structure_table[key] = got
         return got
+
+    def _accumulate(self, acc, xs, ys, scale):
+        """Add the product of the scaled coordinates ``xs`` and ``ys``
+        ((basis index, integer numerator) pairs over the common denominator
+        ``scale``) into ``acc``: integer vectors keyed by their denominator,
+        scale times each structure denominator D."""
+        structure = self._structure
+        for i, a in xs:
+            for j, b in ys:
+                D, terms = structure(i, j)
+                if not terms:
+                    continue
+                vec = acc.get(scale * D)
+                if vec is None:
+                    vec = acc[scale * D] = [0] * self.dim
+                f = a * b
+                for m, c in terms:
+                    vec[m] += f * c
+
+    def _from_numerators(self, acc):
+        """The element sum_d acc[d] / d of integer vectors keyed by their
+        denominator: the vectors are added over one least common
+        denominator, and each nonzero coordinate becomes one Fraction.  The
+        element keeps that scaled form."""
+        if len(acc) == 1:
+            [(d, nums)] = acc.items()
+        else:
+            d = math.lcm(*acc)
+            nums = [0] * self.dim
+            for q, vec in acc.items():
+                f = d // q
+                for m, n in enumerate(vec):
+                    if n:
+                        nums[m] += f * n
+        pairs = tuple([(m, n) for m, n in enumerate(nums) if n])
+        if not pairs:
+            return self._zero
+        g = 1 if d == 1 else math.gcd(d, *[n for _, n in pairs])
+        if g != 1:
+            d //= g
+            pairs = tuple([(m, n // g) for m, n in pairs])
+        coeffs = [_ZERO] * self.dim
+        for m, n in pairs:
+            coeffs[m] = Fraction(n) if d == 1 else Fraction(n, d)
+        return AlgebraElement(self, coeffs, (d, pairs))
 
     def maximal_ideal_power(self, k):
         """Span of m^k as a subspace (m generated by all generators)."""
@@ -278,13 +326,34 @@ class TruncatedAlgebra:
 
 
 class AlgebraElement:
-    """Element of a truncated algebra as a vector over the cached basis."""
+    """Element of a truncated algebra as a vector over the cached basis.
 
-    __slots__ = ("algebra", "coeffs")
+    Elements are immutable.  Each keeps, once computed, its scaled form
+    (d, ((i, n), ...)): the nonzero coordinates as integer numerators n over
+    their least common denominator d, which the products read.
+    """
 
-    def __init__(self, algebra, coeffs):
+    __slots__ = ("algebra", "coeffs", "_scaled_form")
+
+    def __init__(self, algebra, coeffs, scaled=None):
         self.algebra = algebra
         self.coeffs = tuple(coeffs)
+        self._scaled_form = scaled
+
+    def _scaled(self):
+        got = self._scaled_form
+        if got is None:
+            nonzero = [
+                (i, n, q)
+                for i, (n, q) in enumerate(c.as_integer_ratio() for c in self.coeffs)
+                if n
+            ]
+            d = math.lcm(*[q for _, _, q in nonzero])
+            got = self._scaled_form = (
+                d,
+                tuple((i, n * (d // q)) for i, n, q in nonzero),
+            )
+        return got
 
     def _check(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -293,9 +362,14 @@ class AlgebraElement:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return AlgebraElement(
-            self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        acc = {}
+        for d, pairs in (self._scaled(), other._scaled()):
+            vec = acc.get(d)
+            if vec is None:
+                vec = acc[d] = [0] * self.algebra.dim
+            for i, n in pairs:
+                vec[i] += n
+        return self.algebra._from_numerators(acc)
 
     __radd__ = __add__
 
@@ -310,20 +384,18 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
-            c = _coeff(other)
-            return AlgebraElement(self.algebra, tuple(a * c for a in self.coeffs))
+            p, q = _coeff(other).as_integer_ratio()
+            d, xs = self._scaled()
+            vec = [0] * self.algebra.dim
+            for i, n in xs:
+                vec[i] = p * n
+            return self.algebra._from_numerators({d * q: vec})
         self._check(other)
-        basis_product = self.algebra._basis_product
-        acc = [Fraction(0)] * self.algebra.dim
-        ys = [(j, cj) for j, cj in enumerate(other.coeffs) if cj]
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in ys:
-                f = ci * cj
-                for k, pk in basis_product(i, j):
-                    acc[k] += f * pk
-        return AlgebraElement(self.algebra, tuple(acc))
+        dx, xs = self._scaled()
+        dy, ys = other._scaled()
+        acc = {}
+        self.algebra._accumulate(acc, xs, ys, dx * dy)
+        return self.algebra._from_numerators(acc)
 
     __rmul__ = __mul__
 
@@ -345,7 +417,7 @@ class AlgebraElement:
         return self.algebra.const(other)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self._scaled()[1]
 
     def constant_term(self):
         idx = self.algebra._basis_index.get(tuple([0] * len(self.algebra.gens)))
@@ -587,7 +659,7 @@ class NodeRing:
 
     def _slot_reduce(self, k, elem):
         space = self._slot_spaces.get(k)
-        if space is None or not any(elem.coeffs):
+        if space is None or elem.is_zero():
             return elem
         return AlgebraElement(self.algebra, space.reduce(elem.coeffs))
 
@@ -767,19 +839,25 @@ class NodeSeries:
             return other
         return self.ring.const(other)
 
-    def _nonzero_slots(self):
-        """(signed z-degree, nonzero (basis index, coefficient) pairs) of
-        every nonzero slot: +i for z1^i, -i for z2^i, 0 for the constant."""
-        out = []
+    def _scaled_slots(self):
+        """(d, [(signed z-degree, ((basis index, numerator), ...)), ...])
+        over the nonzero slots, +i for z1^i, -i for z2^i and 0 for the
+        constant: every slot's coordinates as integer numerators over d,
+        the least common denominator of the whole series."""
+        slots = []
         for deg, c in itertools.chain(
             ((0, self.a0),),
             enumerate(self.a, start=1),
             ((-i, c) for i, c in enumerate(self.b, start=1)),
         ):
-            nonzero = [(i, ci) for i, ci in enumerate(c.coeffs) if ci]
-            if nonzero:
-                out.append((deg, nonzero))
-        return out
+            q, pairs = c._scaled()
+            if pairs:
+                slots.append((deg, q, pairs))
+        d = math.lcm(*[q for _, q, _ in slots])
+        return d, [
+            (deg, pairs if q == d else tuple((i, n * (d // q)) for i, n in pairs))
+            for deg, q, pairs in slots
+        ]
 
     def __mul__(self, other):
         """Product on the nonzero slots only.
@@ -787,9 +865,12 @@ class NodeSeries:
         Slots of degrees p and q land in slot p + q; on opposite branches
         they also pick up s^min(|p|, |q|) from z1 z2 = s.  Pairs past the
         internal window or past the last nonzero power of s are skipped.
-        The coefficients are summed per (slot, power of s) through the
-        structure constants, multiplied by that power once, and the slots
-        are reduced as the ring's normal form does.
+        The integer numerators of both factors, over one denominator per
+        series, are summed per (slot, power of s) through the structure
+        constants.  Each power-of-s sum is multiplied by that power once and
+        added to its slot's numerators; each nonzero coordinate of a slot
+        becomes one Fraction, and the slots are reduced as the ring's normal
+        form does.
         """
         if isinstance(other, AlgebraElement):
             other = self.ring.const(other)
@@ -804,13 +885,12 @@ class NodeSeries:
         self._check(other)
         ring = self.ring
         alg = ring.algebra
-        basis_product = alg._basis_product
         K = ring.internal - 1
         s_pows = ring._s_pows
-        zeros = [Fraction(0)] * alg.dim
+        dx, xs = self._scaled_slots()
+        dy, ys = other._scaled_slots()
         acc = {}
-        ys = other._nonzero_slots()
-        for p, xc in self._nonzero_slots():
+        for p, xc in xs:
             for q, yc in ys:
                 k = p + q
                 if not -K <= k <= K:
@@ -818,25 +898,20 @@ class NodeSeries:
                 e = min(abs(p), abs(q)) if p * q < 0 else 0
                 if e >= len(s_pows):
                     continue
-                vec = acc.get((k, e))
-                if vec is None:
-                    vec = acc[k, e] = zeros[:]
-                for i, ci in xc:
-                    for j, cj in yc:
-                        f = ci * cj
-                        for m, pm in basis_product(i, j):
-                            vec[m] += f * pm
-        slots = {}
-        for (k, e), vec in acc.items():
-            if e:
-                vec = (AlgebraElement(alg, vec) * s_pows[e]).coeffs
-            total = slots.get(k)
-            slots[k] = vec if total is None else [u + v for u, v in zip(total, vec)]
+                vecs = acc.get((k, e))
+                if vecs is None:
+                    vecs = acc[k, e] = {}
+                alg._accumulate(vecs, xc, yc, dx * dy)
+        for k, e in [key for key in acc if key[1]]:
+            d, pairs = (alg._from_numerators(acc.pop((k, e))) * s_pows[e])._scaled()
+            vec = acc.setdefault((k, 0), {}).setdefault(d, [0] * alg.dim)
+            for m, n in pairs:
+                vec[m] += n
+        slots = {k: alg._from_numerators(vecs) for (k, _), vecs in acc.items()}
         zero = alg.zero()
 
         def elem(k):
-            vec = slots.get(k)
-            return zero if vec is None else AlgebraElement(alg, vec)
+            return slots.get(k, zero)
 
         return ring._series_internal(
             elem(0),

@@ -5,13 +5,23 @@ that ``degkit.exactalg.NodeSeries`` used before its product became a sparse
 kernel over the nonzero slots, and the algebra-element inverse by the
 geometric series alone, as it was before constants were inverted directly.  They read the same normal form and go
 through the ring's public slot reduction, so their results must equal the
-library's bit for bit.  :func:`fixture_algebra` is the fixture base of the
-acceptance suite, an algebra of dimension above one.
+library's bit for bit.  :func:`multiply_elements` multiplies two algebra
+elements as polynomials and reduces the product by the relations, without
+the structure-constant table.  :func:`fixture_algebra` is the fixture base
+of the acceptance suite, an algebra of dimension above one, and
+:func:`ratio_algebra` is a base whose structure constants are not all
+integers.
 """
 
 from fractions import Fraction
 
 from degkit import Poly, TruncatedAlgebra
+
+
+def multiply_elements(x, y):
+    """x * y for two algebra elements: the product of their polynomials,
+    reduced by the relations and the truncation."""
+    return x.algebra.from_poly(x.as_poly() * y.as_poly())
 
 
 def multiply(x, y):
@@ -112,6 +122,14 @@ def fixture_algebra(extra=()):
         rels += [mono(i, i), mono(0, i)]
         rels += [mono(i, i2) for i2 in range(i + 1, k)]
     return TruncatedAlgebra(gens, rels, order=4)
+
+
+def ratio_algebra():
+    """Q[s, c, d] / (3 d^2 - 2 c^2), truncated at order 4: d^2 = 2/3 c^2,
+    so some structure constants have denominator 3."""
+    return TruncatedAlgebra(
+        ("s", "c", "d"), [Poly(3, {(0, 0, 2): 3, (0, 2, 0): -2})], order=4
+    )
 
 
 UNITS = (1, -1, 2, 3, Fraction(1, 2))

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from degkit import (
     normal_form_stepwise,
     series_from_json,
 )
-from reference_exactalg import fixture_algebra
+from reference_exactalg import fixture_algebra, ratio_algebra
 
 
 def test_power_series_truncation_dimension(Qs8):
@@ -354,12 +355,26 @@ def test_adjoin_nilpotent(obstructed):
 
 @pytest.mark.parametrize(
     "name",
-    ["Qs8", "Qs6", "Qs4", "QQ", "Qeps", "Qc2", "obstructed", "fixture", "fixture_d"],
+    [
+        "Qs8",
+        "Qs6",
+        "Qs4",
+        "QQ",
+        "Qeps",
+        "Qc2",
+        "obstructed",
+        "fixture",
+        "fixture_d",
+        "ratio",
+    ],
 )
 def test_basis_product_pairs_match_monomial_reduction(request, name):
     # e_i * e_j is the product monomial reduced by the relations and the
-    # truncation; the table holds exactly its nonzero coordinates
-    if name.startswith("fixture"):
+    # truncation; the table holds exactly its nonzero coordinates, as
+    # integer numerators over their least common denominator
+    if name == "ratio":
+        alg = ratio_algebra()
+    elif name.startswith("fixture"):
         alg = fixture_algebra(("d",) if name == "fixture_d" else ())
     else:
         alg = request.getfixturevalue(name)
@@ -367,9 +382,53 @@ def test_basis_product_pairs_match_monomial_reduction(request, name):
         for j, mj in enumerate(alg.basis):
             reduced = alg.from_poly(Poly.monomial(mi) * Poly.monomial(mj))
             expected = tuple((m, c) for m, c in enumerate(reduced.coeffs) if c)
-            got = alg._basis_product(i, j)
-            assert got == expected
-            assert all(type(c) is Fraction for _, c in got)
+            D, terms = alg._structure(i, j)
+            assert type(D) is int and D >= 1
+            assert all(type(n) is int and n for _, n in terms)
+            assert math.gcd(D, *[n for _, n in terms]) == 1
+            assert tuple((m, Fraction(n, D)) for m, n in terms) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _product_algebra(name):
+    """Q[s]/s^8, the fixture bases and the base with structure constants
+    over 3."""
+    if name == "Qs8":
+        return TruncatedAlgebra(("s",), order=8)
+    if name == "ratio":
+        return ratio_algebra()
+    return fixture_algebra(("d",) if name == "fixture_d" else ())
+
+
+@st.composite
+def _element_triples(draw):
+    alg = _product_algebra(draw(st.sampled_from(["Qs8", "fixture", "fixture_d", "ratio"])))
+    coeff = st.sampled_from(
+        [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+    )
+    return tuple(
+        alg.element(draw(st.lists(coeff, min_size=alg.dim, max_size=alg.dim)))
+        for _ in range(3)
+    )
+
+
+@given(_element_triples())
+@settings(max_examples=80, deadline=None)
+def test_element_product_matches_relation_oracle(triple):
+    # the integer kernel against the polynomial product reduced by the
+    # relations; the second product reads the scaled form the first one kept;
+    # sums and scalar multiples against coordinatewise Fraction arithmetic
+    x, y, z = triple
+    xy = x * y
+    assert xy == reference_exactalg.multiply_elements(x, y)
+    assert xy == y * x
+    assert xy.is_zero() == all(c == 0 for c in xy.coeffs)
+    assert xy * z == reference_exactalg.multiply_elements(
+        reference_exactalg.multiply_elements(x, y), z
+    )
+    c = Fraction(-2, 3)
+    assert (xy + z).coeffs == tuple(a + b for a, b in zip(xy.coeffs, z.coeffs))
+    assert (x * c).coeffs == tuple(a * c for a in x.coeffs)
 
 
 # --- serialization -------------------------------------------------------
@@ -475,9 +534,12 @@ def test_exact_scalars_still_work(Rs8, Qs8):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_ring(name):
-    """Q[s]/s^N for N = 4, 5, 6 and the fixture algebra Q[s, c, d]."""
+    """Q[s]/s^N for N = 4, 5, 6, the fixture algebra Q[s, c, d] and the
+    base with structure constants over 3."""
     if name == "fixture":
         return NodeRing(fixture_algebra(("d",)), order=4)
+    if name == "ratio":
+        return NodeRing(ratio_algebra(), order=4)
     N = int(name)
     return NodeRing(TruncatedAlgebra(("s",), order=N), order=N - 1)
 
@@ -516,7 +578,7 @@ def _oracle_series(draw, ring):
 
 @st.composite
 def _oracle_pairs(draw):
-    ring = _oracle_ring(draw(st.sampled_from(["4", "5", "6", "fixture"])))
+    ring = _oracle_ring(draw(st.sampled_from(["4", "5", "6", "fixture", "ratio"])))
     return ring, draw(_oracle_series(ring)), draw(_oracle_series(ring))
 
 
