@@ -161,11 +161,13 @@ class SplitMap:
     route goes through it; only the enumerator skips it, through
     :meth:`_built`, for maps that are valid by construction."""
 
-    # set only on the mark-free skeletons that _assemble emits, from their
-    # dedupe walk or, when no group repeats a piece, to one identity list
-    # shared by the call's skeletons; they die after mark placement, so no
-    # emitted map holds a relabeling list
+    # set on the mark-free skeletons that _assemble emits, from their dedupe
+    # walk or, when no group repeats a piece, to one identity list shared by
+    # the call's skeletons; on any other map, by its first automorphisms()
+    # call, and _images by its automorphism_interface_image calls (one
+    # sorted image per interface).  Callers only ever get copies.
     _automorphisms = None
+    _images = None
 
     def __init__(self, groups, nodes):
         groups = tuple(tuple(g) for g in groups)
@@ -375,26 +377,34 @@ class SplitMap:
         interface as a multiset of weighted attachments: the relabelings
         whose node encoding (the one ``canonical_key`` minimizes) is the
         identity's.  A skeleton that :func:`_assemble` emits carries them
-        from its dedupe."""
+        from its dedupe; any other map walks its relabelings on the first
+        call, keeps the list (and the canonical key, which the same walk
+        gives) and returns a fresh copy each time."""
         if self._automorphisms is None:
-            return self._symmetry()[1]
-        return self._automorphisms
+            self._canonical, self._automorphisms = self._symmetry()
+        return list(self._automorphisms)
 
     def automorphism_interface_image(self, l):
         """Subgroup of permutations of the interface-l node instances induced
-        by automorphisms (instances with equal data are interchangeable)."""
+        by automorphisms (instances with equal data are interchangeable),
+        sorted; the map keeps it per interface and returns a fresh copy."""
         if not 1 <= _int(l, "l") <= self.n + 1:
             raise SplitMapError("interface index out of range")
-        iface = self.nodes[l - 1]
-        return sorted(
-            {
-                order
-                for auto in self.automorphisms()
-                for order in _matchings(
-                    iface, [(mu, auto[l - 1][a], auto[l][b]) for mu, a, b in iface]
-                )
-            }
-        )
+        if self._images is None:
+            self._images = {}
+        image = self._images.get(l)
+        if image is None:
+            iface = self.nodes[l - 1]
+            image = self._images[l] = sorted(
+                {
+                    order
+                    for auto in self.automorphisms()
+                    for order in _matchings(
+                        iface, [(mu, auto[l - 1][a], auto[l][b]) for mu, a, b in iface]
+                    )
+                }
+            )
+        return list(image)
 
     def __eq__(self, other):
         return (
@@ -1329,7 +1339,8 @@ class AdmissibleGraph:
         are numbered by first appearance among the legs, then the roots
         (``roots`` overrides the stored root order), and vertices touched by
         neither come last, sorted by (genus, class)."""
-        roots = self.roots if roots is None else roots
+        if roots is None:
+            return self._key_under(tuple(range(self.num_roots)))
         number = {}
         for v in itertools.chain(self.legs, (v for v, _ in roots)):
             number.setdefault(v, len(number))
@@ -1341,6 +1352,36 @@ class AdmissibleGraph:
             tuple(number[v] for v in self.legs),
             tuple((number[v], w) for v, w in roots),
         )
+
+    @functools.cached_property
+    def _keys(self):
+        """The canonical key per root order, kept as the orders are asked
+        for; the graph is immutable, so a kept key never goes stale."""
+        return {}
+
+    def _key_under(self, order):
+        """The canonical key with root j taken from stored root order[j]."""
+        key = self._keys.get(order)
+        if key is None:
+            key = self._keys[order] = self.canonical_key(
+                tuple(self.roots[i] for i in order)
+            )
+        return key
+
+    @functools.cached_property
+    def _root_column(self):
+        """Per root, its vertex's genus, class, leg positions and sorted
+        root weights: this side's entries of :func:`_root_signatures`."""
+        data = [
+            (
+                self.genera[v],
+                self.classes[v],
+                tuple(j for j, x in enumerate(self.legs) if x == v),
+                tuple(sorted(w for x, w in self.roots if x == v)),
+            )
+            for v in range(self.num_vertices)
+        ]
+        return tuple(data[v] for v, _ in self.roots)
 
     def isomorphic(self, other):
         """Order-preserving isomorphism on legs and roots, preserving both
@@ -1436,10 +1477,14 @@ class AdmissibleTriple:
     def canonical_keys(self, order=None):
         """Both sides' canonical keys with root j taken from root order[j]
         (the stored order when ``order`` is None)."""
-        return tuple(
-            g.canonical_key(None if order is None else tuple(g.roots[i] for i in order))
-            for g in (self.first, self.second)
-        )
+        if order is None:
+            order = tuple(range(self.num_roots))
+        return self.first._key_under(order), self.second._key_under(order)
+
+    @functools.cached_property
+    def _eq(self):
+        """The sorted symmetry group that :func:`eq_group` copies out."""
+        return sorted(_orders_onto(self, self))
 
     def reorder(self, sigma):
         return AdmissibleTriple(
@@ -1454,6 +1499,15 @@ class AdmissibleTriple:
         )
 
     def numeric_shadow(self):
+        """Both sides projected to :data:`NUMERIC_GROUP`: the triple itself
+        when both already lie over it (the projection would rebuild equal
+        graphs), otherwise a triple built once and kept."""
+        if self.first.group == NUMERIC_GROUP == self.second.group:
+            return self
+        return self._shadow
+
+    @functools.cached_property
+    def _shadow(self):
         return AdmissibleTriple(
             self.first.numeric_shadow(),
             self.second.numeric_shadow(),
@@ -1528,19 +1582,13 @@ def _root_signatures(triple):
     leg positions and root weights, so they show root j's signature where
     the order puts root j.  An order that carries one triple's keys onto
     another's thus matches roots of equal signature."""
-    sides = []
-    for g in (triple.first, triple.second):
-        data = [
-            (
-                g.genera[v],
-                g.classes[v],
-                tuple(j for j, x in enumerate(g.legs) if x == v),
-                tuple(sorted(w for x, w in g.roots if x == v)),
-            )
-            for v in range(g.num_vertices)
-        ]
-        sides.append([data[v] for v, _ in g.roots])
-    return list(zip(triple.first.root_weights(), *sides))
+    return list(
+        zip(
+            triple.first.root_weights(),
+            triple.first._root_column,
+            triple.second._root_column,
+        )
+    )
 
 
 def _orders_onto(triple, target):
@@ -1552,12 +1600,25 @@ def _orders_onto(triple, target):
     return [sigma for sigma in orders if triple.canonical_keys(sigma) == keys]
 
 
+def _fiber_orders(triple, target):
+    """The root orders under which ``triple`` has ``target``'s canonical
+    keys: {j -> sigma0[g[j]] : g in Eq(target)} for the first
+    signature-preserving order sigma0 that matches (the coset argument is
+    in :func:`fiber_count`)."""
+    keys = target.canonical_keys()
+    for first in _matchings(_root_signatures(triple), _root_signatures(target)):
+        if triple.canonical_keys(first) == keys:
+            return {tuple(first[i] for i in g) for g in target._eq}
+    return set()
+
+
 def eq_group(triple, bound=8):
     """Symmetry group inside S_r: the root orders that keep both sides'
-    canonical keys, sorted."""
+    canonical keys, sorted.  The triple keeps the group from its first
+    call; each call returns a fresh list."""
     if triple.num_roots > _int(bound, "bound"):
         raise GraphError("root count above the brute-force bound %d" % bound)
-    return sorted(_orders_onto(triple, triple))
+    return list(triple._eq)
 
 
 def phi_degree(triple, bound=8):
@@ -1749,6 +1810,16 @@ def fiber_count(triple, split_map, l, bound=8):
     instance permutations induced by the map's automorphisms.  Together with
     :func:`eq_group` this reproduces the degree of the gluing morphism:
     fiber_count * |induced automorphism image| = |Eq|.
+
+    The search stops at the first matching ordering sigma0: the matching
+    set is the coset {j -> sigma0[g[j]] : g in Eq} of the triple's symmetry
+    group, and that is exact.  Write B_sigma for the built halves with root
+    j taken from instance sigma[j].  B_sigma0 and the triple have equal
+    keys, so an isomorphism carries one onto the other root by root, and
+    reordering both by the same g keeps them isomorphic; B_sigma0 reordered
+    by g is B_(j -> sigma0[g[j]]).  So that ordering matches exactly when
+    the triple reordered by g has its own keys, i.e. when g is in Eq, and
+    every ordering sigma arises this way, from g = sigma0^-1 sigma.
     """
     _int(bound, "bound")
     side1, side2, sigma = decompose(split_map, l)
@@ -1764,11 +1835,10 @@ def fiber_count(triple, split_map, l, bound=8):
         built = AdmissibleTriple(first, second, tuple(range(1, first.num_legs + 1)))
     except GraphError:
         return 0
-    matching = _orders_onto(built, triple.numeric_shadow())
-    if not matching:
+    remaining = _fiber_orders(built, triple.numeric_shadow())
+    if not remaining:
         return 0
     image = split_map.automorphism_interface_image(l)
-    remaining = set(matching)
     orbits = 0
     while remaining:
         seed = remaining.pop()

@@ -15,10 +15,13 @@ enumeration pins share, and walks over every root order of an admissible
 triple (and every bijection between two label lists), as the library
 searched before it kept to signature-preserving orders: the oracle for
 ``_matchings``, for the orders ``fiber_count`` matches, for the triple key
-and for the group closure of ``eq_group``.
+and for the group closure of ``eq_group``, and the digest that pins ordered
+triple lists.
 """
 
+import hashlib
 import itertools
+import json
 
 from degkit import combgraphs
 from degkit.combgraphs import (
@@ -228,14 +231,24 @@ def ref_matchings(have, want):
     ]
 
 
+def _keys_under(triple, order):
+    """Both sides' canonical keys with root j taken from root order[j],
+    computed from the explicit root lists, which no graph keeps, so no key
+    kept on the triple's graphs is read."""
+    return tuple(
+        g.canonical_key(tuple(g.roots[i] for i in order))
+        for g in (triple.first, triple.second)
+    )
+
+
 def ref_orders_onto(triple, target):
     """The root orders under which ``triple`` has ``target``'s canonical
     keys, from a walk over all r! orders (``fiber_count``'s matching set)."""
-    keys = target.canonical_keys()
+    keys = _keys_under(target, range(target.num_roots))
     return [
         order
         for order in itertools.permutations(range(triple.num_roots))
-        if triple.canonical_keys(order) == keys
+        if _keys_under(triple, order) == keys
     ]
 
 
@@ -244,11 +257,21 @@ def ref_triple_key(triple):
     leg subset."""
     return (
         min(
-            triple.canonical_keys(order)
+            _keys_under(triple, order)
             for order in itertools.permutations(range(triple.num_roots))
         ),
         triple.first_legs,
     )
+
+
+def triples_digest(triples):
+    """SHA-256 of an ordered triple list: both sides' JSON and the leg
+    subset of each triple, in list order."""
+    payload = json.dumps(
+        [[t.first.to_json(), t.second.to_json(), list(t.first_legs)] for t in triples],
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def ref_is_group(elements, r):

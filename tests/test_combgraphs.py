@@ -51,6 +51,7 @@ from reference_combgraphs import (
     ref_matchings,
     ref_orders_onto,
     ref_triple_key,
+    triples_digest,
 )
 
 
@@ -1444,13 +1445,102 @@ def test_fiber_orders_match_the_walk_over_all_orders(default_triples):
     assert len(pairs) > 5000
     for built, target in pairs:
         target = target.numeric_shadow()
-        got = cg._orders_onto(built, target)
-        assert sorted(got) == ref_orders_onto(built, target) != []
+        walked = ref_orders_onto(built, target)
+        assert sorted(cg._orders_onto(built, target)) == walked != []
+        # fiber_count's set: the first matching order times Eq(target)
+        assert sorted(cg._fiber_orders(built, target)) == walked
     # onto a neighbouring triple with the same root weights
     for (built, _), (other, _) in zip(pairs, pairs[1:]):
         if built.first.root_weights() == other.first.root_weights():
             got = cg._orders_onto(built, other)
             assert sorted(got) == ref_orders_onto(built, other)
+
+
+def _rank_three_triple():
+    """A triple over a rank-three class group, not NUMERIC_GROUP, whose
+    first side's two vertices differ in class but not in the functionals:
+    |Eq| = 4, and 8 for the numeric shadow, which may swap them."""
+    group = ClassGroup(3, (1, 0, 1), (0, 1, 0))
+    first = AdmissibleGraph(
+        group, (0, 0), ((1, 2, 0), (0, 2, 1)), (), ((0, 1), (0, 1), (1, 1), (1, 1))
+    )
+    second = AdmissibleGraph(group, (1,), ((0, 4, 2),), (), tuple([(0, 1)] * 4))
+    return AdmissibleTriple(first, second, ())
+
+
+def test_fiber_orders_over_a_class_group_that_is_not_numeric():
+    t = _rank_three_triple()
+    assert eq_group(t) == _brute_force_eq(t) and len(eq_group(t)) == 4
+    rng = random.Random(5)
+    for target in (t, _shuffled(t, rng), _moved(t, rng)):
+        for built in (t, _moved(t, rng)):
+            walked = ref_orders_onto(built, target)
+            assert len(walked) == 4
+            assert sorted(cg._fiber_orders(built, target)) == walked
+    # fiber_count reads the numeric shadow, built once and kept
+    shadow = t.numeric_shadow()
+    assert shadow is t.numeric_shadow() and shadow.numeric_shadow() is shadow
+    assert shadow == AdmissibleTriple(
+        t.first.numeric_shadow(), t.second.numeric_shadow(), ()
+    )
+    assert len(eq_group(shadow)) == 8
+    m = realize_split_map(t)
+    assert len(m.automorphism_interface_image(1)) == 8
+    assert fiber_count(t, m, 1) == 1
+
+
+def _fresh_triple(t):
+    """An equal triple built anew, holding no kept results."""
+    return AdmissibleTriple(
+        *(
+            AdmissibleGraph(g.group, g.genera, g.classes, g.legs, g.roots)
+            for g in (t.first, t.second)
+        ),
+        t.first_legs,
+    )
+
+
+def test_kept_symmetry_answers_like_a_fresh_copy(default_triples):
+    rng = random.Random(23)
+    triples = SMALL_LEG_TRIPLES[::7] + default_triples[::11] + [_rank_three_triple()]
+    for t in triples:
+        m = realize_split_map(t)
+        # fill every kept result, then ask again and ask a fresh equal copy
+        for _ in range(2):
+            eq = eq_group(t)
+            fibers = fiber_count(t, m, 1)
+            image = m.automorphism_interface_image(1)
+            autos = m.automorphisms()
+            key = cg._triple_canonical_key(t)
+        fresh, fresh_map = _fresh_triple(t), SplitMap(m.groups, m.nodes)
+        assert eq == eq_group(fresh) == _brute_force_eq(fresh)
+        assert fibers == fiber_count(fresh, fresh_map, 1)
+        assert image == fresh_map.automorphism_interface_image(1)
+        assert autos == fresh_map.automorphisms()
+        assert m.canonical_key() == fresh_map.canonical_key()
+        assert key == cg._triple_canonical_key(fresh)
+        for order in itertools.permutations(range(t.num_roots)):
+            assert t.canonical_keys(order) == fresh.canonical_keys(order)
+        assert t.numeric_shadow() == fresh.numeric_shadow()
+        # a reordered triple has graphs of its own and its own results
+        u = _shuffled(t, rng)
+        assert eq_group(u) == _brute_force_eq(u)
+        assert fiber_count(u, m, 1) == fibers
+        assert cg._triple_canonical_key(u) == key
+
+
+def test_kept_symmetry_hands_out_copies():
+    t = _rank_three_triple()
+    m = realize_split_map(t)
+    eq, image, autos = eq_group(t), m.automorphism_interface_image(1), m.automorphisms()
+    assert (len(eq), len(image), len(autos)) == (4, 8, 2)
+    for got in (eq, image, autos):
+        got.append(got[0])
+        got.reverse()
+    assert eq_group(t) == sorted(eq[:-1])
+    assert m.automorphism_interface_image(1) == sorted(image[:-1])
+    assert sorted(m.automorphisms()) == sorted(autos[:-1])
+    assert fiber_count(t, m, 1) == 1
 
 
 def test_triple_key_matches_the_walk_over_all_orders():
@@ -1596,6 +1686,19 @@ def test_triple_enumeration_pinned():
     assert Counter(t.num_roots for t in triples) == {0: 4, 1: 8, 2: 52, 3: 240, 4: 892}
     assert sum(len(eq_group(t)) for t in triples) == 2612
     assert sum(fiber_count(t, realize_split_map(t), 1) for t in triples) == 1196
+    assert triples_digest(triples) == (
+        "9edd4dd06637d1f7f21f27dc6429ba709a4dab472095214c1b1791317b136c3a"
+    )
+
+
+def test_five_root_triple_enumeration_pinned():
+    # the ordered list, recorded before the symmetry results were kept on
+    # the objects
+    triples = enumerate_triples(TripleAlphabet(max_roots=5))
+    assert len(triples) == 3588
+    assert triples_digest(triples) == (
+        "6238b0907d957f0454b9dd90b52fd5f0b3a2fde94fcc750256e3c064534f68b4"
+    )
 
 
 def test_fiber_count_with_legs():
