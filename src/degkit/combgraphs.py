@@ -643,7 +643,12 @@ def _enumerate_for_n(t, n, caps, stable_only=False):
     ``nodes_per_interface`` per interface.  That ceiling cuts count vectors,
     then genus placements, before any piece is built.  The floor of one node
     per interface needs no cut: once n >= 1 every group has a piece, so
-    sum(counts) - 1 >= n + 1 already.
+    sum(counts) - 1 >= n + 1 already.  Marks have a floor that does cut:
+    every group carries at least :func:`_mark_floor`'s forced marks for the
+    contacts it gets, so a piece set whose floors exceed the type's marks
+    even with every interface full never reaches :func:`_assemble`, and
+    that drops the count vectors whose floors exceed them.  Both cuts leave
+    only candidates that would assemble no skeleton.
     """
     wcap = caps.weight_cap(t)
     max_nodes = min(caps.node_budget(t), (n + 1) * caps.nodes_per_interface)
@@ -682,6 +687,22 @@ def _mark_need(piece, end, contacts):
         w0 = piece.degree + 2 * piece.genus - 2 + contacts
         return max(0, 1 - w0)
     return 0
+
+
+def _mark_floor(group, end, touch):
+    """The contacts the pieces of ``group`` need for it to carry no forced
+    mark, when each piece has at least ``touch`` of them.
+
+    Every branch of :func:`_mark_need` is max(0, a - c), with a the need at
+    no contact, so a piece needs max(a, touch) contacts to carry nothing
+    and each contact it lacks costs it exactly one mark.  A group with C
+    contacts, at least ``touch`` on each piece, thus carries at least
+    max(0, floor - C) = max(0, sum of max(0, a - touch) - (C - touch *
+    pieces)) forced marks, and exactly that many under the best split of C
+    over its pieces: the bound is exact.  Every piece of a connected
+    skeleton with two or more pieces has a contact, so the enumerator
+    passes touch 1 there."""
+    return sum(max(_mark_need(p, end, 0), touch) for p in group)
 
 
 def _distribute_marks(skeleton, k, stable_only=False, memo=None):
@@ -852,26 +873,42 @@ def _group_data_options(t, counts, n, caps, stable_only, loops_max):
     contact-and-mark-free weight cannot fall below 1 - 2 * node cap - marks,
     and the two end weights must leave room for every middle group to weigh
     at least one (marks only push the end weights up).
+
+    In both modes the groups chosen so far must leave their forced marks
+    within the type's marks: each group carries at least the
+    :func:`_mark_floor` forced marks of its most contacts, a full interface
+    on each side, and those only fall as contacts grow.  A piece set
+    dropped here would have every skeleton's forced marks above the marks,
+    so :func:`_assemble` would yield nothing for it.
     """
     groups_count = len(counts)
     norm = t.norm()
     middle_floor = 1 - 2 * caps.nodes_per_interface - t.marks
+    touch = 1 if sum(counts) >= 2 else 0
 
-    def rec(i, deg_left, gen_left, end_base, chosen):
+    def rec(i, deg_left, gen_left, end_base, chosen, forced):
         if i == groups_count:
             if deg_left == 0 and gen_left <= loops_max:
                 yield chosen, gen_left
             return
+        end = i in (0, groups_count - 1)
+        # the most contacts group i can get: a full interface on each side
+        most = caps.nodes_per_interface * ((i > 0) + (i < groups_count - 1))
         for pieces, d, g, base in _piece_tuples(counts[i], deg_left, gen_left):
             if stable_only and n >= 1:
                 if 1 <= i <= groups_count - 2 and base < middle_floor:
                     continue
                 if i == groups_count - 1 and end_base + base > norm - n - 2:
                     continue
+            got = forced + max(0, _mark_floor(pieces, end, touch) - most)
+            if got > t.marks:
+                continue
             nxt = end_base + base if i == 0 else end_base
-            yield from rec(i + 1, deg_left - d, gen_left - g, nxt, chosen + (pieces,))
+            yield from rec(
+                i + 1, deg_left - d, gen_left - g, nxt, chosen + (pieces,), got
+            )
 
-    yield from rec(0, t.degree, t.genus, 0, ())
+    yield from rec(0, t.degree, t.genus, 0, (), 0)
 
 
 def _profile_options(size, wcap, right_count, sum_exact):
@@ -1018,12 +1055,20 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     for positive middle pieces is relaxed by the pending mark budget.
 
     Only connected skeletons whose forced marks fit ``mark_budget`` are
-    built.  While interfaces are drawn, each piece of the current right
-    group carries the label of its component among the pieces joined so
-    far; a component that reaches no piece of the next group is closed for
-    good, so the partial assembly is dropped.  A group's forced marks are
-    final once both of its interfaces are drawn, and their running sum
-    drops a partial assembly as soon as it exceeds the budget.
+    built.  A count vector q gives group i exactly q[i - 1] + q[i]
+    contacts, and a connected skeleton of two or more pieces at least one
+    per piece, so group i carries at least the :func:`_mark_floor` forced
+    marks of those contacts; a q whose floors sum above the budget is
+    dropped before any interface is drawn.  The floor is the least over
+    every split of the contacts, so no q that could assemble a skeleton
+    within the budget is lost.
+
+    While interfaces are drawn, each piece of the current right group
+    carries the label of its component among the pieces joined so far; a
+    component that reaches no piece of the next group is closed for good,
+    so the partial assembly is dropped.  A group's forced marks are final
+    once both of its interfaces are drawn, and their running sum drops a
+    partial assembly as soon as it exceeds the budget.
 
     Each level is decided once per process by :func:`_level_options`, a
     memo over the level's state; a level only adds the forced-mark increase
@@ -1067,6 +1112,17 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     q_options = _count_vector_options(
         ifaces, node_total, caps.nodes_per_interface, count_low, middle_bases
     )
+    touch = 1 if sum(map(len, pieces)) >= 2 else 0
+    floors = [_mark_floor(g, i in (0, n + 1), touch) for i, g in enumerate(pieces)]
+    # group i gets q[i - 1] + q[i] contacts; with no contact at all the
+    # floors already fit, and then every q does
+    if sum(floors) > mark_budget:
+        q_options = [
+            q
+            for q in q_options
+            if sum(max(0, f - a - b) for f, a, b in zip(floors, (0,) + q, q + (0,)))
+            <= mark_budget
+        ]
     if not q_options:
         return
     group_classes = [_data_classes(g) for g in pieces]

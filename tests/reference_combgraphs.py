@@ -5,10 +5,12 @@ tracked while interfaces are drawn: ``ref_assemble`` builds a ``SplitMap``
 for every attachment choice, drops the ones that raise
 ``DisconnectedMapError`` and dedupes the rest by canonical key;
 ``ref_distribute_marks`` computes every piece's forced marks from the built
-skeleton and drops it when they exceed the mark budget.  They use the
-library's interface, count-vector and data-class generators, uncached
-through ``__wrapped__`` so that no memo is shared with the library, and
-serve the tests as an oracle for the pruned assembly.
+skeleton and drops it when they exceed the mark budget.  Neither reads the
+floor on a group's forced marks that the library's count vectors and group
+data are cut by.  They use the library's interface, count-vector and
+data-class generators, uncached through ``__wrapped__`` so that no memo is
+shared with the library, and serve the tests as an oracle for the pruned
+assembly.
 
 Also here: the caps variants and types the window tests and the ordered
 enumeration pins share, and walks over every root order of an admissible
@@ -68,9 +70,14 @@ def acceptance_caps(t):
 def ref_mark_need(sm, i, p):
     """Least number of marked points the generation rules force on piece p
     of group i (1-based), read off a built map."""
-    piece = sm.groups[i - 1][p]
     contacts = len(sm.left_contacts(i, p)) + len(sm.right_contacts(i, p))
-    if i in (1, sm.n + 2):
+    return ref_piece_need(sm.groups[i - 1][p], i in (1, sm.n + 2), contacts)
+
+
+def ref_piece_need(piece, end, contacts):
+    """Least number of marked points the generation rules force on a piece
+    with the given number of contacts, in an end group or a middle one."""
+    if end:
         if piece.degree == 0:
             if piece.genus == 0:
                 return max(0, 3 - contacts)

@@ -50,6 +50,7 @@ from reference_combgraphs import (
     ref_mark_need,
     ref_matchings,
     ref_orders_onto,
+    ref_piece_need,
     ref_triple_key,
     triples_digest,
 )
@@ -518,19 +519,42 @@ def test_all_maps_counts_pinned(windowed_runs):
     assert got == ALL_MAPS_COUNTS
 
 
+def _left_out(calls, ref_calls):
+    """The entries of ``ref_calls`` that ``calls`` leaves out; ``calls`` must
+    be ``ref_calls`` with some entries removed, in the same order."""
+    kept = iter(calls)
+    nxt = next(kept, None)
+    left_out = []
+    for call in ref_calls:
+        if call == nxt:
+            nxt = next(kept, None)
+        else:
+            left_out.append(call)
+    assert nxt is None, "a candidate the reference does not hand over, or out of order"
+    return left_out
+
+
 @pytest.mark.parametrize("variant", list(WINDOW_CAPS))
 def test_window_matches_unwindowed_reference(windowed_runs, variant):
-    # the window only cuts candidates that assemble nothing: the candidates
-    # that reach _assemble and the emitted lists, in order, are the
-    # unwindowed search's
+    # the window and the forced-mark floor only cut candidates that assemble
+    # nothing: the candidates that reach _assemble are the unwindowed
+    # search's with some left out, in order; the reference assembles no
+    # skeleton from a left-out one whose forced marks fit the budget; and
+    # the emitted lists, in order, are the unwindowed search's
+    caps = WINDOW_CAPS[variant]
+    removed = 0
     for t in NORM3_TYPES:
         for stable in (False, True):
             maps, calls = windowed_runs[variant, t, stable]
-            ref_maps, ref_calls = _reference_enumeration(
-                t, WINDOW_CAPS[variant], stable
-            )
-            assert calls == ref_calls, (t, stable)
+            ref_maps, ref_calls = _reference_enumeration(t, caps, stable)
+            for n, pieces, node_total in _left_out(calls, ref_calls):
+                removed += 1
+                for skeleton in ref_assemble(
+                    n, pieces, node_total, caps, caps.weight_cap(t), stable, t.marks
+                ):
+                    assert _forced_marks(skeleton) > t.marks, skeleton
             assert maps == ref_maps, (t, stable)
+    assert removed
 
 
 def test_piece_tuples_match_reference():
@@ -575,6 +599,31 @@ def test_pruned_assembly_matches_reference(t):
         ]
         assert list(_assemble(*args)) == expected, (n, pieces, node_total)
     assert maps == _reference_maps(t, caps, True, calls)
+
+
+def test_mark_floor_is_the_least_forced_marks():
+    # with C contacts a group carries at least max(0, floor - C) forced
+    # marks, and exactly that many under its best split of C over the
+    # pieces: the floor of every group of one to three pieces, in an end or
+    # a middle group, with and without a contact on every piece, against
+    # the least forced marks over every such split
+    cap = EnumerationCaps().nodes_per_interface
+    data = [Piece(g, d, 0) for g in range(3) for d in range(3)]
+    for size in (1, 2, 3):
+        for group in itertools.combinations_with_replacement(data, size):
+            for end, touch in itertools.product((True, False), (0, 1)):
+                floor = cg._mark_floor(group, end, touch)
+                for contacts in range(touch * size, 2 * cap + 1):
+                    least = min(
+                        sum(map(ref_piece_need, group, [end] * size, split))
+                        for split in itertools.product(
+                            range(touch, contacts + 1), repeat=size
+                        )
+                        if sum(split) == contacts
+                    )
+                    assert max(0, floor - contacts) == least, (
+                        group, end, touch, contacts
+                    )
 
 
 def _clear_enumeration_caches():
@@ -864,6 +913,25 @@ def test_mark_placements_against_burnside_count(burnside_placements):
     expected.update({(2, 0, 3): 4, (3, 0, 2): 4})
     assert {key: gap[key] for key in expected} == expected
     assert set(gap) <= set(expected)
+
+
+def test_forced_marks_never_below_the_floor(burnside_placements):
+    # every assembled skeleton carries at least the floor that its
+    # interface node counts q give, group i getting q[i - 1] + q[i]
+    # contacts, and some carry exactly that many
+    _, calls = burnside_placements
+    tight = 0
+    for skeleton, _, _, _ in calls:
+        groups = skeleton.groups
+        touch = 1 if sum(map(len, groups)) >= 2 else 0
+        q = [len(iface) for iface in skeleton.nodes]
+        floor = sum(
+            max(0, cg._mark_floor(g, i in (0, len(groups) - 1), touch) - a - b)
+            for i, (g, a, b) in enumerate(zip(groups, [0] + q, q + [0]))
+        )
+        assert _forced_marks(skeleton) >= floor, skeleton
+        tight += _forced_marks(skeleton) == floor > 0
+    assert tight > 1000, tight
 
 
 def _tuples_all_the_way_down(m):
