@@ -22,10 +22,10 @@ from .exactalg import (
     AlgebraHom,
     NodeRing,
     TruncatedAlgebra,
-    _json_int,
     element_from_json,
     series_from_json,
 )
+from .polys import _json_ints
 
 
 class InputError(ValueError):
@@ -63,7 +63,7 @@ def _contact_data(args, data):
     try:
         for key in ("order", "series_order"):
             if data.get(key) is not None:
-                _json_int(data[key])
+                _json_ints(ValueError, data[key])
         base_order = args.trunc_base
         if base_order is None:
             base_order = data["algebra"]["order"]
@@ -74,7 +74,7 @@ def _contact_data(args, data):
         for key in ("phi_w1", "phi_w2"):
             series = data[key]
             own = series["order"] if "order" in series else series_order
-            if _json_int(own) != series_order:
+            if _json_ints(ValueError, own) != (series_order,):
                 raise ValueError(
                     "%s has order %r but series_order is %r"
                     % (key, own, series_order)
@@ -228,7 +228,7 @@ def run(args):
         triple = cg.AdmissibleTriple(
             cg.graph_from_json(data["first"]),
             cg.graph_from_json(data["second"]),
-            cg._json_ints(cg.GraphError, *data.get("first_legs", [])),
+            _json_ints(cg.GraphError, *data.get("first_legs", [])),
         )
         if args.subcommand == "glue":
             glued, genus, degree, ttype = cg.glue(triple)

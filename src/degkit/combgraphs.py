@@ -23,7 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .polys import _int
+from .polys import _int, _json_ints
 
 
 class SplitMapError(ValueError):
@@ -436,14 +436,6 @@ class SplitMap:
         }
 
 
-def _json_ints(error, *values):
-    """Integer fields of JSON input; floats and booleans raise ``error``."""
-    for v in values:
-        if type(v) is not int:
-            raise error("expected an integer, got %r" % (v,))
-    return values
-
-
 def split_map_from_json(data):
     groups = [
         [Piece(*_json_ints(SplitMapError, p["g"], p["d"], p["marks"])) for p in g]
@@ -759,8 +751,6 @@ def _placed_groups(groups, contacts, automorphisms, k, stable_only):
     ends = (0, len(groups) - 1)
     needs = [_mark_need(groups[i][p], i in ends, contacts[i][p]) for i, p in ids]
     shortfall = k - sum(needs)
-    if shortfall < 0:
-        return ()
     starts = list(itertools.accumulate(map(len, groups), initial=0))
     labels = range(len(ids)) if len(automorphisms) == 1 else _components(
         len(ids),
@@ -1141,8 +1131,6 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
             if i == 1:
                 spec = ("free", cid)
             elif piece.degree == 0:
-                if sums[p] == 0:
-                    return
                 spec = ("fiber", cid, sums[p])
             else:
                 allowance = (
@@ -1649,23 +1637,23 @@ def _root_signatures(triple):
 
 def _orders_onto(triple, target):
     """The root orders under which ``triple`` has ``target``'s canonical
-    keys, searched among the signature-preserving ones."""
+    keys, searched lazily among the signature-preserving ones, in the
+    order of :func:`_matchings`."""
     keys = target.canonical_keys()
     have = _root_signatures(triple)
     orders = _matchings(have, have if target is triple else _root_signatures(target))
-    return [sigma for sigma in orders if triple.canonical_keys(sigma) == keys]
+    return (sigma for sigma in orders if triple.canonical_keys(sigma) == keys)
 
 
 def _fiber_orders(triple, target):
     """The root orders under which ``triple`` has ``target``'s canonical
-    keys: {j -> sigma0[g[j]] : g in Eq(target)} for the first
-    signature-preserving order sigma0 that matches (the coset argument is
-    in :func:`fiber_count`)."""
-    keys = target.canonical_keys()
-    for first in _matchings(_root_signatures(triple), _root_signatures(target)):
-        if triple.canonical_keys(first) == keys:
-            return {tuple(first[i] for i in g) for g in target._eq}
-    return set()
+    keys: {j -> sigma0[g[j]] : g in Eq(target)} for the first order sigma0
+    that :func:`_orders_onto` finds (the coset argument is in
+    :func:`fiber_count`)."""
+    first = next(_orders_onto(triple, target), None)
+    if first is None:
+        return set()
+    return {tuple(first[i] for i in g) for g in target._eq}
 
 
 def eq_group(triple, bound=8):
@@ -1693,7 +1681,7 @@ def triples_equivalent(t1, t2, bound=8):
         t1.first.group == t2.first.group
         and t1.second.group == t2.second.group
         and t1.first_legs == t2.first_legs
-        and bool(_orders_onto(t1, t2))
+        and next(_orders_onto(t1, t2), None) is not None
     )
 
 

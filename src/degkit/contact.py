@@ -149,9 +149,7 @@ def is_nondegenerate(data):
     """
     alg = data.algebra
     ring = data.ring
-    s_span = Subspace(
-        [(alg.s * alg.basis_element(j)).coeffs for j in range(alg.dim)], alg.dim
-    )
+    s_span = AlgebraIdeal(alg, [alg.s]).span
     for phi in (data.phi_w1, data.phi_w2):
         if not s_span.contains(phi.a0.coeffs):
             return False, None

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 
 from .linalg import Subspace
-from .polys import Poly, _coeff, _int
+from .polys import Poly, _coeff, _int, _json_ints, _power
 
 
 _ZERO = Fraction(0)
@@ -51,14 +51,7 @@ def _frac_parse(value):
         if den == 0:
             raise ValueError("zero denominator in %r" % (value,))
         return Fraction(int(num), den)
-    return Fraction(_json_int(value))
-
-
-def _json_int(value):
-    """Integer field of JSON input; floats and booleans raise ValueError."""
-    if type(value) is not int:
-        raise ValueError("expected an integer, got %r" % (value,))
-    return value
+    return Fraction(*_json_ints(ValueError, value))
 
 
 def _json_bool(value):
@@ -67,6 +60,21 @@ def _json_bool(value):
     if type(value) is not bool:
         raise ValueError("expected a boolean, got %r" % (value,))
     return value
+
+
+def _unit_inverse(x, c_inv, one, cap):
+    """x^-1 = c^-1 * sum y^k with y = 1 - x * c^-1, for x whose constant
+    part c has the inverse ``c_inv``: y is nilpotent, so the sum stops at
+    the first y^k that vanishes, and ArithmeticError is raised when none
+    of the first ``cap`` powers does."""
+    y = one - x * c_inv
+    out = power = one
+    for _ in range(cap):
+        power = power * y
+        if power.is_zero():
+            return out * c_inv
+        out = out + power
+    raise ArithmeticError("inversion did not terminate")
 
 
 class TruncatedAlgebra:
@@ -313,14 +321,14 @@ class TruncatedAlgebra:
         rels = [
             Poly(
                 len(data["generators"]),
-                {tuple(_json_int(x) for x in e): _frac_parse(c) for e, c in r},
+                {_json_ints(ValueError, *e): _frac_parse(c) for e, c in r},
             )
             for r in data["relations"]
         ]
         return cls(
             data["generators"],
             rels,
-            _json_int(data["order"]),
+            *_json_ints(ValueError, data["order"]),
             _json_bool(data.get("local", True)),
         )
 
@@ -402,14 +410,7 @@ class AlgebraElement:
     def __pow__(self, k):
         if _int(k, "power") < 0:
             return self.inverse() ** (-k)
-        out = self.algebra.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, self.algebra.one())
 
     def _coerce(self, other):
         if isinstance(other, AlgebraElement):
@@ -436,16 +437,9 @@ class AlgebraElement:
         c = self.constant_term()
         one = self.algebra.one()
         if self == one * c:
-            # a rational constant: the series below would return 1 / c
+            # a rational constant: the series would return 1 / c
             return one * (Fraction(1) / c)
-        y = self * (Fraction(1) / c) - one
-        out = power = one
-        for _ in range(self.algebra.order + 1):
-            power = power * (-y)
-            if power.is_zero():
-                break
-            out = out + power
-        return out * (Fraction(1) / c)
+        return _unit_inverse(self, Fraction(1) / c, one, self.algebra.order + 1)
 
     def __eq__(self, other):
         return (
@@ -638,16 +632,11 @@ class NodeRing:
         # slot k of the internal window is reduced modulo s^(internal-k)*A;
         # exposed slots (k < order) satisfy internal-k >= algebra.order and
         # need no reduction
-        self._slot_spaces = {}
-        for k in range(1, self.internal):
-            e = self.internal - k
-            if e < algebra.order:
-                s_pow = algebra.s**e
-                vecs = [
-                    (s_pow * algebra.basis_element(i)).coeffs
-                    for i in range(algebra.dim)
-                ]
-                self._slot_spaces[k] = Subspace(vecs, algebra.dim)
+        self._slot_spaces = {
+            k: AlgebraIdeal(algebra, [algebra.s ** (self.internal - k)]).span
+            for k in range(1, self.internal)
+            if self.internal - k < algebra.order
+        }
         # the powers 1, s, s^2, ... that a product can reach, up to the
         # first that vanishes
         self._s_pows = [algebra.one()]
@@ -924,14 +913,7 @@ class NodeSeries:
     def __pow__(self, k):
         if _int(k, "power") < 0:
             return self.inverse() ** (-k)
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, self.ring.one())
 
     def shift(self, branch):
         """Multiply by z1 (branch 1) or z2 (branch 2): the tail of that
@@ -962,20 +944,13 @@ class NodeSeries:
     def inverse(self):
         if not self.is_unit():
             raise ZeroDivisionError("series is not a unit (constant term)")
-        c = self.a0
-        c_inv = c.inverse()
-        neg_y = self.ring.one() - self * c_inv
-        out = self.ring.one()
-        power = self.ring.one()
-        cap = self.ring.internal + 2 * self.ring.algebra.order + 2
-        for _ in range(cap):
-            power = power * neg_y
-            if power.is_zero():
-                break
-            out = out + power
-        else:
-            raise ArithmeticError("inversion did not terminate")
-        return out * c_inv
+        ring = self.ring
+        return _unit_inverse(
+            self,
+            self.a0.inverse(),
+            ring.one(),
+            ring.internal + 2 * ring.algebra.order + 2,
+        )
 
     def __eq__(self, other):
         return (

@@ -72,6 +72,26 @@ def _sigma(n, nvars, offset, i):
     return RatFunc(Poly.var(nvars, offset + i - 1))
 
 
+def _laurent_exponent(f, pos):
+    """The exponent of variable ``pos`` in the rational function f when its
+    numerator and denominator each carry that variable to one power only,
+    so f is a Laurent monomial in it; None otherwise."""
+    nums = {e[pos] for e in f.num.terms}
+    dens = {e[pos] for e in f.den.terms}
+    if len(nums) != 1 or len(dens) != 1:
+        return None
+    return nums.pop() - dens.pop()
+
+
+def _power_product(nvars, factors):
+    """The product of f**e over the (f, e) pairs, in ``nvars`` variables."""
+    out = RatFunc(Poly.one(nvars))
+    for f, e in factors:
+        if e:
+            out = out * f**e
+    return out
+
+
 def _base_scaling(n, count, shift):
     """The rank-n torus on t_1..t_count, scaling t_i by
     sigma_{i+shift} / sigma_{i+shift-1}."""
@@ -183,12 +203,10 @@ class GammaAtlas:
         action (the action is by Laurent monomials, so this is well defined).
         """
         comp = self.actions[chart - 1].components[coord - 1]
-        pos = len(self.chart_vars) + sig_index - 1
-        num_exp = {e[pos] for e in comp.num.terms}
-        den_exp = {e[pos] for e in comp.den.terms}
-        if len(num_exp) != 1 or len(den_exp) != 1:
+        e = _laurent_exponent(comp, len(self.chart_vars) + sig_index - 1)
+        if e is None:
             raise ValueError("action component is not a sigma-monomial")
-        return num_exp.pop() - den_exp.pop()
+        return e
 
 
 def gamma_atlas(n, bound=8):
@@ -600,6 +618,15 @@ def _lambda_component_exponents(n, complement):
     return rows
 
 
+def _bar_exponents(exponents, n, r, slot):
+    """The sigma exponents of the image subtorus element's bar factor on
+    base slot ``slot``: row slot - 1 of the component exponents minus row
+    slot - 2, a row outside 1..n being zero."""
+    top = exponents[slot - 1] if slot <= n else [0] * r
+    bot = exponents[slot - 2] if slot >= 2 else [0] * r
+    return [a - b for a, b in zip(top, bot)]
+
+
 def principal_chart_map(n, subset, exponents=None):
     """The action-of-embedded-chart map Psi(sigma, z) in coordinates.
 
@@ -616,23 +643,11 @@ def principal_chart_map(n, subset, exponents=None):
     sig_names = tuple("sigma%d" % i for i in range(1, r + 1))
     z_names = tuple("z%d" % k for k in range(1, len(I) + 1))
 
-    def sigma_power(vec):
-        out = RatFunc(Poly.one(m))
-        for i, e in enumerate(vec):
-            v = RatFunc(Poly.var(m, i))
-            out = out * v**e
-        return out
-
-    # bar factors of the image subtorus element on each base slot
-    def bar(slot):
-        top = exponents[slot - 1] if slot <= n else [0] * r
-        bot = exponents[slot - 2] if slot - 1 >= 1 else [0] * r
-        return sigma_power([a - b for a, b in zip(top, bot)])
-
+    sigmas = [RatFunc(Poly.var(m, i)) for i in range(r)]
     comps = []
     pos = {slot: k for k, slot in enumerate(I)}
     for slot in range(1, n + 2):
-        factor = bar(slot)
+        factor = _power_product(m, zip(sigmas, _bar_exponents(exponents, n, r, slot)))
         if slot in pos:
             comps.append(factor * RatFunc(Poly.var(m, r + pos[slot])))
         else:
@@ -667,20 +682,12 @@ def verify_principal_chart(n, subset, exponents=None):
         return Report(tuple(checks)), psi, inverse
 
     # exponent matrix of the complement components in the sigma parameters
-    rows = []
-    consistent = True
-    for j in complement:
-        comp = psi.components[j - 1]
-        row = []
-        for i in range(r):
-            nums = {e[i] for e in comp.num.terms}
-            dens = {e[i] for e in comp.den.terms}
-            if len(nums) != 1 or len(dens) != 1:
-                consistent = False
-                row.append(0)
-            else:
-                row.append(nums.pop() - dens.pop())
-        rows.append(row)
+    rows = [
+        [_laurent_exponent(psi.components[j - 1], i) for i in range(r)]
+        for j in complement
+    ]
+    consistent = all(e is not None for row in rows for e in row)
+    rows = [[e or 0 for e in row] for row in rows]
     checks.append(
         CheckResult("complement_components_are_monomials", consistent,
                     None if consistent else "non-monomial component")
@@ -707,29 +714,17 @@ def verify_principal_chart(n, subset, exponents=None):
         return Report(tuple(checks)), psi, None
 
     # sigma_i = product over complement coordinates of w_j^(inverse entry)
-    sigma_sol = []
-    for i in range(r):
-        out = RatFunc(Poly.one(nvars))
-        for k in range(r):
-            v = RatFunc(Poly.var(nvars, complement[k] - 1))
-            out = out * v ** int(inverse_entries[i][k])
-        sigma_sol.append(out)
-
+    ws = [RatFunc(Poly.var(nvars, j - 1)) for j in complement]
+    sigma_sol = [
+        _power_product(nvars, zip(ws, map(int, entries)))
+        for entries in inverse_entries
+    ]
     exps = exponents if exponents is not None else _lambda_component_exponents(n, complement)
-
-    def bar_in_w(slot):
-        top = exps[slot - 1] if slot <= n else [0] * r
-        bot = exps[slot - 2] if slot - 1 >= 1 else [0] * r
-        out = RatFunc(Poly.one(nvars))
-        for i in range(r):
-            e = top[i] - bot[i]
-            if e:
-                out = out * sigma_sol[i] ** e
-        return out
-
-    z_sol = []
-    for k, slot in enumerate(I):
-        z_sol.append(RatFunc(Poly.var(nvars, slot - 1)) / bar_in_w(slot))
+    z_sol = [
+        RatFunc(Poly.var(nvars, slot - 1))
+        / _power_product(nvars, zip(sigma_sol, _bar_exponents(exps, n, r, slot)))
+        for slot in I
+    ]
     inverse = RationalMap(w_names, sigma_sol + z_sol)
 
     checks.append(

@@ -27,6 +27,26 @@ def _int(value, what):
     return value
 
 
+def _json_ints(error, *values):
+    """Integer fields of JSON input; floats and booleans raise ``error``."""
+    for v in values:
+        if type(v) is not int:
+            raise error("expected an integer, got %r" % (v,))
+    return values
+
+
+def _power(base, k, one):
+    """base**k for an int k >= 0 by square-and-multiply, starting from the
+    unit ``one``; every type with a product shares it."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 def _coeff(c):
     """An exact coefficient; floats and bools are refused, never rounded."""
     if type(c) is Fraction:
@@ -225,14 +245,7 @@ class Poly:
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
             return _poly(self.nvars, {tuple(p * k for p in e): c**k})
-        out = Poly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Poly.one(self.nvars))
 
     # -------------------------------------------------------- manipulation
     def substitute(self, values):

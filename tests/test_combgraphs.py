@@ -268,6 +268,27 @@ def test_enumeration_refuses_bad_input(args, error):
         enumerate_split_maps(*args)
 
 
+def test_enumeration_refuses_a_norm_above_the_bound():
+    # (9, 0, 0) has norm 7, one above the default bound of 6, and is refused
+    # before any expansion length is enumerated, in both modes
+    t = TopType(9, 0, 0)
+    assert t.norm() == 7
+    with mock.patch.object(cg, "_enumerate_for_n", side_effect=AssertionError):
+        for enumerate_maps in (
+            enumerate_split_maps,
+            lambda t: enumerate_split_maps(t, stable_only=True),
+            enumerate_stable_types,
+        ):
+            with pytest.raises(SplitMapError) as info:
+                enumerate_maps(t)
+            assert str(info.value) == "norm above the configured bound 6"
+        for bad in (6.0, True):
+            with pytest.raises(TypeError):
+                enumerate_split_maps(t, max_norm=bad)
+            with pytest.raises(TypeError):
+                enumerate_stable_types(t, max_norm=bad)
+
+
 @pytest.mark.parametrize("bad", [1.9, True, "1"])
 def test_triple_refuses_inexact_leg_indices(bad):
     # int() made each of these leg 1

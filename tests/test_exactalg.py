@@ -610,6 +610,55 @@ def test_inverse_matches_slot_oracle(pair):
     assert x * inv == ring.one()
 
 
+def _check_powers(base, unit, product, inverse, one):
+    """base ** k and unit ** k for k = 0..5 against the k-fold ``product``
+    starting from ``one``, and unit ** -k against the k-fold product of
+    ``inverse(unit)``."""
+    inv = inverse(unit)
+    for x, factor, sign in ((base, base, 1), (unit, unit, 1), (unit, inv, -1)):
+        expected = one
+        for k in range(6):
+            assert x ** (sign * k) == expected
+            expected = product(expected, factor)
+
+
+@given(_oracle_pairs())
+@settings(max_examples=10, deadline=None)
+def test_powers_match_the_oracle_product(pair):
+    # square-and-multiply against repeated oracle products, for series and
+    # for algebra elements taken from their slots
+    ring, x, y = pair
+    unit = x if x.is_unit() else x + ring.one()
+    _check_powers(
+        y, unit, reference_exactalg.multiply, reference_exactalg.inverse, ring.one()
+    )
+    _check_powers(
+        y.a[0],
+        unit.a0,
+        reference_exactalg.multiply_elements,
+        reference_exactalg.algebra_inverse,
+        ring.algebra.one(),
+    )
+
+
+@pytest.mark.parametrize(
+    "algebra", ["Qs8", "Qs6", "Qs4", "QQ", "Qeps", "Qc2", "obstructed"]
+)
+def test_algebra_powers_match_the_oracle_product(request, algebra):
+    alg = request.getfixturevalue(algebra)
+    rng = random.Random(11)
+    coeff = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+    for _ in range(5):
+        x = alg.element([rng.choice(coeff) for _ in range(alg.dim)])
+        _check_powers(
+            x,
+            x if x.is_unit() else x + alg.one(),
+            reference_exactalg.multiply_elements,
+            reference_exactalg.algebra_inverse,
+            alg.one(),
+        )
+
+
 @given(_oracle_pairs(), st.sampled_from([1, 2]))
 @settings(max_examples=60, deadline=None)
 def test_shift_matches_slot_oracle(pair, branch):
