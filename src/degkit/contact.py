@@ -203,9 +203,10 @@ def _family_columns(levels):
     Together they span the ideal generated by levels[0] in the internal
     window.  Multiplying a level by e_j multiplies each nonzero slot by e_j
     through the algebra's structure constants, on the integer numerators
-    of the level over its one denominator, and reduces the tail slots as
-    the ring's normal form does.  Flat positions run over the constant
-    slot, then the z1 tail, then the z2 tail, ``dim`` coordinates a slot.
+    of the level over its one denominator, and reduces the tail slots
+    through the ring's own slot reduction, on the same numerators.  Flat
+    positions run over the constant slot, then the z1 tail, then the z2
+    tail, ``dim`` coordinates a slot.
     """
     ring = levels[0].ring
     alg = ring.algebra
@@ -217,18 +218,13 @@ def _family_columns(levels):
         d, slots = y._scaled_slots()
         for k, pairs in slots:
             offset = dim * (k if k >= 0 else K - k)
-            space = ring._slot_spaces.get(abs(k))
             for j, col in enumerate(cols):
                 acc = {}
                 alg._accumulate(acc, pairs, ((j, 1),), d)
-                x = alg._from_numerators(acc)
-                if space is not None:
-                    for m, v in enumerate(space.reduce(x.coeffs)):
-                        if v:
-                            col[offset + m] = v
-                else:
-                    for m, _ in x._scaled()[1]:
-                        col[offset + m] = x.coeffs[m]
+                x = ring._slot_reduce(abs(k), alg._from_numerators(acc))
+                q, xs = x._scaled()
+                for m, n in xs:
+                    col[offset + m] = Fraction(n, q)
         fam.extend(cols)
     return fam
 

@@ -28,7 +28,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import Subspace
+from .linalg import Subspace, lowest_terms
 from .polys import Poly, _coeff, _int, _json_ints, _power
 
 
@@ -121,7 +121,7 @@ class TruncatedAlgebra:
         self._structure_table = {}
         self._mpowers = None
         # elements are immutable, so every caller may share these two
-        self._zero = AlgebraElement(self, (Fraction(0),) * self.dim)
+        self._zero = AlgebraElement(self, None, (1, ()))
         self._one = self.from_poly(Poly.one(len(gens)))
 
     # ------------------------------------------------------------ internals
@@ -230,8 +230,8 @@ class TruncatedAlgebra:
     def _from_numerators(self, acc):
         """The element sum_d acc[d] / d of integer vectors keyed by their
         denominator: the vectors are added over one least common
-        denominator, and each nonzero coordinate becomes one Fraction.  The
-        element keeps that scaled form."""
+        denominator and brought to lowest terms.  The element holds that
+        scaled form; its Fractions are built only if ``coeffs`` is read."""
         if len(acc) == 1:
             [(d, nums)] = acc.items()
         else:
@@ -242,17 +242,10 @@ class TruncatedAlgebra:
                 for m, n in enumerate(vec):
                     if n:
                         nums[m] += f * n
-        pairs = tuple([(m, n) for m, n in enumerate(nums) if n])
-        if not pairs:
+        scaled = lowest_terms(d, nums)
+        if not scaled[1]:
             return self._zero
-        g = 1 if d == 1 else math.gcd(d, *[n for _, n in pairs])
-        if g != 1:
-            d //= g
-            pairs = tuple([(m, n // g) for m, n in pairs])
-        coeffs = [_ZERO] * self.dim
-        for m, n in pairs:
-            coeffs[m] = Fraction(n) if d == 1 else Fraction(n, d)
-        return AlgebraElement(self, coeffs, (d, pairs))
+        return AlgebraElement(self, None, scaled)
 
     def maximal_ideal_power(self, k):
         """Span of m^k as a subspace (m generated by all generators)."""
@@ -336,17 +329,30 @@ class TruncatedAlgebra:
 class AlgebraElement:
     """Element of a truncated algebra as a vector over the cached basis.
 
-    Elements are immutable.  Each keeps, once computed, its scaled form
+    Elements are immutable.  An element holds its scaled form
     (d, ((i, n), ...)): the nonzero coordinates as integer numerators n over
-    their least common denominator d, which the products read.
+    their least common denominator d, which arithmetic and equality read.
+    ``coeffs``, the vector of Fractions, is built on first read and kept.
+    An element is built from either form (the other is None).
     """
 
-    __slots__ = ("algebra", "coeffs", "_scaled_form")
+    __slots__ = ("algebra", "_coeffs", "_scaled_form")
 
     def __init__(self, algebra, coeffs, scaled=None):
         self.algebra = algebra
-        self.coeffs = tuple(coeffs)
+        self._coeffs = None if coeffs is None else tuple(coeffs)
         self._scaled_form = scaled
+
+    @property
+    def coeffs(self):
+        got = self._coeffs
+        if got is None:
+            d, pairs = self._scaled_form
+            coeffs = [_ZERO] * self.algebra.dim
+            for m, n in pairs:
+                coeffs[m] = Fraction(n) if d == 1 else Fraction(n, d)
+            got = self._coeffs = tuple(coeffs)
+        return got
 
     def _scaled(self):
         got = self._scaled_form
@@ -382,7 +388,9 @@ class AlgebraElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coeffs))
+        d, pairs = self._scaled()
+        negated = tuple([(i, -n) for i, n in pairs])
+        return AlgebraElement(self.algebra, None, (d, negated))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -420,16 +428,21 @@ class AlgebraElement:
     def is_zero(self):
         return not self._scaled()[1]
 
-    def constant_term(self):
+    def _constant_numerator(self):
+        """The numerator of the constant term over the scaled form's d."""
         idx = self.algebra._basis_index.get(tuple([0] * len(self.algebra.gens)))
-        if idx is None:
-            return Fraction(0)
-        return self.coeffs[idx]
+        for i, n in self._scaled()[1]:
+            if i == idx:
+                return n
+        return 0
+
+    def constant_term(self):
+        return Fraction(self._constant_numerator(), self._scaled()[0])
 
     def is_unit(self):
         # all generators are nilpotent at truncation, so a unit is exactly an
         # element with nonzero rational constant term
-        return self.constant_term() != 0
+        return self._constant_numerator() != 0
 
     def inverse(self):
         if not self.is_unit():
@@ -442,10 +455,12 @@ class AlgebraElement:
         return _unit_inverse(self, Fraction(1) / c, one, self.algebra.order + 1)
 
     def __eq__(self, other):
+        # scaled forms are in lowest terms, so they are equal exactly when
+        # the coefficient vectors are
         return (
             isinstance(other, AlgebraElement)
             and self.algebra == other.algebra
-            and self.coeffs == other.coeffs
+            and self._scaled() == other._scaled()
         )
 
     def __hash__(self):
@@ -647,10 +662,14 @@ class NodeRing:
             self._s_pows.append(nxt)
 
     def _slot_reduce(self, k, elem):
+        """Slot k's element reduced modulo s^(internal-k) A, on its integer
+        numerators; slots that need no reduction return ``elem``."""
         space = self._slot_spaces.get(k)
-        if space is None or elem.is_zero():
+        if space is None:
             return elem
-        return AlgebraElement(self.algebra, space.reduce(elem.coeffs))
+        scaled = elem._scaled()
+        got = space.reduce_scaled(*scaled)
+        return elem if got == scaled else AlgebraElement(self.algebra, None, got)
 
     def _element(self, x):
         """``x`` as an algebra element; exact scalars are lifted, floats and

@@ -1,7 +1,11 @@
 """Exact linear algebra over Q: row reduction, spans, linear solves.
 
-Vectors are lists/tuples of Fractions.  The systems range from a handful of
-rows (truncated algebras, coefficient collections) to the pure-contact
+Vectors are lists/tuples of Fractions, with one exception:
+:meth:`Subspace.reduce_scaled` takes and returns a vector as integer
+numerators over one denominator, (d, ((index, numerator), ...)), the
+form in which the exact algebra chain keeps its elements (built by
+:func:`lowest_terms`).  The systems range from a handful of rows
+(truncated algebras, coefficient collections) to the pure-contact
 systems of a few hundred rows and columns, which are mostly zeros.  One
 exact elimination, :func:`eliminate`, serves all of them: it works on
 sparse rows, touches the nonzero entries only, and its output is the
@@ -12,6 +16,8 @@ directly.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 
@@ -110,6 +116,21 @@ def particular_solution(pivot_rows, ncols):
     return solution, None
 
 
+def lowest_terms(d, nums):
+    """The integer vector ``nums`` over the positive denominator ``d`` as
+    (d', ((index, numerator), ...)) over its nonzero entries, in lowest
+    terms: d' and the numerators share no factor, so d' is their least
+    common denominator and equal vectors give equal forms."""
+    pairs = tuple([(m, n) for m, n in enumerate(nums) if n])
+    if not pairs:
+        return 1, ()
+    g = 1 if d == 1 else math.gcd(d, *[n for _, n in pairs])
+    if g != 1:
+        d //= g
+        pairs = tuple([(m, n // g) for m, n in pairs])
+    return d, pairs
+
+
 class Subspace:
     """Subspace of Q^n stored as a reduced row echelon basis."""
 
@@ -134,6 +155,44 @@ class Subspace:
                 for j in range(p, self.ambient):
                     v[j] -= f * row[j]
         return v
+
+    @functools.cached_property
+    def _integer_rows(self):
+        """Each echelon row as (pivot, D, ((column, R[column]), ...)): the
+        row times the least common denominator D of its entries, so that
+        R[pivot] = D.  A unit-vector row is the case D = 1."""
+        out = []
+        for row, p in zip(self.rows, self.pivots):
+            entries = [(j, c) for j, c in enumerate(row) if c]
+            D = math.lcm(*[c.denominator for _, c in entries])
+            row = tuple([(j, c.numerator * (D // c.denominator)) for j, c in entries])
+            out.append((p, D, row))
+        return out
+
+    def reduce_scaled(self, d, pairs):
+        """:meth:`reduce` on integer numerators: the canonical
+        representative of the vector with entries n / d, given and returned
+        as (d, ((index, n), ...)) in lowest terms.  Clearing pivot p against
+        the row R over D is v D - v[p] R, which scales the denominator by D;
+        one gcd at the end brings the result to lowest terms.  A vector
+        that meets no pivot is returned as it was given."""
+        vec = [0] * self.ambient
+        for i, n in pairs:
+            vec[i] = n
+        touched = False
+        for p, D, row in self._integer_rows:
+            f = vec[p]
+            if not f:
+                continue
+            touched = True
+            if D != 1:
+                vec = [n * D for n in vec]
+                d *= D
+            for j, r in row:
+                vec[j] -= f * r
+        if not touched:
+            return d, pairs
+        return lowest_terms(d, vec)
 
     def contains(self, vec):
         return not any(self.reduce(vec))

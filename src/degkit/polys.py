@@ -37,13 +37,16 @@ def _json_ints(error, *values):
 
 def _power(base, k, one):
     """base**k for an int k >= 0 by square-and-multiply, starting from the
-    unit ``one``; every type with a product shares it."""
+    unit ``one``; every type with a product shares it.  The base is squared
+    only while a higher bit remains, so k takes popcount(k) + bit_length(k)
+    - 1 products."""
     out = one
     while k:
         if k & 1:
             out = out * base
-        base = base * base
         k >>= 1
+        if k:
+            base = base * base
     return out
 
 

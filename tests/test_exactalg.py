@@ -353,31 +353,36 @@ def test_adjoin_nilpotent(obstructed):
 # --- structure constants -------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "Qs8",
-        "Qs6",
-        "Qs4",
-        "QQ",
-        "Qeps",
-        "Qc2",
-        "obstructed",
-        "fixture",
-        "fixture_d",
-        "ratio",
-    ],
-)
+ALGEBRAS = [
+    "Qs8",
+    "Qs6",
+    "Qs4",
+    "QQ",
+    "Qeps",
+    "Qc2",
+    "obstructed",
+    "fixture",
+    "fixture_d",
+    "ratio",
+]
+
+
+def _named_algebra(request, name):
+    """A conftest algebra, a fixture algebra or the base with structure
+    constants over 3, by name."""
+    if name == "ratio":
+        return ratio_algebra()
+    if name.startswith("fixture"):
+        return fixture_algebra(("d",) if name == "fixture_d" else ())
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
 def test_basis_product_pairs_match_monomial_reduction(request, name):
     # e_i * e_j is the product monomial reduced by the relations and the
     # truncation; the table holds exactly its nonzero coordinates, as
     # integer numerators over their least common denominator
-    if name == "ratio":
-        alg = ratio_algebra()
-    elif name.startswith("fixture"):
-        alg = fixture_algebra(("d",) if name == "fixture_d" else ())
-    else:
-        alg = request.getfixturevalue(name)
+    alg = _named_algebra(request, name)
     for i, mi in enumerate(alg.basis):
         for j, mj in enumerate(alg.basis):
             reduced = alg.from_poly(Poly.monomial(mi) * Poly.monomial(mj))
@@ -611,13 +616,13 @@ def test_inverse_matches_slot_oracle(pair):
 
 
 def _check_powers(base, unit, product, inverse, one):
-    """base ** k and unit ** k for k = 0..5 against the k-fold ``product``
+    """base ** k and unit ** k for k = 0..9 against the k-fold ``product``
     starting from ``one``, and unit ** -k against the k-fold product of
     ``inverse(unit)``."""
     inv = inverse(unit)
     for x, factor, sign in ((base, base, 1), (unit, unit, 1), (unit, inv, -1)):
         expected = one
-        for k in range(6):
+        for k in range(10):
             assert x ** (sign * k) == expected
             expected = product(expected, factor)
 
@@ -667,3 +672,90 @@ def test_shift_matches_slot_oracle(pair, branch):
     shifted = x.shift(branch)
     assert shifted == reference_exactalg.shift(x, branch)
     assert shifted == x * z == reference_exactalg.multiply(x, z)
+
+
+# --- elements hold integer numerators; Fractions are built on first read ----
+
+
+def _lazy_cases(elems):
+    """(element, expected coefficient vector) for the products, sums,
+    negations and inverses of ``elems``; the expected vectors come from
+    the polynomial product reduced by the relations and from coordinatewise
+    Fraction arithmetic."""
+    cases = []
+    for x in elems:
+        cases.append((-x, tuple(-c for c in x.coeffs)))
+        for y in elems:
+            cases.append((x * y, reference_exactalg.multiply_elements(x, y).coeffs))
+            cases.append((x + y, tuple(a + b for a, b in zip(x.coeffs, y.coeffs))))
+        unit = x if x.is_unit() else x + x.algebra.one()
+        inv = unit.inverse()
+        product = reference_exactalg.multiply_elements(unit, inv)
+        assert product.coeffs == x.algebra.one().coeffs
+        cases.append((inv, reference_exactalg.algebra_inverse(unit).coeffs))
+    return cases
+
+
+def _check_lazy(elems):
+    cases = _lazy_cases(elems)
+    alg = elems[0].algebra
+    for value, expected in cases:
+        assert all(type(c) is Fraction for c in expected)
+        assert value.coeffs == expected
+        assert all(type(c) is Fraction for c in value.coeffs)
+        rebuilt = alg.element(expected)
+        assert rebuilt == value and value == rebuilt
+        assert hash(rebuilt) == hash(value)
+    values = [value for value, _ in cases]
+    for u in values:
+        for v in values:
+            assert (u == v) == (u.coeffs == v.coeffs)
+            if u == v:
+                assert hash(u) == hash(v)
+
+
+def _random_elements(alg, rng, count):
+    coeff = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+    return [
+        alg.element([rng.choice(coeff) for _ in range(alg.dim)]) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_lazy_coefficients_match_the_oracle(request, name):
+    alg = _named_algebra(request, name)
+    rng = random.Random(25)
+    for _ in range(3):
+        elems = _random_elements(alg, rng, 4)
+        # a repeated element and a product that cancels a denominator, so
+        # that equal values reach the checks by different routes
+        elems += [elems[0], alg.const(Fraction(1, 2)) * alg.const(2)]
+        _check_lazy(elems)
+
+
+@given(_oracle_pairs())
+@settings(max_examples=20, deadline=None)
+def test_lazy_coefficients_of_series_slots(pair):
+    ring, x, y = pair
+    elems = [c for c in (x.a0, y.a0) + x.a[:2] + y.b[:2] if not c.is_zero()]
+    elems.append(ring.algebra.one())
+    _check_lazy(elems)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_slot_reduction_on_numerators_matches_subspace_reduce(request, name):
+    # every slot space of node rings of several orders: basis elements,
+    # random elements and their products, against the Fraction reduction
+    alg = _named_algebra(request, name)
+    rng = random.Random(7)
+    elems = [alg.basis_element(i) for i in range(alg.dim)]
+    elems += _random_elements(alg, rng, 6)
+    elems += [x * y for x, y in zip(elems[-6:], elems[-5:])]
+    for order in (2, 4, 6):
+        ring = NodeRing(alg, order)
+        for k, space in ring._slot_spaces.items():
+            for x in elems:
+                expected = tuple(space.reduce(x.coeffs))
+                got = ring._slot_reduce(k, x)
+                assert got.coeffs == expected
+                assert got == alg.element(expected)

@@ -8,6 +8,7 @@ must give the same particular solutions, null bases, inconsistency
 indices, equality and hashes.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -127,3 +128,42 @@ def test_subspace_matches_dense(rows, seed):
     rng.shuffle(others)
     other = Subspace(others, dim)
     assert other == space and hash(other) == hash(space)
+
+
+def _scaled(vec):
+    """A Fraction vector as (d, ((index, numerator), ...)) in lowest terms."""
+    d = math.lcm(*[c.denominator for c in vec])
+    return d, tuple(
+        (i, c.numerator * (d // c.denominator)) for i, c in enumerate(vec) if c
+    )
+
+
+def test_reduce_scaled_matches_reduce():
+    # random subspaces whose echelon rows have several entries over the
+    # denominators 2 and 3, against the Fraction reduction
+    rng = random.Random(25)
+    entries = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)]
+    multi_entry_rows = 0
+    for _ in range(300):
+        dim = rng.randrange(2, 8)
+        gens = [
+            [rng.choice(entries) for _ in range(dim)]
+            for _ in range(rng.randrange(1, 4))
+        ]
+        space = Subspace(gens, dim)
+        multi_entry_rows += sum(
+            1
+            for row in space.rows
+            if sum(1 for c in row if c) > 1 and any(c.denominator > 1 for c in row)
+        )
+        for _ in range(4):
+            scale = rng.choice([1, 5, Fraction(1, 4)])
+            vec = [Fraction(rng.choice(entries)) * scale for _ in range(dim)]
+            expected = space.reduce(vec)
+            d, pairs = space.reduce_scaled(*_scaled(vec))
+            assert (d, pairs) == _scaled(expected)
+            dense = [Fraction(0)] * dim
+            for i, n in pairs:
+                dense[i] = Fraction(n, d)
+            assert dense == expected
+    assert multi_entry_rows > 100

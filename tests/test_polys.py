@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from degkit.polys import Poly, RatFunc
+from degkit.polys import Poly, RatFunc, _power
 from reference_polys import (
     ref_mul,
     ref_one,
@@ -84,12 +84,35 @@ def ref_same(a, b):
 # ---------------------------------------------------------------- products
 
 
-@given(polys(NV, max_terms=4), polys(NV, max_terms=4), st.integers(0, 4))
+@given(polys(NV, max_terms=4), polys(NV, max_terms=4), st.integers(0, 9))
 @settings(max_examples=200, deadline=None)
 def test_products_and_powers_match_reference(a, b, k):
     # term order too: a substitution sums terms in this order
     assert list((a * b).terms.items()) == list(ref_mul(a.terms, b.terms).items())
     assert list((a**k).terms.items()) == list(ref_pow(a.terms, k, NV).items())
+
+
+class _Counted:
+    """An integer whose products are counted."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+
+def test_power_takes_no_square_past_the_top_bit():
+    # square-and-multiply: one product per set bit, one squaring per bit
+    # below the top one
+    for k in range(1, 10):
+        _Counted.products = 0
+        got = _power(_Counted(3), k, _Counted(1))
+        assert got.value == 3**k
+        assert _Counted.products == bin(k).count("1") + k.bit_length() - 1, k
 
 
 @given(polys(NV), polys(NV, min_terms=1), st.integers(-3, 3))
