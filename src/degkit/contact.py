@@ -13,6 +13,7 @@ over Q at the fixed truncation orders of the algebra and the ring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .exactalg import (
     NodeSeries,
     hom_apply,
 )
-from .linalg import Subspace, eliminate, particular_solution, solve_linear
+from .linalg import Subspace, integer_eliminate, particular_solution, solve_linear
 
 
 class ContactError(ValueError):
@@ -132,14 +133,18 @@ def contact_orders(data):
     return tuple(out)
 
 
-def _series_vec(x):
-    """Flat Q-vector of a node series (constant block, then both tails)."""
-    out = list(x.a0.coeffs)
-    for c in x.a:
-        out.extend(c.coeffs)
-    for c in x.b:
-        out.extend(c.coeffs)
-    return out
+def _series_numerators(x):
+    """A node series as one flat vector (constant block, then both tails,
+    ``dim`` coordinates a slot) of integer numerators over one denominator:
+    (d, [(position, numerator), ...]) over the nonzero positions, in lowest
+    terms."""
+    ring = x.ring
+    dim = ring.algebra.dim
+    K = ring.internal - 1
+    d, slots = x._scaled_slots()
+    return d, [
+        (dim * (k if k >= 0 else K - k) + m, n) for k, pairs in slots for m, n in pairs
+    ]
 
 
 def is_nondegenerate(data):
@@ -149,17 +154,17 @@ def is_nondegenerate(data):
     """
     alg = data.algebra
     ring = data.ring
-    s_span = AlgebraIdeal(alg, [alg.s]).span
+    s_ideal = AlgebraIdeal(alg, [alg.s])
     for phi in (data.phi_w1, data.phi_w2):
-        if not s_span.contains(phi.a0.coeffs):
+        if not s_ideal.contains(phi.a0):
             return False, None
     dim = alg.dim * (2 * (ring.internal - 1) + 1)
     vectors = []
     for phi in (data.phi_w1, data.phi_w2):
-        for col in _family_columns(_shift_levels(phi)):
-            vec = [Fraction(0)] * dim
-            for r, v in col.items():
-                vec[r] = v
+        for _, col in _family_columns(_shift_levels(phi)):
+            vec = [0] * dim
+            for r, n in col.items():
+                vec[r] = n
             vectors.append(vec)
     ideal_span = Subspace(vectors, dim)
     for m in range(1, ring.order + 1):
@@ -174,7 +179,7 @@ def is_nondegenerate(data):
                 if k == 0
                 else ring.branch_power(1 if i > j else 2, k, coeff)
             )
-            if not ideal_span.contains(_series_vec(gen)):
+            if ideal_span.reduce_scaled(*_series_numerators(gen))[1]:
                 good = False
                 break
         if good:
@@ -197,8 +202,10 @@ def _shift_levels(x):
 
 
 def _family_columns(levels):
-    """Sparse flat vectors {position: value} of y * e_j over the levels y
-    of :func:`_shift_levels` and the basis e_j of the base, level by level.
+    """Sparse flat vectors of y * e_j over the levels y of
+    :func:`_shift_levels` and the basis e_j of the base, level by level,
+    each as (q, {position: numerator}): integer numerators over the least
+    common denominator q of the vector's entries.
 
     Together they span the ideal generated by levels[0] in the internal
     window.  Multiplying a level by e_j multiplies each nonzero slot by e_j
@@ -214,18 +221,25 @@ def _family_columns(levels):
     K = ring.internal - 1
     fam = []
     for y in levels:
-        cols = [{} for _ in range(dim)]
+        parts = [[] for _ in range(dim)]
         d, slots = y._scaled_slots()
         for k, pairs in slots:
             offset = dim * (k if k >= 0 else K - k)
-            for j, col in enumerate(cols):
+            for j, part in enumerate(parts):
                 acc = {}
                 alg._accumulate(acc, pairs, ((j, 1),), d)
                 x = ring._slot_reduce(abs(k), alg._from_numerators(acc))
                 q, xs = x._scaled()
+                if xs:
+                    part.append((offset, q, xs))
+        for part in parts:
+            q = math.lcm(*[p for _, p, _ in part])
+            col = {}
+            for offset, p, xs in part:
+                f = q // p
                 for m, n in xs:
-                    col[offset + m] = Fraction(n, q)
-        fam.extend(cols)
+                    col[offset + m] = n * f
+            fam.append((q, col))
     return fam
 
 
@@ -364,25 +378,33 @@ def _pure_solve(phi1, levels2, n):
     K = ring.internal - 1
     vec_len = dim * (2 * K + 1)
     ncols = vec_len + dim
+    # integer rows: each column scaled by the least common denominator of
+    # its entries, the right-hand side by its own; particular_solution
+    # scales the unknowns back
     rows = [{} for _ in range(2 * vec_len)]
+    scales = []
     first = _family_columns(_shift_levels(ring.branch_power(1, n)))
-    for c, (ua, u2) in enumerate(zip(first, _family_columns(levels2))):
+    for c, ((q1, ua), (q2, u2)) in enumerate(zip(first, _family_columns(levels2))):
+        q = math.lcm(q1, q2)
+        f1, f2 = q // q1, q // q2
         for r, v in ua.items():
-            rows[r][c] = v
+            rows[r][c] = v * f1
         for r, v in u2.items():
-            rows[vec_len + r][c] = v
+            rows[vec_len + r][c] = v * f2
+        scales.append(q)
     # eps e_j z2^n: the basis element e_j alone in the z2^n slot
     offset = vec_len + dim * (K + n)
     for j in range(dim):
-        second = ring._slot_reduce(n, alg.basis_element(j)).coeffs
-        for m, v in enumerate(second):
-            if v:
-                rows[offset + m][vec_len + j] = -v
-    for r, v in enumerate(_series_vec(phi1)):
-        if v:
-            rows[r][ncols] = v
+        q, second = ring._slot_reduce(n, alg.basis_element(j))._scaled()
+        for m, v in second:
+            rows[offset + m][vec_len + j] = -v
+        scales.append(q)
+    d, rhs = _series_numerators(phi1)
+    for r, v in rhs:
+        rows[r][ncols] = v
+    scales.append(d)
     solution, index = particular_solution(
-        eliminate(row for row in rows if row), ncols
+        integer_eliminate(row for row in rows if row), ncols, scales
     )
     if solution is None:
         return None, None, "unsolvable coefficient equation (reduced row %d)" % index
@@ -569,10 +591,16 @@ def flat_local_forcing(data):
         raise ContactError("flatness", "psi_t = 0 has torsion everywhere")
     # kernel of multiplication by psi_t, with truncation-induced torsion
     # discounted: torsion below the truncation order is a real obstruction
-    # column j is psi_t * e_j, one product each
-    cols = [(data.psi_t * alg.basis_element(j)).coeffs for j in range(alg.dim)]
-    rows = [list(row) for row in zip(*cols)]
-    _, kernel = solve_linear(rows, [Fraction(0)] * alg.dim)
+    # column j is psi_t * e_j, one product each, read as integer numerators;
+    # all columns over one common denominator, which leaves the kernel as
+    # it is
+    cols = [(data.psi_t * alg.basis_element(j))._scaled() for j in range(alg.dim)]
+    den = math.lcm(*[q for q, _ in cols])
+    rows = [[0] * alg.dim for _ in range(alg.dim)]
+    for j, (q, pairs) in enumerate(cols):
+        for m, n in pairs:
+            rows[m][j] = n * (den // q)
+    _, kernel = solve_linear(rows, [0] * alg.dim)
     v_psi = alg.valuation(data.psi_t)
     for vec in kernel:
         elem = alg.element(vec)

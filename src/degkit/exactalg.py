@@ -158,7 +158,7 @@ class TruncatedAlgebra:
 
     # ----------------------------------------------------------- public api
     def element(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
         if len(coeffs) != self.dim:
             raise ValueError("coefficient vector length mismatch")
         return AlgebraElement(self, coeffs)
@@ -190,9 +190,7 @@ class TruncatedAlgebra:
         return self.from_poly(Poly.monomial(exp))
 
     def basis_element(self, i):
-        vec = [Fraction(0)] * self.dim
-        vec[i] = Fraction(1)
-        return AlgebraElement(self, tuple(vec))
+        return AlgebraElement(self, None, (1, ((i, 1),)))
 
     def _structure(self, i, j):
         """e_i * e_j as (D, ((m, n), ...)): its nonzero structure constants
@@ -227,22 +225,27 @@ class TruncatedAlgebra:
                 for m, c in terms:
                     vec[m] += f * c
 
-    def _from_numerators(self, acc):
-        """The element sum_d acc[d] / d of integer vectors keyed by their
-        denominator: the vectors are added over one least common
-        denominator and brought to lowest terms.  The element holds that
-        scaled form; its Fractions are built only if ``coeffs`` is read."""
+    def _numerators(self, acc):
+        """(d, integer vector) of sum_q acc[q] / q, for integer vectors
+        keyed by their denominator: the vectors added over their least
+        common denominator d, not brought to lowest terms."""
         if len(acc) == 1:
             [(d, nums)] = acc.items()
-        else:
-            d = math.lcm(*acc)
-            nums = [0] * self.dim
-            for q, vec in acc.items():
-                f = d // q
-                for m, n in enumerate(vec):
-                    if n:
-                        nums[m] += f * n
-        scaled = lowest_terms(d, nums)
+            return d, nums
+        d = math.lcm(*acc)
+        nums = [0] * self.dim
+        for q, vec in acc.items():
+            f = d // q
+            for m, n in enumerate(vec):
+                if n:
+                    nums[m] += f * n
+        return d, nums
+
+    def _from_numerators(self, acc):
+        """The element sum_d acc[d] / d of integer vectors keyed by their
+        denominator, in lowest terms.  The element holds that scaled form;
+        its Fractions are built only if ``coeffs`` is read."""
+        scaled = lowest_terms(*self._numerators(acc))
         if not scaled[1]:
             return self._zero
         return AlgebraElement(self, None, scaled)
@@ -269,10 +272,11 @@ class TruncatedAlgebra:
         """m-adic valuation; the zero element reports the truncation order."""
         if elem.is_zero():
             return self.order
+        scaled = elem._scaled()
         v = 0
-        while v + 1 <= self.order and self.maximal_ideal_power(v + 1).contains(
-            elem.coeffs
-        ):
+        while v + 1 <= self.order:
+            if self.maximal_ideal_power(v + 1).reduce_scaled(*scaled)[1]:
+                break
             v += 1
         return v
 
@@ -499,16 +503,22 @@ class AlgebraIdeal:
                 raise ValueError("generator from a different algebra")
             gens.append(g)
         self.generators = tuple(gens)
+        # g * e_i for each basis element e_i, on g's integer numerators:
+        # any multiple of the product spans the same line, so neither g's
+        # denominator nor lowest terms are needed
         vectors = []
         for g in gens:
+            pairs = g._scaled()[1]
             for i in range(algebra.dim):
-                vectors.append((g * algebra.basis_element(i)).coeffs)
+                acc = {}
+                algebra._accumulate(acc, pairs, ((i, 1),), 1)
+                vectors.append(algebra._numerators(acc)[1])
         self.span = Subspace(vectors, algebra.dim)
 
     def contains(self, elem):
         if elem.algebra != self.algebra:
             raise ValueError("element from a different algebra")
-        return self.span.contains(elem.coeffs)
+        return not self.span.reduce_scaled(*elem._scaled())[1]
 
     def is_zero(self):
         return self.span.dim == 0

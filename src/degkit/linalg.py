@@ -1,17 +1,24 @@
 """Exact linear algebra over Q: row reduction, spans, linear solves.
 
-Vectors are lists/tuples of Fractions, with one exception:
-:meth:`Subspace.reduce_scaled` takes and returns a vector as integer
-numerators over one denominator, (d, ((index, numerator), ...)), the
-form in which the exact algebra chain keeps its elements (built by
-:func:`lowest_terms`).  The systems range from a handful of rows
-(truncated algebras, coefficient collections) to the pure-contact
-systems of a few hundred rows and columns, which are mostly zeros.  One
-exact elimination, :func:`eliminate`, serves all of them: it works on
-sparse rows, touches the nonzero entries only, and its output is the
-unique reduced row echelon form.  :func:`rref` and :func:`solve_linear`
-are its dense wrappers; the pure-contact solve hands it sparse rows
-directly.
+The elimination runs on integers.  Its one core, :func:`integer_eliminate`,
+takes sparse integer rows and keeps every pivot row primitive: divided by
+the gcd of its entries, with a positive leading entry.  A step replaces a
+row by a * row - b * pivot_row, a and b the two entries at the column
+being cleared divided by their gcd, so no entry is ever a Fraction.  Its output
+is the unique reduced row echelon form, each row scaled to integers.  The
+systems range from a handful of rows (truncated algebras, coefficient
+collections) to the pure-contact systems of a few hundred rows and
+columns, which are mostly zeros, so the core touches nonzero entries only.
+
+Fractions are built only at the public edges: :func:`eliminate` (sparse
+rows of Fractions in and out), :func:`rref` and :func:`solve_linear` (dense
+rows), :func:`particular_solution`, and the ``rows``, :meth:`Subspace.reduce`
+and :meth:`Subspace.contains` of a :class:`Subspace`, which keeps its
+primitive rows as its state.  Callers that hold integer numerators feed
+the core directly: :meth:`Subspace.reduce_scaled` takes and returns a
+vector as integer numerators over one denominator, (d, ((index,
+numerator), ...)), the form in which the exact algebra chain keeps its
+elements (built by :func:`lowest_terms`).
 """
 
 from __future__ import annotations
@@ -21,30 +28,56 @@ import math
 from fractions import Fraction
 
 
-def _subtract(row, f, prow):
-    """row -= f * prow on sparse rows, dropping entries that cancel."""
+def _combine(row, col, prow):
+    """row := a * row - b * prow, clearing ``col``: a / b is prow[col] /
+    row[col] in lowest terms, with a > 0 since prow's pivot is positive.
+    Entries that cancel are dropped."""
+    a = prow[col]
+    b = row[col]
+    g = math.gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for j in row:
+            row[j] *= a
     for j, c in prow.items():
-        v = row.get(j)
-        v = -f * c if v is None else v - f * c
+        v = row.get(j, 0) - b * c
         if v:
             row[j] = v
         else:
             del row[j]
 
 
-def eliminate(rows):
-    """The sparse elimination core: reduced row echelon form of sparse rows.
+def _primitive(row, lead):
+    """Divide ``row`` in place by the gcd of its entries, signed so that
+    the entry at ``lead`` is positive."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
+    return row
 
-    ``rows`` is an iterable of dicts {column: nonzero Fraction}; each is
-    consumed (reduced in place).  Returns {pivot column: pivot row}, where
-    each pivot row holds 1 at its pivot and no other pivot column.
+
+def integer_eliminate(rows):
+    """The elimination core: the reduced row echelon form of sparse integer
+    rows, each row scaled to primitive integers.
+
+    ``rows`` is an iterable of dicts {column: nonzero int}; each is consumed
+    (reduced in place).  Returns {pivot column: pivot row}, where each
+    pivot row is primitive, positive at its pivot and zero at every other
+    pivot column: the reduced row echelon form's row times the least
+    common denominator of its entries.
 
     An incoming row is reduced against the pivot rows found so far, always
     at its leading column, until that column holds no pivot; it is then
-    scaled to a new pivot row.  A final back-substitution clears every
-    pivot column from the other pivot rows.  The reduced row echelon form
-    of a row space is unique, so the result does not depend on the order
-    of the steps.
+    made primitive and becomes a pivot row.  A final back-substitution
+    clears every pivot column from the other pivot rows, from the last
+    pivot to the first, so each row is cleared against rows that are
+    already final.  The reduced row echelon form of a row space is unique,
+    so the result does not depend on the order of the steps.
     """
     pivot_rows = {}
     for row in rows:
@@ -52,27 +85,64 @@ def eliminate(rows):
             lead = min(row)
             prow = pivot_rows.get(lead)
             if prow is None:
-                inv = 1 / row[lead]
-                pivot_rows[lead] = {j: c * inv for j, c in row.items()}
+                pivot_rows[lead] = _primitive(row, lead)
                 break
-            _subtract(row, row[lead], prow)
+            _combine(row, lead, prow)
     for p in sorted(pivot_rows, reverse=True):
         row = pivot_rows[p]
-        for q in [q for q in row if q != p and q in pivot_rows]:
-            _subtract(row, row[q], pivot_rows[q])
+        cols = [q for q in row if q != p and q in pivot_rows]
+        for q in cols:
+            _combine(row, q, pivot_rows[q])
+        if cols:
+            _primitive(row, p)
     return pivot_rows
 
 
-def _sparse(rows):
-    """Dense rows as sparse dicts of Fractions; zero rows are dropped."""
+def _integer_row(entries):
+    """(column, rational) pairs as a sparse integer row {column: numerator}
+    over the least common denominator of the entries; ints pass as they
+    are."""
+    if all(type(c) is int for _, c in entries):
+        return dict(entries)
+    D = math.lcm(*[c.denominator for _, c in entries])
+    return {j: c.numerator * (D // c.denominator) for j, c in entries}
+
+
+def _rational(c):
+    return c if type(c) in (int, Fraction) else Fraction(c)
+
+
+def _integer_rows(rows):
+    """Dense rows of rationals as sparse integer rows; zero rows are
+    dropped."""
     for r in rows:
-        row = {
-            j: c if type(c) is Fraction else Fraction(c)
-            for j, c in enumerate(r)
-            if c
-        }
-        if row:
-            yield row
+        entries = [(j, _rational(c)) for j, c in enumerate(r) if c]
+        if entries:
+            yield _integer_row(entries)
+
+
+def eliminate(rows):
+    """The reduced row echelon form of sparse rows of Fractions.
+
+    ``rows`` is an iterable of dicts {column: nonzero Fraction}.  Returns
+    {pivot column: pivot row}, where each pivot row holds 1 at its pivot
+    and no other pivot column.  A Fraction edge of
+    :func:`integer_eliminate`.
+    """
+    pivot_rows = integer_eliminate(_integer_row(list(row.items())) for row in rows)
+    return {
+        p: {j: Fraction(c, row[p]) for j, c in row.items()}
+        for p, row in pivot_rows.items()
+    }
+
+
+def _dense(d, pairs, ncols):
+    """The integer numerators (index, n) over d as a dense list of
+    Fractions."""
+    dense = [Fraction(0)] * ncols
+    for j, n in pairs:
+        dense[j] = Fraction(n, d)
+    return dense
 
 
 def rref(rows):
@@ -80,31 +150,35 @@ def rref(rows):
 
     Returns (echelon_rows, pivot_columns); zero rows are dropped, the rows
     are dense lists of Fractions and the pivots are increasing.  A dense
-    wrapper around :func:`eliminate`.
+    edge of :func:`integer_eliminate`.
     """
     rows = list(rows)
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pivot_rows = eliminate(_sparse(rows))
+    pivot_rows = integer_eliminate(_integer_rows(rows))
     pivots = sorted(pivot_rows)
-    echelon = []
-    for p in pivots:
-        dense = [Fraction(0)] * ncols
-        for j, c in pivot_rows[p].items():
-            dense[j] = c
-        echelon.append(dense)
+    echelon = [_dense(pivot_rows[p][p], pivot_rows[p].items(), ncols) for p in pivots]
     return echelon, pivots
 
 
-def particular_solution(pivot_rows, ncols):
+def particular_solution(pivot_rows, ncols, scales=None):
     """Read the solution of an eliminated augmented system.
 
-    ``pivot_rows`` is :func:`eliminate` of the rows of A x = b, each with b
-    in column ``ncols``.  Returns (the solution whose free unknowns are
-    zero, None), or (None, index) where index is the position of the
-    inconsistent row 0 = 1 among the echelon rows: the last one, after
-    every pivot of A.
+    ``pivot_rows`` is the elimination of the rows of A x = b, each with b
+    in column ``ncols``; each pivot row may be any nonzero multiple of its
+    reduced row (the output of :func:`integer_eliminate` or of
+    :func:`eliminate`).  ``scales``, if given, are ncols + 1 nonzero
+    integers by which the columns of A and then b were multiplied before
+    the elimination; the unknowns are scaled back.  Returns (the solution
+    whose free unknowns are zero, None), or (None, index) where index is
+    the position of the inconsistent row 0 = 1 among the echelon rows: the
+    last one, after every pivot of A.
+
+    Scaling a column by a nonzero factor keeps the pivot columns, so the
+    index and the free unknowns are those of the unscaled system: if x'
+    solves the scaled one, x_j = scales[j] x'_j / scales[ncols] solves A x
+    = b, and x'_j = 0 exactly when x_j = 0.
     """
     if ncols in pivot_rows:
         return None, len(pivot_rows) - 1
@@ -112,7 +186,10 @@ def particular_solution(pivot_rows, ncols):
     for p, row in pivot_rows.items():
         value = row.get(ncols)
         if value is not None:
-            solution[p] = value
+            if scales is None:
+                solution[p] = Fraction(value, row[p])
+            else:
+                solution[p] = Fraction(scales[p] * value, scales[ncols] * row[p])
     return solution, None
 
 
@@ -131,8 +208,26 @@ def lowest_terms(d, nums):
     return d, pairs
 
 
+def _scaled_vector(vec):
+    """A dense vector of rationals as (d, ((index, numerator), ...)) in
+    lowest terms."""
+    entries = [(j, _rational(c)) for j, c in enumerate(vec) if c]
+    d = math.lcm(*[c.denominator for _, c in entries])
+    nums = [0] * len(vec)
+    for j, c in entries:
+        nums[j] = c.numerator * (d // c.denominator)
+    return lowest_terms(d, nums)
+
+
 class Subspace:
-    """Subspace of Q^n stored as a reduced row echelon basis."""
+    """Subspace of Q^n stored as its reduced row echelon basis, each row
+    kept as primitive integers.
+
+    ``_integer_rows`` is that state: per echelon row, (pivot, D, ((column,
+    R[column]), ...)) with R the row times the least common denominator D
+    of its entries, so that R[pivot] = D.  ``rows`` and ``pivots`` read it
+    as dense rows of Fractions.
+    """
 
     def __init__(self, vectors, dim):
         self.ambient = dim
@@ -140,42 +235,37 @@ class Subspace:
         for v in vecs:
             if len(v) != dim:
                 raise ValueError("ambient dimension mismatch")
-        self.rows, self.pivots = rref(vecs)
+        pivot_rows = integer_eliminate(_integer_rows(vecs))
+        self._integer_rows = [
+            (p, pivot_rows[p][p], tuple(sorted(pivot_rows[p].items())))
+            for p in sorted(pivot_rows)
+        ]
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._integer_rows)
 
-    def reduce(self, vec):
-        """Canonical representative of vec modulo this subspace."""
-        v = [c if type(c) is Fraction else Fraction(c) for c in vec]
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                for j in range(p, self.ambient):
-                    v[j] -= f * row[j]
-        return v
+    @property
+    def pivots(self):
+        return [p for p, _, _ in self._integer_rows]
 
     @functools.cached_property
-    def _integer_rows(self):
-        """Each echelon row as (pivot, D, ((column, R[column]), ...)): the
-        row times the least common denominator D of its entries, so that
-        R[pivot] = D.  A unit-vector row is the case D = 1."""
-        out = []
-        for row, p in zip(self.rows, self.pivots):
-            entries = [(j, c) for j, c in enumerate(row) if c]
-            D = math.lcm(*[c.denominator for _, c in entries])
-            row = tuple([(j, c.numerator * (D // c.denominator)) for j, c in entries])
-            out.append((p, D, row))
-        return out
+    def rows(self):
+        """The echelon rows as dense lists of Fractions, 1 at each pivot."""
+        return [_dense(D, row, self.ambient) for _, D, row in self._integer_rows]
+
+    def reduce(self, vec):
+        """Canonical representative of vec modulo this subspace, as a list
+        of Fractions: a Fraction edge of :meth:`reduce_scaled`."""
+        return _dense(*self.reduce_scaled(*_scaled_vector(vec)), self.ambient)
 
     def reduce_scaled(self, d, pairs):
-        """:meth:`reduce` on integer numerators: the canonical
-        representative of the vector with entries n / d, given and returned
-        as (d, ((index, n), ...)) in lowest terms.  Clearing pivot p against
-        the row R over D is v D - v[p] R, which scales the denominator by D;
-        one gcd at the end brings the result to lowest terms.  A vector
-        that meets no pivot is returned as it was given."""
+        """The canonical representative of the vector with entries n / d
+        modulo this subspace, given and returned as (d, ((index, n), ...))
+        in lowest terms.  Clearing pivot p against the row R over D is
+        v D - v[p] R, which scales the denominator by D; one gcd at the end
+        brings the result to lowest terms.  A vector that meets no pivot is
+        returned as it was given."""
         vec = [0] * self.ambient
         for i, n in pairs:
             vec[i] = n
@@ -195,13 +285,15 @@ class Subspace:
         return lowest_terms(d, vec)
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce_scaled(*_scaled_vector(vec))[1]
 
     def __eq__(self, other):
+        # the primitive rows are the echelon rows scaled canonically, so
+        # they are equal exactly when the echelon rows are
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self._integer_rows == other._integer_rows
         )
 
     def __hash__(self):
@@ -216,17 +308,17 @@ class Subspace:
 def solve_linear(matrix_rows, rhs):
     """Solve A x = b exactly over Q.
 
-    matrix_rows: list of equation coefficient rows, rhs: list of Fractions.
+    matrix_rows: list of equation coefficient rows, rhs: list of rationals.
     Returns (particular_solution, nullspace_basis) or (None, index) where
     index is the position of the first inconsistent equation row in the
-    reduced system (used to surface certificates).  A dense wrapper around
-    :func:`eliminate`.
+    reduced system (used to surface certificates).  A dense edge of
+    :func:`integer_eliminate`.
     """
     if not matrix_rows:
         return [], []
     ncols = len(matrix_rows[0])
     aug = [list(row) + [b] for row, b in zip(matrix_rows, rhs)]
-    pivot_rows = eliminate(_sparse(aug))
+    pivot_rows = integer_eliminate(_integer_rows(aug))
     solution, index = particular_solution(pivot_rows, ncols)
     if solution is None:
         return None, index
@@ -239,6 +331,6 @@ def solve_linear(matrix_rows, rhs):
         for p, row in pivot_rows.items():
             c = row.get(f)
             if c is not None:
-                v[p] = -c
+                v[p] = Fraction(-c, row[p])
         null_basis.append(v)
     return solution, null_basis

@@ -69,3 +69,16 @@ def dense_solve_linear(matrix_rows, rhs):
             v[p] = -row[f]
         null_basis.append(v)
     return solution, null_basis
+
+
+def dense_reduce(rows, pivots, vec):
+    """Canonical representative of ``vec`` modulo the span of the echelon
+    rows with the given pivots: the Fraction reduction ``Subspace.reduce``
+    did before the subspace kept integer rows."""
+    v = [c if type(c) is Fraction else Fraction(c) for c in vec]
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f:
+            for j in range(p, len(v)):
+                v[j] -= f * row[j]
+    return v

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -413,12 +414,13 @@ def _reference_shifted_family(x):
 
 
 def _densify(columns, ring):
+    # each column is (q, {row: numerator}), its entries numerator / q
     length = ring.algebra.dim * (2 * ring.internal - 1)
     out = []
-    for col in columns:
+    for q, col in columns:
         vec = [Fraction(0)] * length
-        for r, v in col.items():
-            vec[r] = v
+        for r, n in col.items():
+            vec[r] = Fraction(n, q)
         out.append(vec)
     return out
 
@@ -542,10 +544,17 @@ def test_structured_solve_matches_dense_reference(inputs):
         flag = is_nondegenerate(data)
 
         def reference_columns(levels):
-            return [
-                {r: v for r, v in enumerate(vec) if v}
-                for vec in _reference_shifted_family(levels[0])
-            ]
+            # the reference vectors in the columns' integer form
+            out = []
+            for vec in _reference_shifted_family(levels[0]):
+                q = math.lcm(*[v.denominator for v in vec])
+                col = {
+                    r: v.numerator * (q // v.denominator)
+                    for r, v in enumerate(vec)
+                    if v
+                }
+                out.append((q, col))
+            return out
 
         with mock.patch.object(contact, "_family_columns", reference_columns):
             assert flag == is_nondegenerate(data)

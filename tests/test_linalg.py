@@ -1,11 +1,13 @@
-"""The sparse elimination against the dense reference elimination.
+"""The integer elimination and its Fraction edges against the dense
+reference elimination.
 
-The reduced row echelon form of a row space is unique, so the sparse
-``rref`` must reproduce the dense routine's rows and pivots exactly, and
-``solve_linear``, ``Subspace`` and the sparse solve of the pure-contact
-systems (``eliminate`` on sparse rows, read by ``particular_solution``)
-must give the same particular solutions, null bases, inconsistency
-indices, equality and hashes.
+The reduced row echelon form of a row space is unique, so ``rref`` must
+reproduce the dense routine's rows and pivots exactly, the core
+``integer_eliminate`` must give those rows scaled to primitive integers,
+and ``solve_linear``, ``Subspace`` and the sparse solve (``eliminate`` on
+sparse rows, read by ``particular_solution``) must give the same
+particular solutions, null bases, inconsistency indices, equality and
+hashes.
 """
 
 import math
@@ -18,11 +20,12 @@ import hypothesis.strategies as st
 from degkit.linalg import (
     Subspace,
     eliminate,
+    integer_eliminate,
     particular_solution,
     rref,
     solve_linear,
 )
-from dense_linalg import dense_rref, dense_solve_linear
+from dense_linalg import dense_reduce, dense_rref, dense_solve_linear
 
 ENTRY = st.one_of(
     st.just(0),
@@ -115,10 +118,13 @@ def test_sparse_solve_matches_dense(rows, data):
 def test_subspace_matches_dense(rows, seed):
     dim = len(rows[0]) if rows else 3
     space = Subspace(rows, dim)
-    ref = Subspace([], dim)
-    ref.rows, ref.pivots = dense_rref(rows)
+    # the subspace keeps integer rows, so the reference is spanned by the
+    # dense echelon rows, and the hash is pinned to those rows directly
+    ref_rows, ref_pivots = dense_rref(rows)
+    ref = Subspace(ref_rows, dim)
     assert space == ref and hash(space) == hash(ref)
-    assert (space.rows, space.pivots) == (ref.rows, ref.pivots)
+    assert hash(space) == hash((dim, tuple(tuple(r) for r in ref_rows)))
+    assert (space.rows, space.pivots) == (ref_rows, ref_pivots)
     # the same span from shuffled, rescaled generators is the same object
     rng = random.Random(seed)
     others = []
@@ -140,7 +146,8 @@ def _scaled(vec):
 
 def test_reduce_scaled_matches_reduce():
     # random subspaces whose echelon rows have several entries over the
-    # denominators 2 and 3, against the Fraction reduction
+    # denominators 2 and 3, against the dense Fraction reduction over the
+    # dense echelon rows; reduce, the Fraction edge, agrees too
     rng = random.Random(25)
     entries = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)]
     multi_entry_rows = 0
@@ -151,6 +158,7 @@ def test_reduce_scaled_matches_reduce():
             for _ in range(rng.randrange(1, 4))
         ]
         space = Subspace(gens, dim)
+        echelon, pivots = dense_rref(gens)
         multi_entry_rows += sum(
             1
             for row in space.rows
@@ -159,7 +167,8 @@ def test_reduce_scaled_matches_reduce():
         for _ in range(4):
             scale = rng.choice([1, 5, Fraction(1, 4)])
             vec = [Fraction(rng.choice(entries)) * scale for _ in range(dim)]
-            expected = space.reduce(vec)
+            expected = dense_reduce(echelon, pivots, vec)
+            assert space.reduce(vec) == expected
             d, pairs = space.reduce_scaled(*_scaled(vec))
             assert (d, pairs) == _scaled(expected)
             dense = [Fraction(0)] * dim
@@ -167,3 +176,74 @@ def test_reduce_scaled_matches_reduce():
                 dense[i] = Fraction(n, d)
             assert dense == expected
     assert multi_entry_rows > 100
+
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def _large_entry_rows(rng, ncols=40, independent=30):
+    """Sparse rows with prime denominators up to 97 and numerators up to
+    10^6: ``independent`` random rows, then scalar repeats and two-row
+    combinations of them, shuffled; the rank stays below ``ncols``."""
+    def entry():
+        return Fraction(rng.randint(1, 10**6) * rng.choice([1, -1]), rng.choice(PRIMES))
+
+    rows = []
+    for _ in range(independent):
+        row = [0] * ncols
+        for j in rng.sample(range(ncols), rng.randrange(1, 6)):
+            row[j] = entry()
+        rows.append(row)
+    for _ in range(ncols - independent):
+        a, b = rng.sample(rows[:independent], 2)
+        f, g = entry(), entry()
+        rows.append([f * x + g * y for x, y in zip(a, b)])
+    for _ in range(6):
+        f = Fraction(rng.choice([-1, 1]) * rng.randint(1, 97), rng.choice(PRIMES))
+        rows.append([f * x for x in rng.choice(rows)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_integer_core_on_large_entries():
+    # coefficient growth: the core's primitive rows are the dense echelon
+    # rows scaled to integers, and every Fraction edge agrees with the dense
+    # reference; equal spans from shuffled, rescaled generators compare and
+    # hash equal
+    for seed in range(4):
+        rng = random.Random(seed)
+        rows = _large_entry_rows(rng)
+        ncols = len(rows[0])
+        echelon, pivots = dense_rref(rows)
+        assert 0 < len(pivots) < ncols
+        assert rref(rows) == (echelon, pivots)
+        integer_rows = []
+        for row in rows:
+            d = math.lcm(*[c.denominator for c in row])
+            integer_rows.append(
+                {j: int(c * d) for j, c in enumerate(row) if c}
+            )
+        core = integer_eliminate(integer_rows)
+        assert sorted(core) == pivots
+        for p, dense in zip(pivots, echelon):
+            row = core[p]
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
+            assert all(type(c) is int for c in row.values())
+            assert [Fraction(row.get(j, 0), row[p]) for j in range(ncols)] == dense
+        x = [rng.choice([0, 1, Fraction(-3, 7)]) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        assert solve_linear(rows, rhs) == dense_solve_linear(rows, rhs)
+        rhs[rng.randrange(len(rhs))] += Fraction(1, 89)
+        assert solve_linear(rows, rhs) == dense_solve_linear(rows, rhs)
+        space = Subspace(rows, ncols)
+        assert hash(space) == hash((ncols, tuple(tuple(r) for r in echelon)))
+        others = []
+        for row in rows:
+            f = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.choice(PRIMES))
+            others.append([f * c for c in row])
+        rng.shuffle(others)
+        other = Subspace(others, ncols)
+        assert other == space and hash(other) == hash(space)
+        assert (other.rows, other.pivots) == (echelon, pivots)
+        smaller = Subspace(others[1:], ncols)
+        assert (smaller == space) == (smaller.dim == space.dim)
