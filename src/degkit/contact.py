@@ -229,7 +229,7 @@ def _family_columns(levels):
                 acc = {}
                 alg._accumulate(acc, pairs, ((j, 1),), d)
                 x = ring._slot_reduce(abs(k), alg._from_numerators(acc))
-                q, xs = x._scaled()
+                q, xs = x._scaled
                 if xs:
                     part.append((offset, q, xs))
         for part in parts:
@@ -395,7 +395,7 @@ def _pure_solve(phi1, levels2, n):
     # eps e_j z2^n: the basis element e_j alone in the z2^n slot
     offset = vec_len + dim * (K + n)
     for j in range(dim):
-        q, second = ring._slot_reduce(n, alg.basis_element(j))._scaled()
+        q, second = ring._slot_reduce(n, alg.basis_element(j))._scaled
         for m, v in second:
             rows[offset + m][vec_len + j] = -v
         scales.append(q)
@@ -594,7 +594,7 @@ def flat_local_forcing(data):
     # column j is psi_t * e_j, one product each, read as integer numerators;
     # all columns over one common denominator, which leaves the kernel as
     # it is
-    cols = [(data.psi_t * alg.basis_element(j))._scaled() for j in range(alg.dim)]
+    cols = [(data.psi_t * alg.basis_element(j))._scaled for j in range(alg.dim)]
     den = math.lcm(*[q for q, _ in cols])
     rows = [[0] * alg.dim for _ in range(alg.dim)]
     for j, (q, pairs) in enumerate(cols):
@@ -649,15 +649,15 @@ def enumerate_homs(source, target, coeffs=(0, 1, -1), max_terms=2, limit=64):
         target.monomial_element(m) for m in target.basis if sum(m) > 0
     ]
     candidates = [target.zero()]
-    seen = {target.zero().coeffs}
+    seen = {target.zero()._scaled}
     for size in range(1, max_terms + 1):
         for combo in combinations(range(len(nil_basis)), size):
             for cs in product([c for c in coeffs if c], repeat=size):
                 elem = target.zero()
                 for idx, c in zip(combo, cs):
                     elem = elem + nil_basis[idx] * Fraction(c)
-                if elem.coeffs not in seen:
-                    seen.add(elem.coeffs)
+                if elem._scaled not in seen:
+                    seen.add(elem._scaled)
                     candidates.append(elem)
     out = []
     free = len(source.gens) - 1

@@ -7,6 +7,13 @@ exact linear algebra.  The first generator is reserved for the smoothing
 parameter ``s``; the trivial smoothing is obtained by adding ``s`` itself as
 a relation.
 
+An :class:`AlgebraElement` has one exact state, its scaled form: the
+nonzero coordinates as integer numerators over their least common
+denominator, in lowest terms.  Every builder makes that form (rationals
+enter through :func:`linalg.numerators`), arithmetic and equality read it,
+and the Fraction vector ``coeffs`` is computed from it.  Exact scalars
+become elements through one lift, :meth:`TruncatedAlgebra._lift`.
+
 A :class:`NodeRing` attaches two branch variables z1, z2 to such an algebra,
 subject to the rewrite z1*z2 = s.  Its elements are kept in the unique
 normal form
@@ -28,11 +35,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import Subspace, lowest_terms
+from .linalg import Subspace, _dense, lowest_terms, numerators
 from .polys import Poly, _coeff, _int, _json_ints, _power
-
-
-_ZERO = Fraction(0)
 
 
 def _frac_str(c):
@@ -60,6 +64,13 @@ def _json_bool(value):
     if type(value) is not bool:
         raise ValueError("expected a boolean, got %r" % (value,))
     return value
+
+
+def _check_branch(branch):
+    """Refuse a branch other than 1 (z1) or 2 (z2): ValueError for another
+    int, TypeError for a non-int or a bool."""
+    if _int(branch, "branch") not in (1, 2):
+        raise ValueError("branch must be 1 or 2, not %d" % branch)
 
 
 def _unit_inverse(x, c_inv, one, cap):
@@ -121,7 +132,7 @@ class TruncatedAlgebra:
         self._structure_table = {}
         self._mpowers = None
         # elements are immutable, so every caller may share these two
-        self._zero = AlgebraElement(self, None, (1, ()))
+        self._zero = AlgebraElement(self, (1, ()))
         self._one = self.from_poly(Poly.one(len(gens)))
 
     # ------------------------------------------------------------ internals
@@ -152,16 +163,20 @@ class TruncatedAlgebra:
                 vec[idx] += c
         return vec
 
-    def _fullvec_to_coeffs(self, vec):
-        red = self._rel_space.reduce(vec)
-        return tuple(red[self._mono_index[m]] for m in self.basis)
+    def _lift(self, x):
+        """``x`` as an element of this algebra: elements pass as they are,
+        exact scalars become constants, floats and bools are refused."""
+        if isinstance(x, AlgebraElement):
+            return x
+        return self.const(x)
 
     # ----------------------------------------------------------- public api
     def element(self, coeffs):
-        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
+        coeffs = tuple(coeffs)
+        scaled = numerators(enumerate(coeffs))
         if len(coeffs) != self.dim:
             raise ValueError("coefficient vector length mismatch")
-        return AlgebraElement(self, coeffs)
+        return AlgebraElement(self, scaled)
 
     def zero(self):
         return self._zero
@@ -182,15 +197,26 @@ class TruncatedAlgebra:
         return self.gen(0)
 
     def from_poly(self, poly):
+        """The class of ``poly``: its terms below the truncation order, as
+        integer numerators over the monomials, reduced by the relations.
+        The reduced vector vanishes at every pivot monomial, so each of its
+        monomials is a basis monomial."""
         if poly.nvars != len(self.gens):
             raise ValueError("arity mismatch")
-        return AlgebraElement(self, self._fullvec_to_coeffs(self._poly_to_fullvec(poly)))
+        index = self._mono_index
+        terms = sorted([(index[e], c) for e, c in poly.terms.items() if e in index])
+        d, pairs = self._rel_space.reduce_scaled(*numerators(terms))
+        basis_index = self._basis_index
+        monomials = self._monomials
+        return AlgebraElement(
+            self, (d, tuple([(basis_index[monomials[m]], n) for m, n in pairs]))
+        )
 
     def monomial_element(self, exp):
         return self.from_poly(Poly.monomial(exp))
 
     def basis_element(self, i):
-        return AlgebraElement(self, None, (1, ((i, 1),)))
+        return AlgebraElement(self, (1, ((i, 1),)))
 
     def _structure(self, i, j):
         """e_i * e_j as (D, ((m, n), ...)): its nonzero structure constants
@@ -203,7 +229,7 @@ class TruncatedAlgebra:
             if sum(exp) >= self.order:
                 got = (1, ())
             else:
-                got = self.monomial_element(exp)._scaled()
+                got = self.monomial_element(exp)._scaled
             self._structure_table[key] = got
         return got
 
@@ -243,12 +269,11 @@ class TruncatedAlgebra:
 
     def _from_numerators(self, acc):
         """The element sum_d acc[d] / d of integer vectors keyed by their
-        denominator, in lowest terms.  The element holds that scaled form;
-        its Fractions are built only if ``coeffs`` is read."""
+        denominator, in lowest terms."""
         scaled = lowest_terms(*self._numerators(acc))
         if not scaled[1]:
             return self._zero
-        return AlgebraElement(self, None, scaled)
+        return AlgebraElement(self, scaled)
 
     def maximal_ideal_power(self, k):
         """Span of m^k as a subspace (m generated by all generators)."""
@@ -272,7 +297,7 @@ class TruncatedAlgebra:
         """m-adic valuation; the zero element reports the truncation order."""
         if elem.is_zero():
             return self.order
-        scaled = elem._scaled()
+        scaled = elem._scaled
         v = 0
         while v + 1 <= self.order:
             if self.maximal_ideal_power(v + 1).reduce_scaled(*scaled)[1]:
@@ -333,55 +358,34 @@ class TruncatedAlgebra:
 class AlgebraElement:
     """Element of a truncated algebra as a vector over the cached basis.
 
-    Elements are immutable.  An element holds its scaled form
-    (d, ((i, n), ...)): the nonzero coordinates as integer numerators n over
-    their least common denominator d, which arithmetic and equality read.
-    ``coeffs``, the vector of Fractions, is built on first read and kept.
-    An element is built from either form (the other is None).
+    Elements are immutable and have one exact state, their scaled form
+    (d, ((i, n), ...)): the nonzero coordinates n / d as integer numerators
+    over their least common denominator d > 0, in increasing basis index,
+    so equal elements have equal scaled forms.  Arithmetic and equality
+    read it; ``coeffs``, the dense vector of Fractions, is computed from it
+    on each read.  The builders of :class:`TruncatedAlgebra` make it, from
+    Fractions through :func:`linalg.numerators`.
     """
 
-    __slots__ = ("algebra", "_coeffs", "_scaled_form")
+    __slots__ = ("algebra", "_scaled")
 
-    def __init__(self, algebra, coeffs, scaled=None):
+    def __init__(self, algebra, scaled):
         self.algebra = algebra
-        self._coeffs = None if coeffs is None else tuple(coeffs)
-        self._scaled_form = scaled
+        self._scaled = scaled
 
     @property
     def coeffs(self):
-        got = self._coeffs
-        if got is None:
-            d, pairs = self._scaled_form
-            coeffs = [_ZERO] * self.algebra.dim
-            for m, n in pairs:
-                coeffs[m] = Fraction(n) if d == 1 else Fraction(n, d)
-            got = self._coeffs = tuple(coeffs)
-        return got
-
-    def _scaled(self):
-        got = self._scaled_form
-        if got is None:
-            nonzero = [
-                (i, n, q)
-                for i, (n, q) in enumerate(c.as_integer_ratio() for c in self.coeffs)
-                if n
-            ]
-            d = math.lcm(*[q for _, _, q in nonzero])
-            got = self._scaled_form = (
-                d,
-                tuple((i, n * (d // q)) for i, n, q in nonzero),
-            )
-        return got
+        return tuple(_dense(*self._scaled, self.algebra.dim))
 
     def _check(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("elements of different algebras")
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self.algebra._lift(other)
         self._check(other)
         acc = {}
-        for d, pairs in (self._scaled(), other._scaled()):
+        for d, pairs in (self._scaled, other._scaled):
             vec = acc.get(d)
             if vec is None:
                 vec = acc[d] = [0] * self.algebra.dim
@@ -392,27 +396,27 @@ class AlgebraElement:
     __radd__ = __add__
 
     def __neg__(self):
-        d, pairs = self._scaled()
+        d, pairs = self._scaled
         negated = tuple([(i, -n) for i, n in pairs])
-        return AlgebraElement(self.algebra, None, (d, negated))
+        return AlgebraElement(self.algebra, (d, negated))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-self.algebra._lift(other))
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return (-self) + self.algebra._lift(other)
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
             p, q = _coeff(other).as_integer_ratio()
-            d, xs = self._scaled()
+            d, xs = self._scaled
             vec = [0] * self.algebra.dim
             for i, n in xs:
                 vec[i] = p * n
             return self.algebra._from_numerators({d * q: vec})
         self._check(other)
-        dx, xs = self._scaled()
-        dy, ys = other._scaled()
+        dx, xs = self._scaled
+        dy, ys = other._scaled
         acc = {}
         self.algebra._accumulate(acc, xs, ys, dx * dy)
         return self.algebra._from_numerators(acc)
@@ -424,24 +428,19 @@ class AlgebraElement:
             return self.inverse() ** (-k)
         return _power(self, k, self.algebra.one())
 
-    def _coerce(self, other):
-        if isinstance(other, AlgebraElement):
-            return other
-        return self.algebra.const(other)
-
     def is_zero(self):
-        return not self._scaled()[1]
+        return not self._scaled[1]
 
     def _constant_numerator(self):
         """The numerator of the constant term over the scaled form's d."""
         idx = self.algebra._basis_index.get(tuple([0] * len(self.algebra.gens)))
-        for i, n in self._scaled()[1]:
+        for i, n in self._scaled[1]:
             if i == idx:
                 return n
         return 0
 
     def constant_term(self):
-        return Fraction(self._constant_numerator(), self._scaled()[0])
+        return Fraction(self._constant_numerator(), self._scaled[0])
 
     def is_unit(self):
         # all generators are nilpotent at truncation, so a unit is exactly an
@@ -464,7 +463,7 @@ class AlgebraElement:
         return (
             isinstance(other, AlgebraElement)
             and self.algebra == other.algebra
-            and self._scaled() == other._scaled()
+            and self._scaled == other._scaled
         )
 
     def __hash__(self):
@@ -508,7 +507,7 @@ class AlgebraIdeal:
         # denominator nor lowest terms are needed
         vectors = []
         for g in gens:
-            pairs = g._scaled()[1]
+            pairs = g._scaled[1]
             for i in range(algebra.dim):
                 acc = {}
                 algebra._accumulate(acc, pairs, ((i, 1),), 1)
@@ -518,7 +517,7 @@ class AlgebraIdeal:
     def contains(self, elem):
         if elem.algebra != self.algebra:
             raise ValueError("element from a different algebra")
-        return not self.span.reduce_scaled(*elem._scaled())[1]
+        return not self.span.reduce_scaled(*elem._scaled)[1]
 
     def is_zero(self):
         return self.span.dim == 0
@@ -610,10 +609,10 @@ class AlgebraHom:
             self._basis_images = [
                 self._eval_monomial(m) for m in self.source.basis
             ]
+        d, pairs = elem._scaled
         out = self.target.zero()
-        for c, im in zip(elem.coeffs, self._basis_images):
-            if c:
-                out = out + im * c
+        for i, n in pairs:
+            out = out + self._basis_images[i] * Fraction(n, d)
         return out
 
     @classmethod
@@ -677,30 +676,23 @@ class NodeRing:
         space = self._slot_spaces.get(k)
         if space is None:
             return elem
-        scaled = elem._scaled()
+        scaled = elem._scaled
         got = space.reduce_scaled(*scaled)
-        return elem if got == scaled else AlgebraElement(self.algebra, None, got)
-
-    def _element(self, x):
-        """``x`` as an algebra element; exact scalars are lifted, floats and
-        bools refused."""
-        if isinstance(x, AlgebraElement):
-            return x
-        return self.algebra.const(x)
+        return elem if got == scaled else AlgebraElement(self.algebra, got)
 
     def series(self, const, z1_tail=(), z2_tail=()):
         """Build a normal form from algebra elements or exact scalars; user
         tails may not reach the exposed order."""
         tails = []
         for tail in (z1_tail, z2_tail):
-            tail = [self._element(x) for x in tail]
+            tail = [self.algebra._lift(x) for x in tail]
             if len(tail) > self.order - 1:
                 raise ValueError(
                     "tail of length %d overflows the series order %d"
                     % (len(tail) + 1, self.order)
                 )
             tails.append(tail)
-        return self._series_internal(self._element(const), tails[0], tails[1])
+        return self._series_internal(self.algebra._lift(const), tails[0], tails[1])
 
     def _series_internal(self, const, z1_tail, z2_tail):
         K = self.internal - 1
@@ -726,9 +718,10 @@ class NodeRing:
         return self.branch_power(2, power, coeff)
 
     def branch_power(self, branch, power, coeff=None):
+        _check_branch(branch)
         if _int(power, "branch power") < 0:
             raise ValueError("negative branch power")
-        coeff = self._element(coeff) if coeff is not None else self.algebra.one()
+        coeff = self.algebra._lift(coeff) if coeff is not None else self.algebra.one()
         if power == 0:
             return self.series(coeff)
         if power >= self.internal:
@@ -760,8 +753,7 @@ class NodeRing:
         a = [self.algebra.zero()] * K
         b = [self.algebra.zero()] * K
         for (i, j), coeff in expr.items():
-            if isinstance(coeff, (int, Fraction)):
-                coeff = self.algebra.const(coeff)
+            coeff = self.algebra._lift(coeff)
             m = min(i, j)
             c = coeff * self.algebra.s**m if m else coeff
             k = abs(i - j)
@@ -868,7 +860,7 @@ class NodeSeries:
             enumerate(self.a, start=1),
             ((-i, c) for i, c in enumerate(self.b, start=1)),
         ):
-            q, pairs = c._scaled()
+            q, pairs = c._scaled
             if pairs:
                 slots.append((deg, q, pairs))
         d = math.lcm(*[q for _, q, _ in slots])
@@ -886,9 +878,8 @@ class NodeSeries:
         The integer numerators of both factors, over one denominator per
         series, are summed per (slot, power of s) through the structure
         constants.  Each power-of-s sum is multiplied by that power once and
-        added to its slot's numerators; each nonzero coordinate of a slot
-        becomes one Fraction, and the slots are reduced as the ring's normal
-        form does.
+        added to its slot's numerators; each slot is brought to lowest terms
+        once and reduced as the ring's normal form does.
         """
         if isinstance(other, AlgebraElement):
             other = self.ring.const(other)
@@ -921,7 +912,7 @@ class NodeSeries:
                     vecs = acc[k, e] = {}
                 alg._accumulate(vecs, xc, yc, dx * dy)
         for k, e in [key for key in acc if key[1]]:
-            d, pairs = (alg._from_numerators(acc.pop((k, e))) * s_pows[e])._scaled()
+            d, pairs = (alg._from_numerators(acc.pop((k, e))) * s_pows[e])._scaled
             vec = acc.setdefault((k, 0), {}).setdefault(d, [0] * alg.dim)
             for m, n in pairs:
                 vec[m] += n
@@ -948,6 +939,7 @@ class NodeSeries:
         """Multiply by z1 (branch 1) or z2 (branch 2): the tail of that
         branch moves up one slot, the other moves down and picks up s
         (z1 z2 = s); only its nonzero slots are multiplied."""
+        _check_branch(branch)
         alg = self.ring.algebra
 
         def times_s(x):
@@ -1042,8 +1034,7 @@ def normal_form_stepwise(ring, expr, leftmost=True):
     for (i, j), coeff in expr.items():
         if i + j > ring.order:
             raise ValueError("monomial overflows the series order")
-        if isinstance(coeff, (int, Fraction)):
-            coeff = ring.algebra.const(coeff)
+        coeff = ring.algebra._lift(coeff)
         key = (i, j)
         work[key] = work.get(key, ring.algebra.zero()) + coeff
     while True:

@@ -14,11 +14,14 @@ Fractions are built only at the public edges: :func:`eliminate` (sparse
 rows of Fractions in and out), :func:`rref` and :func:`solve_linear` (dense
 rows), :func:`particular_solution`, and the ``rows``, :meth:`Subspace.reduce`
 and :meth:`Subspace.contains` of a :class:`Subspace`, which keeps its
-primitive rows as its state.  Callers that hold integer numerators feed
-the core directly: :meth:`Subspace.reduce_scaled` takes and returns a
-vector as integer numerators over one denominator, (d, ((index,
-numerator), ...)), the form in which the exact algebra chain keeps its
-elements (built by :func:`lowest_terms`).
+primitive rows as its state.  Rationals come in through one routine,
+:func:`numerators`, which refuses floats and bools with TypeError, and
+integer numerators go out as Fractions through one, :func:`_dense`.
+Callers that hold integer numerators feed the core directly:
+:meth:`Subspace.reduce_scaled` takes and returns a vector as integer
+numerators over one denominator, (d, ((index, numerator), ...)), the one
+state of an element of the exact algebra chain, which :func:`lowest_terms`
+brings to lowest terms.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+
+from .polys import _coeff
 
 
 def _combine(row, col, prow):
@@ -98,27 +103,33 @@ def integer_eliminate(rows):
     return pivot_rows
 
 
-def _integer_row(entries):
-    """(column, rational) pairs as a sparse integer row {column: numerator}
-    over the least common denominator of the entries; ints pass as they
-    are."""
+def numerators(pairs):
+    """(index, rational) pairs as (D, ((index, numerator), ...)): the
+    nonzero entries as integer numerators over their least common
+    denominator D, in increasing order if the pairs were.
+
+    This is the one conversion of rationals to integer numerators.  Ints
+    and Fractions are taken as they are; any other value goes through
+    :func:`polys._coeff`, which refuses floats and bools with TypeError.
+    Fractions are in lowest terms, so D and the numerators share no factor:
+    a prime dividing D divides the denominator of some entry as often as it
+    divides D, and not that entry's numerator.
+    """
+    entries = []
+    for j, c in pairs:
+        if type(c) is not int and type(c) is not Fraction:
+            c = _coeff(c)
+        if c:
+            entries.append((j, c))
     if all(type(c) is int for _, c in entries):
-        return dict(entries)
+        return 1, tuple(entries)
     D = math.lcm(*[c.denominator for _, c in entries])
-    return {j: c.numerator * (D // c.denominator) for j, c in entries}
-
-
-def _rational(c):
-    return c if type(c) in (int, Fraction) else Fraction(c)
+    return D, tuple([(j, c.numerator * (D // c.denominator)) for j, c in entries])
 
 
 def _integer_rows(rows):
-    """Dense rows of rationals as sparse integer rows; zero rows are
-    dropped."""
-    for r in rows:
-        entries = [(j, _rational(c)) for j, c in enumerate(r) if c]
-        if entries:
-            yield _integer_row(entries)
+    """Dense rows of rationals as sparse integer rows {column: numerator}."""
+    return (dict(numerators(enumerate(r))[1]) for r in rows)
 
 
 def eliminate(rows):
@@ -129,7 +140,7 @@ def eliminate(rows):
     and no other pivot column.  A Fraction edge of
     :func:`integer_eliminate`.
     """
-    pivot_rows = integer_eliminate(_integer_row(list(row.items())) for row in rows)
+    pivot_rows = integer_eliminate(dict(numerators(row.items())[1]) for row in rows)
     return {
         p: {j: Fraction(c, row[p]) for j, c in row.items()}
         for p, row in pivot_rows.items()
@@ -208,17 +219,6 @@ def lowest_terms(d, nums):
     return d, pairs
 
 
-def _scaled_vector(vec):
-    """A dense vector of rationals as (d, ((index, numerator), ...)) in
-    lowest terms."""
-    entries = [(j, _rational(c)) for j, c in enumerate(vec) if c]
-    d = math.lcm(*[c.denominator for _, c in entries])
-    nums = [0] * len(vec)
-    for j, c in entries:
-        nums[j] = c.numerator * (d // c.denominator)
-    return lowest_terms(d, nums)
-
-
 class Subspace:
     """Subspace of Q^n stored as its reduced row echelon basis, each row
     kept as primitive integers.
@@ -257,7 +257,7 @@ class Subspace:
     def reduce(self, vec):
         """Canonical representative of vec modulo this subspace, as a list
         of Fractions: a Fraction edge of :meth:`reduce_scaled`."""
-        return _dense(*self.reduce_scaled(*_scaled_vector(vec)), self.ambient)
+        return _dense(*self.reduce_scaled(*numerators(enumerate(vec))), self.ambient)
 
     def reduce_scaled(self, d, pairs):
         """The canonical representative of the vector with entries n / d
@@ -285,7 +285,7 @@ class Subspace:
         return lowest_terms(d, vec)
 
     def contains(self, vec):
-        return not self.reduce_scaled(*_scaled_vector(vec))[1]
+        return not self.reduce_scaled(*numerators(enumerate(vec)))[1]
 
     def __eq__(self, other):
         # the primitive rows are the echelon rows scaled canonically, so

@@ -498,6 +498,25 @@ def test_float_branch_power_refused(Rs8):
         Rs8.z1(2.0)
 
 
+@pytest.mark.parametrize("branch", [0, 3, -1])
+def test_branch_outside_one_and_two_refused(Rs8, branch):
+    # a branch other than 1 must not be read as branch 2
+    with pytest.raises(ValueError):
+        Rs8.branch_power(branch, 1)
+    with pytest.raises(ValueError):
+        Rs8.branch_power(branch, 2, Rs8.algebra.s)
+    with pytest.raises(ValueError):
+        Rs8.z1().shift(branch + 4)
+
+
+@pytest.mark.parametrize("branch", [1.0, True, "2"], ids=["float", "bool", "str"])
+def test_non_int_branch_refused(Rs8, branch):
+    with pytest.raises(TypeError):
+        Rs8.branch_power(branch, 1)
+    with pytest.raises(TypeError):
+        Rs8.z1().shift(branch)
+
+
 @pytest.mark.parametrize("order", [4.7, True], ids=["float", "bool"])
 def test_node_ring_order_refused(Qs8, order):
     # int() would build an order-4 (or order-1) ring
@@ -675,7 +694,7 @@ def test_shift_matches_slot_oracle(pair, branch):
     assert shifted == x * z == reference_exactalg.multiply(x, z)
 
 
-# --- elements hold integer numerators; Fractions are built on first read ----
+# --- elements hold integer numerators; coeffs is computed from them --------
 
 
 def _lazy_cases(elems):
@@ -763,3 +782,56 @@ def test_slot_reduction_on_numerators_matches_subspace_reduce(request, name):
                 got = ring._slot_reduce(k, x)
                 assert got.coeffs == expected
                 assert got == alg.element(expected)
+
+
+# --- one exact state per element ---------------------------------------------
+
+
+def _assert_canonical(x):
+    d, pairs = x._scaled
+    assert type(d) is int and d > 0
+    indices = [i for i, _ in pairs]
+    assert indices == sorted(set(indices))
+    assert all(0 <= i < x.algebra.dim for i in indices)
+    assert all(type(n) is int and n for _, n in pairs)
+    assert math.gcd(d, *[n for _, n in pairs]) == 1
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_every_builder_gives_the_canonical_scaled_form(request, name):
+    # whatever the route, an element is in lowest terms with d > 0,
+    # increasing indices and no zero numerators, so equality on the scaled
+    # form is equality of the Fraction vectors, and the hash is that of
+    # the Fraction vector (hash values and set orders do not move)
+    alg = _named_algebra(request, name)
+    rng = random.Random(27)
+    nvars = len(alg.gens)
+    elems = [alg.zero(), alg.one(), alg.const(Fraction(-4, 6))]
+    elems.append(alg.const(Fraction(1, 2)) * 2)
+    elems += [alg.gen(i) for i in range(nvars)]
+    elems += [alg.basis_element(i) for i in range(alg.dim)]
+    elems += [alg.monomial_element(m) for m in alg._monomials]
+    elems += _random_elements(alg, rng, 4)
+    elems.append(alg.element([Fraction(2, 4)] * alg.dim))
+    for _ in range(4):
+        terms = {
+            tuple(rng.randrange(alg.order + 1) for _ in range(nvars)): Fraction(
+                rng.randrange(-6, 7), rng.choice([1, 2, 3, 6])
+            )
+            for _ in range(5)
+        }
+        elems.append(alg.from_poly(Poly(nvars, terms)))
+    elems += [element_from_json(alg, x.to_json()) for x in elems[-8:]]
+    built = list(elems)
+    for x, y in zip(built, built[1:]):
+        elems += [x + y, x - y, x * y, -x, x * Fraction(2, 3), 3 * x, x - x]
+    for order in (2, 4):
+        ring = NodeRing(alg, order)
+        for k in ring._slot_spaces:
+            elems += [ring._slot_reduce(k, x) for x in elems[: alg.dim + 8]]
+    coeffs = [x.coeffs for x in elems]
+    for x, cx in zip(elems, coeffs):
+        _assert_canonical(x)
+        assert hash(x) == hash(cx)
+        for y, cy in zip(elems, coeffs):
+            assert (x == y) == (cx == cy)

@@ -14,9 +14,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
+from degkit import TruncatedAlgebra
 from degkit.linalg import (
     Subspace,
     eliminate,
@@ -247,3 +249,23 @@ def test_integer_core_on_large_entries():
         assert (other.rows, other.pivots) == (echelon, pivots)
         smaller = Subspace(others[1:], ncols)
         assert (smaller == space) == (smaller.dim == space.dim)
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, True, False])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: TruncatedAlgebra(("s",), order=3).element([c, 1, 0]),
+        lambda c: Subspace([[c, 1]], 2),
+        lambda c: rref([[1, c]]),
+        lambda c: solve_linear([[2]], [c]),
+        lambda c: eliminate([{0: Fraction(1, 3), 1: c}]),
+    ],
+    ids=["element", "Subspace", "rref", "solve_linear", "eliminate"],
+)
+def test_floats_and_bools_refused(build, bad):
+    # no float is rounded to a Fraction (0.1 to 3602879701896397 / 2^55)
+    # and no bool read as 1 or 0; 0.0 and False are refused too, not
+    # dropped as zeros
+    with pytest.raises(TypeError):
+        build(bad)
