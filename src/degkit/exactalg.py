@@ -311,10 +311,11 @@ class TruncatedAlgebra:
             and self.gens == other.gens
             and self.order == other.order
             and self.relations == other.relations
+            and self.local == other.local
         )
 
     def __hash__(self):
-        return hash((self.gens, self.order, len(self.relations)))
+        return hash((self.gens, self.order, len(self.relations), self.local))
 
     def __repr__(self):
         return "TruncatedAlgebra(gens=%r, order=%d, dim=%d)" % (

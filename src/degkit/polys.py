@@ -359,6 +359,17 @@ class Poly:
         )
 
 
+def _laurent(f):
+    """(c, p, q) when the reduced fraction f is c*x^p / x^q, one term a
+    side (the denominator's coefficient is one), else None."""
+    num, den = f.num.terms, f.den.terms
+    if len(num) != 1 or len(den) != 1:
+        return None
+    (p, c), = num.items()
+    q, = den
+    return c, p, q
+
+
 class RatFunc:
     """Reduced fraction of two polynomials; denominators never vanish.
 
@@ -375,6 +386,12 @@ class RatFunc:
     leading coefficients, so a product reduces to the same form however its
     factors are grouped.  Sums do matter, and :meth:`substitute` adds its
     terms left to right in the order of the polynomial's terms.
+
+    A fraction with one term a side, c*x^p / x^q, is a Laurent monomial.
+    Reduced, its denominator's coefficient is one and its two sides share
+    no variable, so c and the vector p - q fix its normal form, and
+    :meth:`substitute` maps Laurent monomials to Laurent monomials on those
+    alone.
     """
 
     __slots__ = ("num", "den")
@@ -493,10 +510,21 @@ class RatFunc:
     def substitute(self, values):
         """Substitute RatFunc values for the variables; exact.
 
-        With reduced values P_i/Q_i, a term c*x^e becomes the single reduced
-        fraction c*prod P_i^e_i / prod Q_i^e_i, each power computed once per
-        call.  The terms are added left to right, as the normal form of a
-        sum depends on its order (see the class docstring).
+        Laurent route: when this is c*x^a / x^b and every value at a nonzero
+        k_i = a_i - b_i is c_i*x^p_i / x^q_i, one term a side, the result
+        is C*x^E+ / x^E- with E = sum k_i (p_i - q_i) and
+        C = c * prod c_i^k_i, built from the exponent tuples.  It is the
+        form the general route gives, as the normal form is unique over a
+        monomial denominator, k_i = 0 only where a_i = b_i = 0 (values the
+        general route never reads either), and one term a side has no order.
+
+        General route: with reduced values P_i/Q_i, a term c*x^e becomes the
+        single reduced fraction c*prod P_i^e_i / prod Q_i^e_i, each power
+        computed once per call.  The terms are added left to right, as the
+        normal form of a sum depends on its order (see the class
+        docstring).  Several terms on either side take this route, and so
+        does a zero value at a nonzero exponent: the result is 0 at a
+        positive exponent and ``ZeroDivisionError`` at a negative one.
         """
         arity = None
         vals = []
@@ -514,6 +542,9 @@ class RatFunc:
         ]
         if len(vals) != self.nvars:
             raise ValueError("substitution arity mismatch")
+        out = self._substitute_laurent(vals, arity)
+        if out is not None:
+            return out
         origin = (0,) * arity
         one = _poly(arity, {origin: _ONE})
         powers = {}
@@ -541,6 +572,31 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("denominator vanishes after substitution")
         return num / den
+
+    def _substitute_laurent(self, vals, arity):
+        """:meth:`substitute`'s Laurent route, or None when it does not
+        apply."""
+        form = _laurent(self)
+        if form is None:
+            return None
+        c, a, b = form
+        exp = [0] * arity
+        for v, k in zip(vals, map(sub, a, b)):
+            if not k:
+                continue
+            form = _laurent(v)
+            # a value in another arity is left to the general route's error
+            if form is None or v.num.nvars != arity:
+                return None
+            ci, p, q = form
+            if ci != 1:
+                c = c * ci**k
+            exp = [e + k * (x - y) for e, x, y in zip(exp, p, q)]
+        # already in normal form: no reduction
+        out = RatFunc.__new__(RatFunc)
+        out.num = _poly(arity, {tuple(e if e > 0 else 0 for e in exp): c})
+        out.den = _poly(arity, {tuple(0 if e > 0 else -e for e in exp): _ONE})
+        return out
 
     def render(self, names):
         if self.den.is_const() and self.den.const_coeff() == 1:

@@ -15,7 +15,7 @@ not substituted at all.
 :meth:`RationalMap.difference` is the one comparison of two maps.  It brings
 both into their common frame and cross-multiplies, which clears all
 denominators including the torus ones, so it decides equality on a dense
-open set.
+open set.  Components with identical stored forms are equal as they are.
 """
 
 from __future__ import annotations
@@ -114,6 +114,9 @@ class RationalMap:
         params = tuple(dict.fromkeys(self.params + other.params))
         a, b = self._reframe(params), other._reframe(params)
         for i, (x, y) in enumerate(zip(a.components, b.components)):
+            # equal stored forms are equal functions, whatever the denominator
+            if x.num.terms == y.num.terms and x.den.terms == y.den.terms:
+                continue
             delta = x.num * y.den - y.num * x.den
             if delta:
                 return "component %d: %s" % (i + 1, delta.render(a.source_vars + params))

@@ -456,6 +456,19 @@ def test_algebra_json_local_must_be_boolean(obstructed, local):
     assert TruncatedAlgebra.from_json(data).local is True
 
 
+def test_locality_is_part_of_the_algebra():
+    # flat_local_forcing refuses a non-local base, so an algebra that differs
+    # only in ``local`` is another algebra, and its elements do not mix
+    A = TruncatedAlgebra(("s",), order=3, local=False)
+    B = TruncatedAlgebra(("s",), order=3)
+    assert A != B and A == TruncatedAlgebra(("s",), order=3, local=False)
+    assert len({A, B, TruncatedAlgebra(("s",), order=3)}) == 2
+    assert A.s != B.s and NodeRing(A, order=3) != NodeRing(B, order=3)
+    with pytest.raises(ValueError, match="elements of different algebras"):
+        A.s + B.s
+    assert TruncatedAlgebra.from_json(A.to_json()) == A
+
+
 def test_element_and_series_json_roundtrip(Rs8, Qs8):
     x = Qs8.one() + Qs8.s * Fraction(3, 2)
     assert element_from_json(Qs8, x.to_json()) == x

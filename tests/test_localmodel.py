@@ -87,6 +87,37 @@ def test_atlas_identities_at_random_points():
             assert a.same(b)
 
 
+def substitute_routes(monkeypatch, call):
+    """(Laurent, general): how many ``RatFunc.substitute`` calls made by
+    ``call()`` take the Laurent-monomial route and how many fall back."""
+    routes = []
+    real = RatFunc._substitute_laurent
+
+    def spy(self, vals, arity):
+        out = real(self, vals, arity)
+        routes.append(out is not None)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(RatFunc, "_substitute_laurent", spy)
+        call()
+    return routes.count(True), routes.count(False)
+
+
+def test_atlas_substitutions_take_the_laurent_route(monkeypatch):
+    # transitions, projections and torus actions are Laurent monomial maps,
+    # so every substitution of the atlas checks maps monomials to monomials
+    for n in range(1, 9):
+        laurent, general = substitute_routes(
+            monkeypatch, lambda n=n: verify_atlas(gamma_atlas(n))
+        )
+        assert laurent and not general, (n, laurent, general)
+    # the quadric resolution and the splice checks have multi-term inputs
+    for call in (verify_resolution, lambda: splice_check(2, 2)):
+        laurent, general = substitute_routes(monkeypatch, call)
+        assert laurent and general, (laurent, general)
+
+
 def test_corrupted_transition_detected():
     at = gamma_atlas(2)
     bad = at.with_transition(1, at.transition(2))

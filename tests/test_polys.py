@@ -163,6 +163,56 @@ def test_cancelling_partial_sum_resets_the_denominator():
     check_substitution(f, [w, w, z], 2)
 
 
+# ------------------------------------------------------ Laurent monomials
+
+
+def laurent(nvars):
+    """c*x^p / x^q with one term a side, reduced by the constructor."""
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.builds(
+        lambda p, q, c, d: RatFunc(Poly.monomial(p, c), Poly.monomial(q, d)),
+        exps,
+        exps,
+        coeffs,
+        coeffs,
+    )
+
+
+@st.composite
+def laurent_cases(draw):
+    """(f, values, arity) with f = c*x^a / x^b.  At a nonzero k_i = a_i - b_i
+    the value is a Laurent monomial, a bare variable, a constant or zero; at
+    k_i = 0 it may also have several terms."""
+    arity = draw(st.integers(1, 3))
+    f = draw(laurent(NV))
+    (a, _), = f.num.terms.items()
+    b, = f.den.terms
+    monomial = st.one_of(
+        laurent(arity),
+        st.integers(0, arity - 1).map(lambda j: RatFunc(Poly.var(arity, j))),
+        coeffs.map(lambda c: RatFunc.const(arity, c)),
+        st.just(RatFunc(Poly.zero(arity))),
+    )
+    values = [
+        draw(st.one_of(monomial, ratfuncs(arity)) if ai == bi else monomial)
+        for ai, bi in zip(a, b)
+    ]
+    return f, values, arity
+
+
+@given(laurent_cases())
+@settings(max_examples=300, deadline=None)
+def test_laurent_route_matches_reference(case):
+    f, values, arity = case
+    (a, _), = f.num.terms.items()
+    b, = f.den.terms
+    zero_at_k = any(ai != bi and v.is_zero() for ai, bi, v in zip(a, b, values))
+    # the route takes every case without a zero value at a nonzero exponent
+    assert (f._substitute_laurent(values, arity) is None) == zero_at_k
+    # a zero value: 0 at a positive exponent, ZeroDivisionError at a negative one
+    check_substitution(f, values, arity)
+
+
 # --------------------------------------------------------------- renaming
 
 

@@ -167,3 +167,64 @@ def test_comparison_matches_reference(f, g, order):
         assert a.difference(b) == ref_diff_witness(a, b)
         assert a.equal_on_dense(b) == ref_equal_on_dense(a, b)
     assert f.difference(same) is None
+
+
+# ------------------------------------------- stored forms against the reference
+
+
+@st.composite
+def twin_maps(draw):
+    """Two self-maps of the plane over one frame, their components drawn from
+    one pool: Laurent monomials, the same monomials scaled, fractions with a
+    two-term factor in numerator and denominator, equal to a monomial as
+    functions but stored differently, and the monomial's numerator over the
+    factored denominator."""
+    params = tuple(draw(st.permutations(PARAMS))[: draw(st.integers(0, 2))])
+    n = len(SOURCE) + len(params)
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.sampled_from([1, -1, 2, Fraction(-3, 2)])
+    pool = []
+    for _ in range(2):
+        p, q, c = draw(exps), draw(exps), draw(coeffs)
+        mono = RatFunc(Poly.monomial(p, c), Poly.monomial(q))
+        # the leading term has coefficient one, so a denominator times the
+        # factor needs no rescaling
+        factor = Poly(n, {draw(exps.filter(any)): 1, (0,) * n: draw(coeffs)})
+        pool += [
+            mono,
+            mono * 2,
+            RatFunc(mono.num * factor, mono.den * factor),
+            RatFunc(mono.num, mono.den * factor),
+        ]
+    pick = st.sampled_from(pool)
+    f = RationalMap(SOURCE, [draw(pick), draw(pick)], params)
+    g = RationalMap(SOURCE, [draw(pick), draw(pick)], params)
+    return f, g
+
+
+@given(twin_maps())
+@settings(max_examples=200, deadline=None)
+def test_stored_form_comparison_matches_reference(maps):
+    # identical stored forms skip the cross-multiplication; every other
+    # component keeps the reference's verdict and witness text
+    f, g = maps
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert a.difference(b) == ref_diff_witness(a, b)
+        assert a.equal_on_dense(b) == ref_equal_on_dense(a, b)
+
+
+def test_equal_functions_stored_differently_are_equal():
+    x, y = _v(2, 0), _v(2, 1)
+    factor = Poly(2, {(1, 0): 1, (0, 0): 2})
+    mono = x / y
+    wide = RatFunc(mono.num * factor, mono.den * factor)
+    assert wide.num.terms != mono.num.terms and len(wide.den.terms) == 2
+    f = RationalMap(SOURCE, [mono, y])
+    for g in (RationalMap(SOURCE, [wide, y]), RationalMap(SOURCE, [wide, y * 3])):
+        assert f.difference(g) == ref_diff_witness(f, g)
+        assert f.equal_on_dense(g) == ref_equal_on_dense(f, g)
+    assert f.difference(RationalMap(SOURCE, [wide, y * 3])) == "component 2: -2*y"
+    # the same numerator over another denominator is another function
+    g = RationalMap(SOURCE, [RatFunc(mono.num, mono.den * factor), y])
+    assert g.components[0].num.terms == mono.num.terms
+    assert f.difference(g) == ref_diff_witness(f, g) == "component 1: x^2*y + x*y"
