@@ -13,6 +13,15 @@ coordinate:
 
     (.., u_l u_{l+1}, 1/u_{l+1}, u_{l+2} u_{l+1}, ..).
 
+The model is toric, so every chart formula here (projections, actions,
+transitions, the quadric resolution, the principal charts and their
+inverses, the splice boundary charts) is a Laurent monomial x^E.  Each is
+written as its int exponent vector E and built by ``polys._monomial``; the
+chart inverses are solved by integer arithmetic on those vectors.  That
+builder checks nothing, so every public function and class here checks its
+integer arguments where they enter: bools and floats raise ``TypeError``,
+out-of-range values ``ValueError``.
+
 Everything here is verified as an exact identity of rational functions; the
 verification reports never rely on numerics.
 """
@@ -24,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linalg import rref
-from .polys import Poly, RatFunc, _int
+from .polys import Poly, RatFunc, _int, _laurent, _monomial, _unit
 from .ratmaps import RationalMap
 
 
@@ -63,45 +72,38 @@ def _torus_params(n):
     return tuple("sigma%d" % i for i in range(1, n + 1))
 
 
-def _sigma(n, nvars, offset, i):
-    """sigma_i of the rank-n torus in a frame whose parameters start at
-    ``offset``; the boundary convention sigma_0 = sigma_{n+1} = 1 is applied
-    here."""
-    if i == 0 or i == n + 1:
-        return RatFunc(Poly.one(nvars))
-    return RatFunc(Poly.var(nvars, offset + i - 1))
+def _monomial_map(source_vars, rows, params=()):
+    """The map whose components are the Laurent monomials x^row, each row
+    an exponent vector over ``source_vars + params``."""
+    return RationalMap(source_vars, [_monomial(row) for row in rows], params)
 
 
-def _laurent_exponent(f, pos):
-    """The exponent of variable ``pos`` in the rational function f when its
-    numerator and denominator each carry that variable to one power only,
-    so f is a Laurent monomial in it; None otherwise."""
-    nums = {e[pos] for e in f.num.terms}
-    dens = {e[pos] for e in f.den.terms}
-    if len(nums) != 1 or len(dens) != 1:
-        return None
-    return nums.pop() - dens.pop()
+def _identity_rows(m):
+    """The exponent rows of the identity of an m-symbol frame, to be edited
+    into a chart formula."""
+    return [_unit(m, i) for i in range(m)]
 
 
-def _power_product(nvars, factors):
-    """The product of f**e over the (f, e) pairs, in ``nvars`` variables."""
-    out = RatFunc(Poly.one(nvars))
-    for f, e in factors:
-        if e:
-            out = out * f**e
-    return out
+def _sigma_ratio(n, up, down):
+    """The exponents of sigma_up / sigma_down over sigma_1..sigma_n, with
+    the boundary convention sigma_0 = sigma_{n+1} = 1."""
+    exp = [0] * n
+    if 1 <= up <= n:
+        exp[up - 1] += 1
+    if 1 <= down <= n:
+        exp[down - 1] -= 1
+    return exp
 
 
 def _base_scaling(n, count, shift):
     """The rank-n torus on t_1..t_count, scaling t_i by
     sigma_{i+shift} / sigma_{i+shift-1}."""
-    m = count + n
-    comps = [
-        _sigma(n, m, count, i + shift) / _sigma(n, m, count, i + shift - 1)
-        * RatFunc(Poly.var(m, i - 1))
+    rows = [
+        _unit(count, i - 1) + _sigma_ratio(n, i + shift, i + shift - 1)
         for i in range(1, count + 1)
     ]
-    return RationalMap(tuple("t%d" % i for i in range(1, count + 1)), comps, _torus_params(n))
+    t_names = tuple("t%d" % i for i in range(1, count + 1))
+    return _monomial_map(t_names, rows, _torus_params(n))
 
 
 class GammaAtlas:
@@ -132,55 +134,35 @@ class GammaAtlas:
     def base_action(self):
         return _base_scaling(self.n, self.n + 1, 0)
 
-    # ------------------------------------------------------------- formulas
-    def _u(self, nvars, i):
-        # 1-based chart coordinate inside an nvars-symbol frame
-        return RatFunc(Poly.var(nvars, i - 1))
-
-    def _sigma_bar(self, nvars, i):
-        c = len(self.chart_vars)
-        return _sigma(self.n, nvars, c, i) / _sigma(self.n, nvars, c, i - 1)
-
+    # ----------------------------------------------- formulas, as exponents
     def _projection(self, l):
-        m = self.n + 2
-        comps = []
-        for t_index in range(1, self.n + 2):
-            if t_index < l:
-                comps.append(self._u(m, t_index))
-            elif t_index == l:
-                comps.append(self._u(m, l) * self._u(m, l + 1))
-            else:
-                comps.append(self._u(m, t_index + 1))
-        return RationalMap(self.chart_vars, comps)
+        # t_l = u_l u_{l+1}; the other t take the other u in order
+        rows = _identity_rows(self.n + 2)
+        rows[l - 1][l] = 1
+        del rows[l]
+        return _monomial_map(self.chart_vars, rows)
 
     def _action(self, l):
-        m = len(self.chart_vars) + len(self.params)
-        comps = []
-        for j in range(1, self.n + 3):
-            u = self._u(m, j)
-            if j <= l - 1:
-                comps.append(self._sigma_bar(m, j) * u)
-            elif j == l:
-                comps.append(u / _sigma(self.n, m, len(self.chart_vars), l - 1))
-            elif j == l + 1:
-                comps.append(_sigma(self.n, m, len(self.chart_vars), l) * u)
-            else:
-                comps.append(self._sigma_bar(m, j - 1) * u)
-        return RationalMap(self.chart_vars, comps, self.params)
+        # u_j scales by sigma_j / sigma_{j-1} before the slot and by
+        # sigma_{j-1} / sigma_{j-2} after it; u_l and u_{l+1} split
+        # sigma_l / sigma_{l-1} into 1/sigma_{l-1} and sigma_l
+        ratios = (
+            [(j, j - 1) for j in range(1, l)]
+            + [(0, l - 1), (l, 0)]
+            + [(j, j - 1) for j in range(l + 1, self.n + 2)]
+        )
+        rows = [
+            row + _sigma_ratio(self.n, *ratio)
+            for row, ratio in zip(_identity_rows(self.n + 2), ratios)
+        ]
+        return _monomial_map(self.chart_vars, rows, self.params)
 
     def _transition(self, l):
-        m = self.n + 2
-        comps = []
-        for j in range(1, self.n + 3):
-            if j == l:
-                comps.append(self._u(m, l) * self._u(m, l + 1))
-            elif j == l + 1:
-                comps.append(RatFunc(Poly.one(m)) / self._u(m, l + 1))
-            elif j == l + 2:
-                comps.append(self._u(m, l + 2) * self._u(m, l + 1))
-            else:
-                comps.append(self._u(m, j))
-        return RationalMap(self.chart_vars, comps)
+        # u_{l+1} is inverted; u_l and u_{l+2} take a factor u_{l+1}
+        rows = _identity_rows(self.n + 2)
+        rows[l - 1][l] = rows[l + 1][l] = 1
+        rows[l][l] = -1
+        return _monomial_map(self.chart_vars, rows)
 
     # ------------------------------------------------------------ accessors
     def projection(self, l):
@@ -194,6 +176,8 @@ class GammaAtlas:
 
     def with_transition(self, l, rmap):
         """Copy of the atlas with transition l replaced (negative controls)."""
+        if not 1 <= _int(l, "l") <= self.n:
+            raise ValueError("l out of range")
         ts = list(self.transitions)
         ts[l - 1] = rmap
         return GammaAtlas(self.n, tuple(ts))
@@ -202,11 +186,19 @@ class GammaAtlas:
         """Exponent of sigma_{sig_index} on coordinate ``coord`` of the chart
         action (the action is by Laurent monomials, so this is well defined).
         """
-        comp = self.actions[chart - 1].components[coord - 1]
-        e = _laurent_exponent(comp, len(self.chart_vars) + sig_index - 1)
-        if e is None:
+        n = self.n
+        if not (
+            1 <= _int(chart, "chart") <= n + 1
+            and 1 <= _int(coord, "coord") <= n + 2
+            and 1 <= _int(sig_index, "sigma index") <= n
+        ):
+            raise ValueError("chart, coordinate or sigma index out of range")
+        form = _laurent(self.actions[chart - 1].components[coord - 1])
+        if form is None:
             raise ValueError("action component is not a sigma-monomial")
-        return e
+        _, p, q = form
+        pos = len(self.chart_vars) + sig_index - 1
+        return p[pos] - q[pos]
 
 
 def gamma_atlas(n, bound=8):
@@ -288,11 +280,9 @@ def verify_atlas(atlas):
 
     # the total multiplication map t1*...*t{n+1} pulls back to the full
     # coordinate product in every chart
-    full = RatFunc(Poly.one(n + 2))
-    for i in range(n + 2):
-        full = full * RatFunc(Poly.var(n + 2, i))
+    full = _monomial([1] * (n + 2))
     for l in range(1, n + 2):
-        prod = RatFunc(Poly.one(n + 2))
+        prod = _monomial([0] * (n + 2))
         for comp in atlas.projection(l).components:
             prod = prod * comp
         ok = prod.same(full)
@@ -342,59 +332,31 @@ class FourfoldResolution:
 
 
 def fourfold_resolution():
-    def V(nv, i):
-        return RatFunc(Poly.var(nv, i))
-
-    quadric = RationalMap(
-        ("a0", "a1", "b0", "b1"),
-        [
-            V(4, 0) * V(4, 3),
-            V(4, 1) * V(4, 2),
-            V(4, 0) * V(4, 2),
-            V(4, 1) * V(4, 3),
-        ],
-    )
-    resolution = RationalMap(
-        ("b0", "b1", "e1", "e2"),
-        [
-            V(4, 1) * V(4, 2),
-            V(4, 0) * V(4, 3),
-            V(4, 0) * V(4, 2),
-            V(4, 1) * V(4, 3),
-        ],
-    )
-    chart_b1 = RationalMap(
-        ("b0", "e1", "e2"),
-        [V(3, 1), V(3, 0) * V(3, 2), V(3, 0) * V(3, 1), V(3, 2)],
-    )
-    chart_b0 = RationalMap(
-        ("b1", "e1", "e2"),
-        [V(3, 0) * V(3, 1), V(3, 2), V(3, 1), V(3, 0) * V(3, 2)],
-    )
-    bundle_transition = RationalMap(
-        ("b0", "e1", "e2"),
-        [
-            RatFunc(Poly.one(3)) / V(3, 0),
-            V(3, 1) * V(3, 0),
-            V(3, 2) * V(3, 0),
-        ],
-    )
-    contraction = RationalMap(
-        ("a0", "a1", "b0", "b1", "zeta"),
-        [V(5, 2), V(5, 3), V(5, 0) * V(5, 4), V(5, 1) * V(5, 4)],
-    )
-    base_projection = RationalMap(
-        ("b0", "b1", "e1", "e2"),
-        [V(4, 0) * V(4, 2), V(4, 1) * V(4, 3)],
-    )
     return FourfoldResolution(
-        quadric,
-        resolution,
-        chart_b1,
-        chart_b0,
-        bundle_transition,
-        contraction,
-        base_projection,
+        quadric_param=_monomial_map(
+            ("a0", "a1", "b0", "b1"),
+            [(1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1)],
+        ),
+        resolution=_monomial_map(
+            ("b0", "b1", "e1", "e2"),
+            [(0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1)],
+        ),
+        chart_b1=_monomial_map(
+            ("b0", "e1", "e2"), [(0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 0, 1)]
+        ),
+        chart_b0=_monomial_map(
+            ("b1", "e1", "e2"), [(1, 1, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)]
+        ),
+        bundle_transition=_monomial_map(
+            ("b0", "e1", "e2"), [(-1, 0, 0), (1, 1, 0), (1, 0, 1)]
+        ),
+        contraction=_monomial_map(
+            ("a0", "a1", "b0", "b1", "zeta"),
+            [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 0, 0, 0, 1), (0, 1, 0, 0, 1)],
+        ),
+        base_projection=_monomial_map(
+            ("b0", "b1", "e1", "e2"), [(1, 0, 1, 0), (0, 1, 0, 1)]
+        ),
     )
 
 
@@ -432,14 +394,9 @@ def verify_resolution(res=None):
     )
 
     # blowup projection factors through the contraction
-    blowup = RationalMap(
+    blowup = _monomial_map(
         ("a0", "a1", "b0", "b1", "zeta"),
-        [
-            RatFunc(Poly.var(5, 0) * Poly.var(5, 3) * Poly.var(5, 4)),
-            RatFunc(Poly.var(5, 1) * Poly.var(5, 2) * Poly.var(5, 4)),
-            RatFunc(Poly.var(5, 0) * Poly.var(5, 2) * Poly.var(5, 4)),
-            RatFunc(Poly.var(5, 1) * Poly.var(5, 3) * Poly.var(5, 4)),
-        ],
+        [(1, 0, 0, 1, 1), (0, 1, 1, 0, 1), (1, 0, 1, 0, 1), (0, 1, 0, 1, 1)],
     )
     checks.append(
         _check_equal(
@@ -462,19 +419,16 @@ def verify_resolution(res=None):
     # axis incidence: in the chart b = [0, 1] the proper transforms of the
     # z1-axis (e2 = 0) and the t2-axis (e1 = 0) meet the exceptional curve at
     # the origin; mirror pattern for z2/t1 in the chart b = [1, 0]
+    free, zero = _monomial((1,)), RatFunc.const(1, 0)
+
     def axis_preimage_check(name, chart, fix_zero, axis_coord):
         # parametrize (b=0, one e free); the image must lie on the named axis
-        values = []
-        for v in chart.source_vars:
-            if v in fix_zero:
-                values.append(RatFunc(Poly.const(1, 0)))
-            else:
-                values.append(RatFunc(Poly.var(1, 0)))
+        values = [zero if v in fix_zero else free for v in chart.source_vars]
         img = [c.substitute(values) for c in chart.components]
         ok = True
         for i, comp in enumerate(img):
             if i == axis_coord:
-                ok = ok and comp.same(RatFunc(Poly.var(1, 0)))
+                ok = ok and comp.same(free)
             else:
                 ok = ok and comp.is_zero()
         return CheckResult(name, ok, None if ok else str([repr(c) for c in img]))
@@ -503,7 +457,7 @@ def verify_resolution(res=None):
     # cross pattern is empty: away from the exceptional locus the z1-axis
     # preimage forces e1 = 0 in the chart b = [1, 0] and then z1 itself dies
     z1_comp, z2_comp, t1_comp, t2_comp = res.chart_b0.components
-    forced = [RatFunc(Poly.var(1, 0)), RatFunc(Poly.const(1, 0)), RatFunc(Poly.const(1, 0))]
+    forced = [free, zero, zero]
     z1_forced = z1_comp.substitute(forced)  # e1 = e2 = 0 (t1 = z2 = 0 forced)
     checks.append(
         CheckResult(
@@ -537,7 +491,8 @@ class StandardEmbedding:
     unit_fill: bool = True
 
     def __post_init__(self):
-        I = tuple(self.subset)
+        _int(self.ambient, "ambient")
+        I = tuple(_int(i, "subset entry") for i in self.subset)
         if not I:
             raise ValueError("subset must be nonempty")
         if list(I) != sorted(set(I)) or I[0] < 1 or I[-1] > self.ambient:
@@ -548,14 +503,12 @@ class StandardEmbedding:
 def standard_embedding(emb):
     """The embedding map: z_k goes to slot I(k); other slots carry 1 or 0."""
     m = len(emb.subset)
-    fill = Fraction(1) if emb.unit_fill else Fraction(0)
-    comps = []
+    fill = RatFunc.const(m, 1 if emb.unit_fill else 0)
     pos = {slot: k for k, slot in enumerate(emb.subset)}
-    for slot in range(1, emb.ambient + 1):
-        if slot in pos:
-            comps.append(RatFunc(Poly.var(m, pos[slot])))
-        else:
-            comps.append(RatFunc(Poly.const(m, fill)))
+    comps = [
+        _monomial(_unit(m, pos[slot])) if slot in pos else fill
+        for slot in range(1, emb.ambient + 1)
+    ]
     return RationalMap(tuple("z%d" % k for k in range(1, m + 1)), comps)
 
 
@@ -575,7 +528,8 @@ class TorusHom:
     slots: tuple
 
     def __post_init__(self):
-        J = tuple(self.slots)
+        _int(self.target_rank, "target rank")
+        J = tuple(_int(j, "slot") for j in self.slots)
         if list(J) != sorted(set(J)):
             raise ValueError("slots must be strictly increasing")
         if J and (J[0] < 1 or J[-1] > self.target_rank):
@@ -618,41 +572,40 @@ def _lambda_component_exponents(n, complement):
     return rows
 
 
-def _bar_exponents(exponents, n, r, slot):
-    """The sigma exponents of the image subtorus element's bar factor on
-    base slot ``slot``: row slot - 1 of the component exponents minus row
-    slot - 2, a row outside 1..n being zero."""
-    top = exponents[slot - 1] if slot <= n else [0] * r
-    bot = exponents[slot - 2] if slot >= 2 else [0] * r
-    return [a - b for a, b in zip(top, bot)]
-
-
 def principal_chart_map(n, subset, exponents=None):
     """The action-of-embedded-chart map Psi(sigma, z) in coordinates.
 
     subset I (size l+1) fixes the unit-fill embedding; the complement slots
-    are swept by the reparametrizing subtorus.  Returns (Psi, complement).
+    are swept by the reparametrizing subtorus, whose component exponents
+    are ``exponents`` (n rows of one int per complement slot; by default
+    those of :func:`_lambda_component_exponents`).  Returns (Psi,
+    complement).
     """
-    I = tuple(subset)
-    emb = StandardEmbedding(n + 1, I, True)
+    emb = StandardEmbedding(_int(n, "n") + 1, subset, True)
+    I = emb.subset
     complement = tuple(j for j in range(1, n + 2) if j not in I)
     r = len(complement)
     if exponents is None:
         exponents = _lambda_component_exponents(n, complement)
-    m = r + len(I)  # sigma params then z coords
+    else:
+        exponents = [[_int(e, "exponent") for e in row] for row in exponents]
+        if len(exponents) != n or any(len(row) != r for row in exponents):
+            raise ValueError("exponents must be %d rows of length %d" % (n, r))
     sig_names = tuple("sigma%d" % i for i in range(1, r + 1))
     z_names = tuple("z%d" % k for k in range(1, len(I) + 1))
 
-    sigmas = [RatFunc(Poly.var(m, i)) for i in range(r)]
-    comps = []
+    # slot s carries the image subtorus element's bar factor, row s minus
+    # row s - 1 of the exponents (rows 0 and n + 1 are zero), times z at
+    # the slots of I
+    padded = [[0] * r] + exponents + [[0] * r]
     pos = {slot: k for k, slot in enumerate(I)}
+    rows = []
     for slot in range(1, n + 2):
-        factor = _power_product(m, zip(sigmas, _bar_exponents(exponents, n, r, slot)))
+        row = [a - b for a, b in zip(padded[slot], padded[slot - 1])] + [0] * len(I)
         if slot in pos:
-            comps.append(factor * RatFunc(Poly.var(m, r + pos[slot])))
-        else:
-            comps.append(factor)
-    return RationalMap(sig_names + z_names, comps), complement
+            row[r + pos[slot]] = 1
+        rows.append(row)
+    return _monomial_map(sig_names + z_names, rows), complement
 
 
 def verify_principal_chart(n, subset, exponents=None):
@@ -671,7 +624,7 @@ def verify_principal_chart(n, subset, exponents=None):
     nvars = n + 1
 
     if r == 0:
-        inverse = RationalMap(w_names, [RatFunc(Poly.var(nvars, k)) for k in range(len(I))])
+        inverse = _monomial_map(w_names, _identity_rows(nvars))
         checks.append(
             _check_equal(
                 "inverse_after_psi",
@@ -681,17 +634,18 @@ def verify_principal_chart(n, subset, exponents=None):
         )
         return Report(tuple(checks)), psi, inverse
 
-    # exponent matrix of the complement components in the sigma parameters
-    rows = [
-        [_laurent_exponent(psi.components[j - 1], i) for i in range(r)]
-        for j in complement
+    # the sigma exponents of every component, read from its Laurent form
+    sigma_exps = [
+        None if form is None else [a - b for a, b in zip(form[1][:r], form[2][:r])]
+        for form in map(_laurent, psi.components)
     ]
-    consistent = all(e is not None for row in rows for e in row)
-    rows = [[e or 0 for e in row] for row in rows]
+    rows = [sigma_exps[j - 1] for j in complement]
+    consistent = None not in rows
     checks.append(
         CheckResult("complement_components_are_monomials", consistent,
                     None if consistent else "non-monomial component")
     )
+    rows = [row or [0] * r for row in rows]
     aug = [
         [Fraction(x) for x in row] + [Fraction(1 if k == i else 0) for k in range(r)]
         for i, row in enumerate(rows)
@@ -713,19 +667,21 @@ def verify_principal_chart(n, subset, exponents=None):
     if not invertible:
         return Report(tuple(checks)), psi, None
 
-    # sigma_i = product over complement coordinates of w_j^(inverse entry)
-    ws = [RatFunc(Poly.var(nvars, j - 1)) for j in complement]
-    sigma_sol = [
-        _power_product(nvars, zip(ws, map(int, entries)))
-        for entries in inverse_entries
-    ]
-    exps = exponents if exponents is not None else _lambda_component_exponents(n, complement)
-    z_sol = [
-        RatFunc(Poly.var(nvars, slot - 1))
-        / _power_product(nvars, zip(sigma_sol, _bar_exponents(exps, n, r, slot)))
-        for slot in I
-    ]
-    inverse = RationalMap(w_names, sigma_sol + z_sol)
+    # sigma_i = prod_k w_{complement_k}^(inverse entry i, k), and z at slot s
+    # is w_s over the bar factor of slot s evaluated at that sigma
+    sigma_rows = []
+    for entries in inverse_entries:
+        row = [0] * nvars
+        for j, e in zip(complement, entries):
+            row[j - 1] = int(e)
+        sigma_rows.append(row)
+    z_rows = []
+    for slot in I:
+        row = _unit(nvars, slot - 1)
+        for b, sigma in zip(sigma_exps[slot - 1], sigma_rows):
+            row = [x - b * y for x, y in zip(row, sigma)]
+        z_rows.append(row)
+    inverse = _monomial_map(w_names, sigma_rows + z_rows)
 
     checks.append(
         _check_equal(
@@ -762,11 +718,9 @@ def relative_action(n, reversed_order=False):
     action = _base_scaling(n, n, 0 if reversed_order else 1)
     t_names = action.source_vars
     big = _base_scaling(n, n + 1, 0)
-    zero = RatFunc(Poly.const(n, 0))
-    if reversed_order:
-        emb_comps = [RatFunc(Poly.var(n, i)) for i in range(n)] + [zero]
-    else:
-        emb_comps = [zero] + [RatFunc(Poly.var(n, i)) for i in range(n)]
+    zero = RatFunc.const(n, 0)
+    ts = [_monomial(row) for row in _identity_rows(n)]
+    emb_comps = ts + [zero] if reversed_order else [zero] + ts
     embedding = RationalMap(t_names, emb_comps)
     report = Report(
         (
@@ -791,14 +745,8 @@ def _restrict_transition(trans, n, deleted):
     to vanish on the locus; returns None if it does not."""
     m = n + 2
     kept = [i for i in range(1, m + 1) if i != deleted]
-    values = []
-    pos = 0
-    for i in range(1, m + 1):
-        if i == deleted:
-            values.append(RatFunc(Poly.const(m - 1, 0)))
-        else:
-            values.append(RatFunc(Poly.var(m - 1, pos)))
-            pos += 1
+    values = [_monomial(row) for row in _identity_rows(m - 1)]
+    values.insert(deleted - 1, RatFunc.const(m - 1, 0))
     comps = [c.substitute(values) for c in trans.components]
     if not comps[deleted - 1].is_zero():
         return None
@@ -811,7 +759,7 @@ def _extended_transition(inner_atlas, j, lead, total_vars):
     coordinates, as a map on total_vars variables."""
     inner = inner_atlas.transition(j)
     shifted = range(lead, lead + inner.arity_in)
-    comps = [RatFunc(Poly.var(total_vars, i)) for i in range(lead)]
+    comps = [_monomial(_unit(total_vars, i)) for i in range(lead)]
     comps += [c.rename(total_vars, shifted) for c in inner.components]
     return RationalMap(tuple("v%d" % i for i in range(1, total_vars + 1)), comps)
 
@@ -834,7 +782,8 @@ def splice_check(n, l):
     left piece reproduces the (l-1)-model in reversed order through the
     mirror.
     """
-    if not 1 <= l <= n + 1:
+    _int(n, "n")
+    if not 1 <= _int(l, "l") <= n + 1:
         raise ValueError("l out of range")
     atlas = gamma_atlas(n)
     m = n + 2
@@ -844,11 +793,11 @@ def splice_check(n, l):
     for j in range(1, n + 2):
         proj = atlas.projection(j).components[l - 1]
         if j == l:
-            expect = RatFunc(Poly.var(m, l - 1) * Poly.var(m, l))
+            expect = _monomial(_unit(m, l - 1, l))
         elif j < l:
-            expect = RatFunc(Poly.var(m, l))
+            expect = _monomial(_unit(m, l))
         else:
-            expect = RatFunc(Poly.var(m, l - 1))
+            expect = _monomial(_unit(m, l - 1))
         ok = proj.same(expect)
         checks.append(
             CheckResult(
@@ -881,7 +830,7 @@ def splice_check(n, l):
     # the left locus closes off in chart l: T_l inverts u_{l+1}
     if l <= n:
         den = atlas.transition(l).components[l].den
-        closes = den == Poly.var(m, l)
+        closes = den == Poly.monomial(_unit(m, l))
         checks.append(
             CheckResult(
                 "left_piece_closed_in_chart%d" % l,
@@ -909,17 +858,14 @@ def splice_check(n, l):
             if restricted is None:
                 out.append(CheckResult("%s_boundary_chart" % tag, False, "locus lost"))
             else:
+                # v_{split_l} is inverted and v_{split_l+1}, if there is
+                # one, takes a factor v_{split_l}
                 mm = nn + 1
-                comps = [RatFunc(Poly.var(mm, i)) for i in range(split_l - 1)]
-                comps.append(RatFunc(Poly.one(mm)) / RatFunc(Poly.var(mm, split_l - 1)))
+                rows = _identity_rows(mm)
+                rows[split_l - 1][split_l - 1] = -1
                 if split_l < mm:
-                    comps.append(
-                        RatFunc(Poly.var(mm, split_l) * Poly.var(mm, split_l - 1))
-                    )
-                comps += [RatFunc(Poly.var(mm, i)) for i in range(split_l + 1, mm)]
-                expected = RationalMap(
-                    tuple("v%d" % i for i in range(1, mm + 1)), comps
-                )
+                    rows[split_l][split_l - 1] = 1
+                expected = _monomial_map(tuple("v%d" % i for i in range(1, mm + 1)), rows)
                 out.append(_check_equal("%s_boundary_chart" % tag, restricted, expected))
         return out
 
@@ -943,7 +889,7 @@ def splice_check(n, l):
     # gluing locus: both loci meet chart l in the node locus
     # {u_l = u_{l+1} = 0}, which the projection carries onto {t_l = 0} with
     # the other n base coordinates free
-    values = [RatFunc(Poly.var(m, i)) for i in range(m)]
+    values = [_monomial(row) for row in _identity_rows(m)]
     values[l - 1] = values[l] = RatFunc.const(m, 0)
     image = [c.substitute(values) for c in atlas.projection(l).components]
     free = {c.bare_variable() for k, c in enumerate(image) if k != l - 1}

@@ -4,6 +4,12 @@ A polynomial is a dict mapping exponent tuples to nonzero Fractions; the
 number of variables is fixed per value.  Variable names live in the layers
 above (rational maps, truncated algebras) and only matter for rendering.
 No floating point is used anywhere.
+
+A Laurent monomial c*x^E, E an int vector of any signs, has one normal form
+c*x^E+ / x^E-, which ``_monomial`` writes directly and ``_laurent`` reads
+back.  The layers above build every chart formula, bare variable and
+substituted Laurent monomial through ``_monomial``; it checks nothing, so
+they check their integer arguments where they enter.
 """
 
 from __future__ import annotations
@@ -359,9 +365,30 @@ class Poly:
         )
 
 
+def _unit(n, *indices):
+    """The exponent vector of the product of x_i over ``indices`` (0-based,
+    repeats multiply) in n variables."""
+    exp = [0] * n
+    for i in indices:
+        exp[i] += 1
+    return exp
+
+
+def _monomial(exp, c=_ONE):
+    """The rational function c*x^exp for an int exponent vector ``exp`` of
+    any signs and a nonzero Fraction c, in its normal form c*x^E+ / x^E-.
+    The two sides share no variable and the denominator's coefficient is
+    one, so it is reduced as built; nothing is checked."""
+    out = RatFunc.__new__(RatFunc)
+    out.num = _poly(len(exp), {tuple(e if e > 0 else 0 for e in exp): c})
+    out.den = _poly(len(exp), {tuple(0 if e > 0 else -e for e in exp): _ONE})
+    return out
+
+
 def _laurent(f):
     """(c, p, q) when the reduced fraction f is c*x^p / x^q, one term a
-    side (the denominator's coefficient is one), else None."""
+    side (the denominator's coefficient is one), else None; the inverse of
+    ``_monomial`` with exp = p - q."""
     num, den = f.num.terms, f.den.terms
     if len(num) != 1 or len(den) != 1:
         return None
@@ -391,7 +418,8 @@ class RatFunc:
     Reduced, its denominator's coefficient is one and its two sides share
     no variable, so c and the vector p - q fix its normal form, and
     :meth:`substitute` maps Laurent monomials to Laurent monomials on those
-    alone.
+    alone.  ``_monomial`` builds that form from c and the vector, the one
+    place a fraction is made without the constructor.
     """
 
     __slots__ = ("num", "den")
@@ -592,11 +620,7 @@ class RatFunc:
             if ci != 1:
                 c = c * ci**k
             exp = [e + k * (x - y) for e, x, y in zip(exp, p, q)]
-        # already in normal form: no reduction
-        out = RatFunc.__new__(RatFunc)
-        out.num = _poly(arity, {tuple(e if e > 0 else 0 for e in exp): c})
-        out.den = _poly(arity, {tuple(0 if e > 0 else -e for e in exp): _ONE})
-        return out
+        return _monomial(exp, c)
 
     def render(self, names):
         if self.den.is_const() and self.den.const_coeff() == 1:

@@ -20,7 +20,7 @@ open set.  Components with identical stored forms are equal as they are.
 
 from __future__ import annotations
 
-from .polys import Poly, RatFunc
+from .polys import Poly, RatFunc, _monomial, _unit
 
 
 class RationalMap:
@@ -58,12 +58,12 @@ class RationalMap:
     def identity(cls, names, params=()):
         names = tuple(names)
         n = len(names) + len(params)
-        return cls(names, [Poly.var(n, i) for i in range(len(names))], params)
+        return cls(names, [_monomial(_unit(n, i)) for i in range(len(names))], params)
 
     def var(self, name):
         """The coordinate function of a source variable or parameter."""
         names = self.source_vars + self.params
-        return RatFunc(Poly.var(len(names), names.index(name)))
+        return _monomial(_unit(len(names), names.index(name)))
 
     # ------------------------------------------------------------ operations
     def _reframe(self, params):
@@ -94,7 +94,7 @@ class RationalMap:
         n = inner.arity_in + len(params)
         lift = {p: i for i, p in enumerate(params, inner.arity_in)}
         values = inner.components + tuple(
-            RatFunc(Poly.var(n, lift[p])) for p in self.params
+            _monomial(_unit(n, lift[p])) for p in self.params
         )
         if tuple(v.bare_variable() for v in values) == tuple(range(n)):
             out = self.components

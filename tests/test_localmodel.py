@@ -1,5 +1,9 @@
-import pytest
+import dataclasses
+import itertools
+import random
 from fractions import Fraction
+
+import pytest
 
 from degkit import (
     GammaAtlas,
@@ -7,6 +11,7 @@ from degkit import (
     RatFunc,
     RationalMap,
     StandardEmbedding,
+    TorusHom,
     fourfold_resolution,
     gamma_atlas,
     principal_chart_map,
@@ -16,6 +21,15 @@ from degkit import (
     verify_atlas,
     verify_principal_chart,
     verify_resolution,
+)
+from degkit.localmodel import CheckResult
+from reference_localmodel import (
+    RefAtlas,
+    ref_lambda_exponents,
+    ref_principal_chart,
+    ref_relative_action,
+    ref_resolution_maps,
+    ref_splice_checks,
 )
 
 
@@ -362,10 +376,154 @@ def test_principal_chart_map_shape():
 
 
 def test_torus_hom_placement():
-    from degkit import TorusHom
-
     hom = TorusHom(3, (1, 3))
     assert hom.source_rank == 2
     assert hom.component_exponents() == [[1, 0], [0, 0], [0, 1]]
     with pytest.raises(ValueError):
         TorusHom(2, (3,))
+
+
+# --- integer arguments at the doors ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call,what",
+    [
+        (lambda: verify_principal_chart(2, (True, 3)), "subset entry"),
+        (lambda: verify_principal_chart(2, (1.0, 3)), "subset entry"),
+        (lambda: principal_chart_map(True, (1,)), "n"),
+        (lambda: principal_chart_map(2, (1, 3), [[True], [0]]), "exponent"),
+        (lambda: StandardEmbedding(3, (1.0, 2)), "subset entry"),
+        (lambda: StandardEmbedding(True, (1,)), "ambient"),
+        (lambda: TorusHom(3, (True,)), "slot"),
+        (lambda: gamma_atlas(3).sigma_exponent(True, 2, 1), "chart"),
+        (lambda: gamma_atlas(2).with_transition(True, None), "l"),
+        (lambda: splice_check(2, True), "l"),
+        (lambda: splice_check(2, 1.0), "l"),
+    ],
+    ids=[
+        "chart bool subset",
+        "chart float subset",
+        "chart map bool n",
+        "chart map bool exponent",
+        "embedding float subset",
+        "embedding bool ambient",
+        "torus bool slot",
+        "sigma exponent bool chart",
+        "replaced transition bool l",
+        "splice bool l",
+        "splice float l",
+    ],
+)
+def test_doors_refuse_bools_and_floats(call, what):
+    # each argument is refused by name where it enters, not by accident
+    # deeper down (or not at all)
+    with pytest.raises(TypeError, match="^%s must be an int" % what):
+        call()
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [[[1, 5], [0, 7]], [[1], [0], [4]], [[1]], [[]]],
+    ids=["long rows", "extra row", "missing row", "empty row"],
+)
+@pytest.mark.parametrize("door", [principal_chart_map, verify_principal_chart])
+def test_chart_exponents_are_n_rows_of_r_ints(door, exponents):
+    # n = 2 with the complement (2,): two rows of one int each
+    with pytest.raises(ValueError, match="exponents must be 2 rows of length 1"):
+        door(2, (1, 3), exponents)
+    assert door(2, (1, 3), [[1], [0]])[1] is not None
+
+
+def test_atlas_indices_in_range():
+    # index 0 read the last chart, coordinate or transition, and sigma
+    # index 0 the last chart coordinate
+    at = gamma_atlas(2)
+    assert at.sigma_exponent(2, 2, 1) == -1
+    for args in [(0, 1, 1), (4, 1, 1), (1, 0, 1), (1, 5, 1), (1, 1, 0), (1, 1, 3)]:
+        with pytest.raises(ValueError):
+            at.sigma_exponent(*args)
+    for l in (0, 3):
+        with pytest.raises(ValueError):
+            at.with_transition(l, at.transition(1))
+
+
+# --- the formulas against the product-built reference ------------------------
+
+
+def forms(rmap):
+    """A map's frame and its components' stored terms, in order."""
+    return (
+        rmap.source_vars,
+        rmap.params,
+        [(list(c.num.terms.items()), list(c.den.terms.items())) for c in rmap.components],
+    )
+
+
+def test_atlas_formulas_match_reference():
+    for n in range(9):
+        at, ref = gamma_atlas(n), RefAtlas(n)
+        for family in ("projections", "actions", "transitions"):
+            got = [forms(m) for m in getattr(at, family)]
+            assert got == [forms(m) for m in getattr(ref, family)], (n, family)
+        assert forms(at.base_action) == forms(ref.base_action), n
+
+
+def test_resolution_formulas_match_reference(monkeypatch):
+    # the blow-up map lives only inside verify_resolution: catch it where it
+    # is compared with the composite through the contraction
+    from degkit import localmodel
+
+    seen = {}
+    real = localmodel._check_equal
+
+    def spy(name, f, g):
+        seen[name] = g
+        return real(name, f, g)
+
+    monkeypatch.setattr(localmodel, "_check_equal", spy)
+    res, report = verify_resolution()
+    assert report.passed
+    got = [getattr(res, f.name) for f in dataclasses.fields(res)]
+    got.append(seen["contraction_compatibility"])
+    assert [forms(m) for m in got] == [forms(m) for m in ref_resolution_maps()]
+
+
+def test_principal_chart_formulas_match_reference():
+    rng = random.Random(29)
+    inverted = 0
+    for n in range(5):
+        for k in range(1, n + 2):
+            for subset in itertools.combinations(range(1, n + 2), k):
+                complement = [j for j in range(1, n + 2) if j not in subset]
+                r = len(complement)
+                drawn = [[rng.randrange(-2, 3) for _ in range(r)] for _ in range(n)]
+                for exponents in (None, ref_lambda_exponents(n, complement), drawn):
+                    report, psi, inverse = verify_principal_chart(n, subset, exponents)
+                    ref_psi, ref_inverse = ref_principal_chart(n, subset, exponents)
+                    assert forms(psi) == forms(ref_psi), (n, subset, exponents)
+                    assert (inverse is None) == (ref_inverse is None)
+                    if inverse is not None:
+                        assert forms(inverse) == forms(ref_inverse), (n, subset, exponents)
+                        assert report.passed
+                        inverted += 1
+    # the drawn matrices include invertible ones beyond the defaults
+    assert inverted > 2 * 57
+
+
+def test_relative_action_formulas_match_reference():
+    for n in range(1, 7):
+        for rev in (False, True):
+            action, report = relative_action(n, rev)
+            ref_action, left, right = ref_relative_action(n, rev)
+            assert forms(action) == forms(ref_action), (n, rev)
+            w = left.difference(right)
+            assert report.checks == (
+                CheckResult("hyperplane_embedding_equivariance", w is None, w),
+            )
+
+
+def test_splice_reports_match_reference():
+    for n in range(6):
+        for l in range(1, n + 2):
+            assert splice_check(n, l).checks == ref_splice_checks(n, l), (n, l)

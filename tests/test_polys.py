@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from degkit.polys import Poly, RatFunc, _power
+from degkit.polys import Poly, RatFunc, _monomial, _power
 from reference_polys import (
     ref_mul,
     ref_one,
@@ -211,6 +211,22 @@ def test_laurent_route_matches_reference(case):
     assert (f._substitute_laurent(values, arity) is None) == zero_at_k
     # a zero value: 0 at a positive exponent, ZeroDivisionError at a negative one
     check_substitution(f, values, arity)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=5), coeffs)
+@settings(max_examples=200, deadline=None)
+def test_monomial_is_the_reduced_laurent_fraction(exp, c):
+    # the builder of every chart formula writes c*x^E+ / x^E- without a
+    # reduction; it must be the form RatFunc reaches from the two monomials
+    got = _monomial(exp, c)
+    ref = RatFunc(
+        Poly.monomial([max(e, 0) for e in exp], c),
+        Poly.monomial([max(-e, 0) for e in exp]),
+    )
+    assert got.nvars == len(exp)
+    assert list(got.num.terms.items()) == list(ref.num.terms.items())
+    assert list(got.den.terms.items()) == list(ref.den.terms.items())
+    assert got.render(NAMES + ("w", "v")) == ref.render(NAMES + ("w", "v"))
 
 
 # --------------------------------------------------------------- renaming
