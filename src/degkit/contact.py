@@ -204,32 +204,83 @@ def _shift_levels(x):
 def _family_columns(levels):
     """Sparse flat vectors of y * e_j over the levels y of
     :func:`_shift_levels` and the basis e_j of the base, level by level,
-    each as (q, {position: numerator}): integer numerators over the least
-    common denominator q of the vector's entries.
+    each as (q, {position: numerator}): integer numerators over a common
+    denominator q of the vector's entries.
 
     Together they span the ideal generated by levels[0] in the internal
-    window.  Multiplying a level by e_j multiplies each nonzero slot by e_j
-    through the algebra's structure constants, on the integer numerators
-    of the level over its one denominator, and reduces the tail slots
-    through the ring's own slot reduction, on the same numerators.  Flat
+    window.  These are the columns of phi2's unknowns in the pure-contact
+    solve, and :func:`is_nondegenerate` reads them for both series.  They
+    are built by :func:`_slot_columns` from the nonzero slots of each
+    level, with no node-series product.
+    """
+    return _slot_columns(
+        levels[0].ring,
+        [[(k, c._scaled) for k, c in y._slots() if c._scaled[1]] for y in levels],
+    )
+
+
+def _z1_power_columns(ring, n):
+    """The columns of z1^n in the pure-contact solve: the vectors of
+    :func:`_family_columns` over ``_shift_levels(ring.branch_power(1, n))``,
+    written slot by slot.
+
+    The unknown u of beta is e_j z^u (its constant, then its z1 tail, then
+    its z2 tail), and its product with z1^n is one slot: e_j at z1^(n+k)
+    for z1^k, zero past the internal window, and s^min(n,k) e_j at
+    z^(n-k) for z2^k (z1 z2 = s), zero past the last nonzero power of s.
+    The one slot is multiplied by e_j and reduced by :func:`_slot_columns`.
+    """
+    K = ring.internal - 1
+    s_pows = ring._s_pows
+    levels = []
+    for u in range(2 * K + 1):
+        if u <= K:
+            k, e = n + u, 0
+        else:
+            k, e = n + K - u, min(n, u - K)
+        levels.append([] if k > K or e >= len(s_pows) else [(k, s_pows[e]._scaled)])
+    return _slot_columns(ring, levels)
+
+
+def _slot_columns(ring, levels):
+    """The columns y * e_j over the basis e_j of the base, level by level,
+    as (q, {position: numerator}), of levels y given by their nonzero slots
+    (signed z-degree, scaled form): +i for z1^i, -i for z2^i, 0 for the
+    constant.
+
+    Each slot is multiplied by e_j through the algebra's structure
+    constants on its integer numerators, and only the deep slots are
+    reduced, by their slot space's ``reduce_scaled``; nothing else is
+    brought to lowest terms.  A slot element's products depend only on it
+    and on its slot's reduction, so each distinct pair is computed once per
+    call: an up-branch shift carries its slot elements unchanged.  Flat
     positions run over the constant slot, then the z1 tail, then the z2
     tail, ``dim`` coordinates a slot.
     """
-    ring = levels[0].ring
     alg = ring.algebra
     dim = alg.dim
     K = ring.internal - 1
+    spaces = ring._slot_spaces
+    products = {}
     fam = []
-    for y in levels:
+    for slots in levels:
         parts = [[] for _ in range(dim)]
-        d, slots = y._scaled_slots()
-        for k, pairs in slots:
+        for k, scaled in slots:
+            deep = abs(k) if abs(k) in spaces else 0
+            got = products.get((deep, scaled))
+            if got is None:
+                got = products[deep, scaled] = []
+                d, pairs = scaled
+                for j in range(dim):
+                    acc = {}
+                    alg._accumulate(acc, pairs, ((j, 1),), d)
+                    q, nums = alg._numerators(acc)
+                    xs = [(m, x) for m, x in enumerate(nums) if x]
+                    if deep and xs:
+                        q, xs = spaces[deep].reduce_scaled(q, xs)
+                    got.append((q, xs))
             offset = dim * (k if k >= 0 else K - k)
-            for j, part in enumerate(parts):
-                acc = {}
-                alg._accumulate(acc, pairs, ((j, 1),), d)
-                x = ring._slot_reduce(abs(k), alg._from_numerators(acc))
-                q, xs = x._scaled
+            for part, (q, xs) in zip(parts, got):
                 if xs:
                     part.append((offset, q, xs))
         for part in parts:
@@ -366,11 +417,18 @@ def _pure_solve(phi1, levels2, n):
     Q-coordinates of beta (constant block, then the z1 tail, then the z2
     tail, in the column order of :func:`_family_columns`) and of eps; the
     right-hand side is the last column.  There is one row per flat position
-    of the first identity, then of the second.  The reduced row echelon
-    form is unique, so the particular solution read from it, and so the
-    reported beta, and the index of an inconsistent row do not depend on how
-    the elimination reaches it.  Returns (beta, eps, None) or
-    (None, None, certificate).
+    of the first identity, then of the second.  A column of beta's unknown
+    holds its z1^n column, one slot written directly by
+    :func:`_z1_power_columns`, over its phi2 column from
+    :func:`_family_columns`; eps's unknown e_j is -e_j in the z2^n slot of
+    the second identity; the right-hand side is phi1's numerators.  Every
+    column is built on integer numerators and scaled to integers by the
+    least common denominator of its two halves.  The window is a quotient
+    ring, so each column is the same rational vector whatever route builds
+    it, and the reduced row echelon form is unique, so the particular
+    solution read from it, and so the reported beta, and the index of an
+    inconsistent row do not depend on how the elimination reaches it.
+    Returns (beta, eps, None) or (None, None, certificate).
     """
     ring = phi1.ring
     alg = ring.algebra
@@ -383,7 +441,7 @@ def _pure_solve(phi1, levels2, n):
     # scales the unknowns back
     rows = [{} for _ in range(2 * vec_len)]
     scales = []
-    first = _family_columns(_shift_levels(ring.branch_power(1, n)))
+    first = _z1_power_columns(ring, n)
     for c, ((q1, ua), (q2, u2)) in enumerate(zip(first, _family_columns(levels2))):
         q = math.lcm(q1, q2)
         f1, f2 = q // q1, q // q2

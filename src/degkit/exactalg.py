@@ -451,12 +451,15 @@ class AlgebraElement:
     def inverse(self):
         if not self.is_unit():
             raise ZeroDivisionError("element is not a unit")
-        c = self.constant_term()
-        one = self.algebra.one()
-        if self == one * c:
-            # a rational constant: the series would return 1 / c
-            return one * (Fraction(1) / c)
-        return _unit_inverse(self, Fraction(1) / c, one, self.algebra.order + 1)
+        d, pairs = self._scaled
+        if len(pairs) == 1:
+            # a unit with one nonzero coordinate is the constant n / d; its
+            # inverse d / n, which the series would also return, is in
+            # lowest terms as n / d is
+            [(i, n)] = pairs
+            return AlgebraElement(self.algebra, (abs(n), ((i, d if n > 0 else -d),)))
+        c_inv = Fraction(d, self._constant_numerator())
+        return _unit_inverse(self, c_inv, self.algebra.one(), self.algebra.order + 1)
 
     def __eq__(self, other):
         # scaled forms are in lowest terms, so they are equal exactly when
@@ -850,17 +853,22 @@ class NodeSeries:
             return other
         return self.ring.const(other)
 
-    def _scaled_slots(self):
-        """(d, [(signed z-degree, ((basis index, numerator), ...)), ...])
-        over the nonzero slots, +i for z1^i, -i for z2^i and 0 for the
-        constant: every slot's coordinates as integer numerators over d,
-        the least common denominator of the whole series."""
-        slots = []
-        for deg, c in itertools.chain(
+    def _slots(self):
+        """(signed z-degree, element) over every slot: +i for z1^i, -i for
+        z2^i and 0 for the constant."""
+        return itertools.chain(
             ((0, self.a0),),
             enumerate(self.a, start=1),
             ((-i, c) for i, c in enumerate(self.b, start=1)),
-        ):
+        )
+
+    def _scaled_slots(self):
+        """(d, [(signed z-degree, ((basis index, numerator), ...)), ...])
+        over the nonzero slots (see :meth:`_slots`): every slot's
+        coordinates as integer numerators over d, the least common
+        denominator of the whole series."""
+        slots = []
+        for deg, c in self._slots():
             q, pairs = c._scaled
             if pairs:
                 slots.append((deg, q, pairs))

@@ -165,21 +165,27 @@ class GammaAtlas:
         return _monomial_map(self.chart_vars, rows)
 
     # ------------------------------------------------------------ accessors
+    @staticmethod
+    def _index(l, top):
+        """l - 1 for an int l in 1..top: TypeError for a bool or a non-int,
+        ValueError outside the range."""
+        if not 1 <= _int(l, "l") <= top:
+            raise ValueError("l out of range")
+        return l - 1
+
     def projection(self, l):
-        return self.projections[l - 1]
+        return self.projections[self._index(l, self.n + 1)]
 
     def action(self, l):
-        return self.actions[l - 1]
+        return self.actions[self._index(l, self.n + 1)]
 
     def transition(self, l):
-        return self.transitions[l - 1]
+        return self.transitions[self._index(l, self.n)]
 
     def with_transition(self, l, rmap):
         """Copy of the atlas with transition l replaced (negative controls)."""
-        if not 1 <= _int(l, "l") <= self.n:
-            raise ValueError("l out of range")
         ts = list(self.transitions)
-        ts[l - 1] = rmap
+        ts[self._index(l, self.n)] = rmap
         return GammaAtlas(self.n, tuple(ts))
 
     def sigma_exponent(self, chart, coord, sig_index):

@@ -560,6 +560,31 @@ def test_structured_solve_matches_dense_reference(inputs):
             assert flag == is_nondegenerate(data)
 
 
+def test_z1_power_columns_match_the_shifted_family():
+    # the z1^n columns written slot by slot against the products z1^n e_j
+    # and their shifts, for every contact order of the window; the columns
+    # of z1^k past the window and of z2^k past the last nonzero power of s
+    # are zero
+    vanished = set()
+    for ring in _RINGS:
+        K = ring.internal - 1
+        dim = ring.algebra.dim
+        for n in range(1, ring.internal):
+            cols = contact._z1_power_columns(ring, n)
+            expected = _reference_shifted_family(ring.branch_power(1, n))
+            assert _densify(cols, ring) == expected
+            for u in range(2 * K + 1):
+                if u <= K and n + u > K:
+                    reason = "past the window"
+                elif u > K and min(n, u - K) >= len(ring._s_pows):
+                    reason = "past the last power of s"
+                else:
+                    continue
+                assert all(not col for _, col in cols[u * dim : (u + 1) * dim])
+                vanished.add(reason)
+    assert vanished == {"past the window", "past the last power of s"}
+
+
 # --- re-verification by one product against the inverse-based test -------
 
 

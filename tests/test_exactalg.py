@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -22,6 +23,7 @@ from degkit import (
     normal_form_stepwise,
     series_from_json,
 )
+from degkit import exactalg
 from dense_linalg import dense_reduce
 from reference_exactalg import fixture_algebra, ratio_algebra
 
@@ -848,3 +850,34 @@ def test_every_builder_gives_the_canonical_scaled_form(request, name):
         assert hash(x) == hash(cx)
         for y, cy in zip(elems, coeffs):
             assert (x == y) == (cx == cy)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_constant_inverse_read_off_the_scaled_form(request, name):
+    # a rational constant inverts off its one scaled pair to what the
+    # geometric series gives, in canonical form, without the series; a unit
+    # with a nilpotent part still takes the series
+    alg = _named_algebra(request, name)
+    one = alg.one()
+    cap = alg.order + 1
+    with mock.patch.object(
+        exactalg, "_unit_inverse", side_effect=exactalg._unit_inverse
+    ) as series:
+        for c in (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 7)):
+            x = alg.const(c)
+            got = x.inverse()
+            assert series.call_count == 0
+            _assert_canonical(got)
+            assert got == exactalg._unit_inverse(x, 1 / Fraction(c), one, cap)
+            assert got * x == one
+            series.reset_mock()
+        constant = alg._basis_index[(0,) * len(alg.gens)]
+        for i in range(alg.dim):
+            if i == constant:
+                continue
+            x = alg.const(Fraction(-3, 7)) + alg.basis_element(i)
+            got = x.inverse()
+            assert series.call_count == 1
+            _assert_canonical(got)
+            assert got * x == one
+            series.reset_mock()

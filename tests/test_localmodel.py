@@ -398,6 +398,9 @@ def test_torus_hom_placement():
         (lambda: TorusHom(3, (True,)), "slot"),
         (lambda: gamma_atlas(3).sigma_exponent(True, 2, 1), "chart"),
         (lambda: gamma_atlas(2).with_transition(True, None), "l"),
+        (lambda: gamma_atlas(2).action(True), "l"),
+        (lambda: gamma_atlas(2).projection(1.0), "l"),
+        (lambda: gamma_atlas(2).transition(True), "l"),
         (lambda: splice_check(2, True), "l"),
         (lambda: splice_check(2, 1.0), "l"),
     ],
@@ -411,6 +414,9 @@ def test_torus_hom_placement():
         "torus bool slot",
         "sigma exponent bool chart",
         "replaced transition bool l",
+        "action bool l",
+        "projection float l",
+        "transition bool l",
         "splice bool l",
         "splice float l",
     ],
@@ -437,7 +443,9 @@ def test_chart_exponents_are_n_rows_of_r_ints(door, exponents):
 
 def test_atlas_indices_in_range():
     # index 0 read the last chart, coordinate or transition, and sigma
-    # index 0 the last chart coordinate
+    # index 0 the last chart coordinate; the accessors read l - 1 unchecked,
+    # so transition(0) was the last transition and projection(-1) the last
+    # projection
     at = gamma_atlas(2)
     assert at.sigma_exponent(2, 2, 1) == -1
     for args in [(0, 1, 1), (4, 1, 1), (1, 0, 1), (1, 5, 1), (1, 1, 0), (1, 1, 3)]:
@@ -446,6 +454,15 @@ def test_atlas_indices_in_range():
     for l in (0, 3):
         with pytest.raises(ValueError):
             at.with_transition(l, at.transition(1))
+        with pytest.raises(ValueError, match="l out of range"):
+            at.transition(l)
+    for l in (-1, 0, 4):
+        for accessor in (at.projection, at.action):
+            with pytest.raises(ValueError, match="l out of range"):
+                accessor(l)
+    assert at.projection(3) is at.projections[2]
+    assert at.action(3) is at.actions[2]
+    assert at.transition(2) is at.transitions[1]
 
 
 # --- the formulas against the product-built reference ------------------------
