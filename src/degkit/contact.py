@@ -161,7 +161,7 @@ def is_nondegenerate(data):
     dim = alg.dim * (2 * (ring.internal - 1) + 1)
     vectors = []
     for phi in (data.phi_w1, data.phi_w2):
-        for _, col in _family_columns(_shift_levels(phi)):
+        for _, col in _slot_columns(ring, _shift_levels(phi)):
             vec = [0] * dim
             for r, n in col.items():
                 vec[r] = n
@@ -188,65 +188,47 @@ def is_nondegenerate(data):
 
 
 def _shift_levels(x):
-    """x, then z1^k x for k = 1 .. internal - 1, then z2^k x: each level is
-    one shift of the one before.  Level u is what the u-th unknown of beta
-    multiplies in the pure-contact equations (its constant, then its z1
-    tail, then its z2 tail)."""
-    levels = [x]
-    for branch in (1, 2):
-        y = x
-        for _ in range(x.ring.internal - 1):
-            y = y.shift(branch)
-            levels.append(y)
-    return levels
+    """The levels x, then z1^k x for k = 1 .. internal - 1, then z2^k x, each
+    as the list of (signed z-degree, element) pairs of its nonzero slots:
+    +i for z1^i, -i for z2^i, 0 for the constant.  Level u is what the u-th
+    unknown of beta multiplies in the pure-contact equations (its constant,
+    then its z1 tail, then its z2 tail).
 
-
-def _family_columns(levels):
-    """Sparse flat vectors of y * e_j over the levels y of
-    :func:`_shift_levels` and the basis e_j of the base, level by level,
-    each as (q, {position: numerator}): integer numerators over a common
-    denominator q of the vector's entries.
-
-    Together they span the ideal generated by levels[0] in the internal
-    window.  These are the columns of phi2's unknowns in the pure-contact
-    solve, and :func:`is_nondegenerate` reads them for both series.  They
-    are built by :func:`_slot_columns` from the nonzero slots of each
-    level, with no node-series product.
+    Slot p of x times z^k lands in slot p + k, times s^min(|p|, |k|) when p
+    and k lie on opposite branches (z1 z2 = s); it is dropped past the
+    internal window or past the last nonzero power of s.  Each (slot, power
+    of s) product is computed once per call.  The deep slots are left
+    unreduced: the window is a quotient ring, so the exposed slots are the
+    normal form's, and :func:`_slot_columns` reduces the deep ones.
     """
-    return _slot_columns(
-        levels[0].ring,
-        [[(k, c._scaled) for k, c in y._slots() if c._scaled[1]] for y in levels],
-    )
-
-
-def _z1_power_columns(ring, n):
-    """The columns of z1^n in the pure-contact solve: the vectors of
-    :func:`_family_columns` over ``_shift_levels(ring.branch_power(1, n))``,
-    written slot by slot.
-
-    The unknown u of beta is e_j z^u (its constant, then its z1 tail, then
-    its z2 tail), and its product with z1^n is one slot: e_j at z1^(n+k)
-    for z1^k, zero past the internal window, and s^min(n,k) e_j at
-    z^(n-k) for z2^k (z1 z2 = s), zero past the last nonzero power of s.
-    The one slot is multiplied by e_j and reduced by :func:`_slot_columns`.
-    """
+    ring = x.ring
     K = ring.internal - 1
     s_pows = ring._s_pows
+    slots = [(p, c) for p, c in x._slots() if not c.is_zero()]
+    products = {}
     levels = []
-    for u in range(2 * K + 1):
-        if u <= K:
-            k, e = n + u, 0
-        else:
-            k, e = n + K - u, min(n, u - K)
-        levels.append([] if k > K or e >= len(s_pows) else [(k, s_pows[e]._scaled)])
-    return _slot_columns(ring, levels)
+    for k in (0, *range(1, K + 1), *range(-1, -K - 1, -1)):
+        level = []
+        for p, c in slots:
+            e = min(abs(p), abs(k)) if p * k < 0 else 0
+            if not -K <= p + k <= K or e >= len(s_pows):
+                continue
+            if e:
+                if (p, e) not in products:
+                    products[p, e] = c * s_pows[e]
+                c = products[p, e]
+            if not c.is_zero():
+                level.append((p + k, c))
+        levels.append(level)
+    return levels
 
 
 def _slot_columns(ring, levels):
     """The columns y * e_j over the basis e_j of the base, level by level,
-    as (q, {position: numerator}), of levels y given by their nonzero slots
-    (signed z-degree, scaled form): +i for z1^i, -i for z2^i, 0 for the
-    constant.
+    as (q, {position: numerator}): integer numerators over a common
+    denominator q of the column's entries.  Each level y is given by its
+    nonzero slots, (signed z-degree, element) pairs as
+    :func:`_shift_levels` makes them.
 
     Each slot is multiplied by e_j through the algebra's structure
     constants on its integer numerators, and only the deep slots are
@@ -265,12 +247,12 @@ def _slot_columns(ring, levels):
     fam = []
     for slots in levels:
         parts = [[] for _ in range(dim)]
-        for k, scaled in slots:
+        for k, c in slots:
             deep = abs(k) if abs(k) in spaces else 0
-            got = products.get((deep, scaled))
+            got = products.get((deep, c._scaled))
             if got is None:
-                got = products[deep, scaled] = []
-                d, pairs = scaled
+                got = products[deep, c._scaled] = []
+                d, pairs = c._scaled
                 for j in range(dim):
                     acc = {}
                     alg._accumulate(acc, pairs, ((j, 1),), d)
@@ -310,58 +292,35 @@ class _Row:
         self.label = label
 
 
-def _linear_rows(phi1, levels2, n):
+def _linear_rows(phi1, levels1, levels2, n):
     """The coefficient equations of phi1 = beta z1^n and beta phi2 = eps
     z2^n, A-linear in the unknowns, on the exposed slots z^1..z^order.
 
-    ``levels2`` is :func:`_shift_levels` of phi2.  Unknowns: 0 is the
-    constant of beta, 1..K its z1 tail, K+1..2K its z2 tail, 2K+1 is eps;
-    unknown u of beta multiplies levels2[u].  The slots past the exposed
-    order are reduced modulo powers of s and give no exact equation.
+    ``levels1`` and ``levels2`` are :func:`_shift_levels` of z1^n and of
+    phi2.  Unknowns: 0 is the constant of beta, 1..K its z1 tail, K+1..2K
+    its z2 tail, 2K+1 is eps; unknown u of beta multiplies level u, and eps
+    multiplies one more level of the second identity, -z2^n.  Both
+    identities are built the same way, their coefficients grouped by slot
+    in one pass over the levels; each has a row for the constant slot, then
+    z1^1..z1^order, then z2^1..z2^order.  The slots past the exposed order
+    are reduced modulo powers of s and give no exact equation.
     """
-    ring = phi1.ring
-    alg = ring.algebra
-    K = ring.internal - 1
-    top = ring.order
-    s_pows = ring._s_pows
-
-    def spow(j):
-        return s_pows[j] if j < len(s_pows) else alg.zero()
-
+    alg = phi1.ring.algebra
+    top = phi1.ring.order
+    slots = (0, *range(1, top + 1), *range(-1, -top - 1, -1))
+    names = ["constant"] + ["z%d^%d" % (1 if k > 0 else 2, abs(k)) for k in slots[1:]]
     rows = []
-    # first identity: slot matching of beta * z1^n against phi1;
-    # constant slot: x_b[n] s^n contributes, rhs is phi1's constant
-    rows.append(_Row({K + n: spow(n)}, phi1.a0, "first branch constant slot"))
-    for slot in range(1, top + 1):
-        coeffs = {}
-        if slot == n:
-            coeffs[0] = alg.one()
-        if slot > n:
-            coeffs[slot - n] = alg.one()
-        if slot < n:
-            coeffs[K + n - slot] = spow(n - slot)
-        rows.append(
-            _Row(coeffs, phi1.z1_coeff(slot), "first branch z1^%d slot" % slot)
-        )
-    for slot in range(1, top + 1):
-        coeffs = {}
-        j = slot + n
-        if j <= K:
-            coeffs[K + j] = spow(n)
-        rows.append(
-            _Row(coeffs, phi1.z2_coeff(slot), "first branch z2^%d slot" % slot)
-        )
-    # second identity: beta * phi2 = eps z2^n, slot by slot
-    coeffs = {u: y.a0 for u, y in enumerate(levels2)}
-    rows.append(_Row(coeffs, alg.zero(), "second branch constant slot"))
-    for slot in range(1, top + 1):
-        coeffs = {u: y.z1_coeff(slot) for u, y in enumerate(levels2)}
-        rows.append(_Row(coeffs, alg.zero(), "second branch z1^%d slot" % slot))
-    for slot in range(1, top + 1):
-        coeffs = {u: y.z2_coeff(slot) for u, y in enumerate(levels2)}
-        if slot == n:
-            coeffs[2 * K + 1] = -alg.one()
-        rows.append(_Row(coeffs, alg.zero(), "second branch z2^%d slot" % slot))
+    for name, levels, rhs in (
+        ("first", levels1, (phi1.a0, *phi1.a[:top], *phi1.b[:top])),
+        ("second", levels2 + [[(-n, -alg.one())]], (alg.zero(),) * len(slots)),
+    ):
+        coeffs = {slot: {} for slot in slots}
+        for u, level in enumerate(levels):
+            for k, c in level:
+                if k in coeffs:
+                    coeffs[k][u] = c
+        for slot, where, value in zip(slots, names, rhs):
+            rows.append(_Row(coeffs[slot], value, "%s branch %s slot" % (name, where)))
     return rows
 
 
@@ -409,20 +368,20 @@ def _obstructions(rows):
     return [r for r in live if not r.coeffs and not r.rhs.is_zero()]
 
 
-def _pure_solve(phi1, levels2, n):
+def _pure_solve(phi1, levels1, levels2, n):
     """Exact Q-linear decision of phi1 = beta z1^n and beta phi2 = eps z2^n
     over the whole quotient ring, on sparse rows.
 
-    ``levels2`` is :func:`_shift_levels` of phi2.  The unknowns are the
-    Q-coordinates of beta (constant block, then the z1 tail, then the z2
-    tail, in the column order of :func:`_family_columns`) and of eps; the
-    right-hand side is the last column.  There is one row per flat position
-    of the first identity, then of the second.  A column of beta's unknown
-    holds its z1^n column, one slot written directly by
-    :func:`_z1_power_columns`, over its phi2 column from
-    :func:`_family_columns`; eps's unknown e_j is -e_j in the z2^n slot of
-    the second identity; the right-hand side is phi1's numerators.  Every
-    column is built on integer numerators and scaled to integers by the
+    ``levels1`` and ``levels2`` are :func:`_shift_levels` of z1^n and of
+    phi2.  The unknowns are the Q-coordinates of beta (constant block, then
+    the z1 tail, then the z2 tail, in the column order of
+    :func:`_slot_columns`) and of eps; the right-hand side is the last
+    column.  There is one row per flat position of the first identity, then
+    of the second.  Every column comes from :func:`_slot_columns`: beta's
+    unknown holds its column over ``levels1`` above its column over
+    ``levels2``, and eps's unknown e_j holds nothing above -e_j in the z2^n
+    slot, the level it multiplies in :func:`_linear_rows`; the right-hand
+    side is phi1's numerators.  Each column is scaled to integers by the
     least common denominator of its two halves.  The window is a quotient
     ring, so each column is the same rational vector whatever route builds
     it, and the reduced row echelon form is unique, so the particular
@@ -441,21 +400,16 @@ def _pure_solve(phi1, levels2, n):
     # scales the unknowns back
     rows = [{} for _ in range(2 * vec_len)]
     scales = []
-    first = _z1_power_columns(ring, n)
-    for c, ((q1, ua), (q2, u2)) in enumerate(zip(first, _family_columns(levels2))):
+    # eps's unknowns: nothing in the first identity, -e_j z2^n in the second
+    first = _slot_columns(ring, levels1 + [[]])
+    second = _slot_columns(ring, levels2 + [[(-n, -alg.one())]])
+    for c, ((q1, ua), (q2, u2)) in enumerate(zip(first, second)):
         q = math.lcm(q1, q2)
         f1, f2 = q // q1, q // q2
         for r, v in ua.items():
             rows[r][c] = v * f1
         for r, v in u2.items():
             rows[vec_len + r][c] = v * f2
-        scales.append(q)
-    # eps e_j z2^n: the basis element e_j alone in the z2^n slot
-    offset = vec_len + dim * (K + n)
-    for j in range(dim):
-        q, second = ring._slot_reduce(n, alg.basis_element(j))._scaled
-        for m, v in second:
-            rows[offset + m][vec_len + j] = -v
         scales.append(q)
     d, rhs = _series_numerators(phi1)
     for r, v in rhs:
@@ -485,7 +439,7 @@ def _pure_witness(data, n, swap):
     first obstruction row of the unit-pivot elimination, if there is one,
     names the failing coefficient equation; with none, the exact solve
     decides and supplies the witnesses.  Both read the shift levels of
-    phi2, built once here.
+    z1^n and of phi2, built once here.
     """
     phi1 = _zswap(data.phi_w1) if swap else data.phi_w1
     phi2 = _zswap(data.phi_w2) if swap else data.phi_w2
@@ -493,8 +447,9 @@ def _pure_witness(data, n, swap):
         raise ContactError("order_overflow", "contact order outside the window")
     if not phi1.z1_coeff(n).is_unit():
         return None, None, "leading first-branch coefficient is not a unit"
+    levels1 = _shift_levels(data.ring.branch_power(1, n))
     levels2 = _shift_levels(phi2)
-    obstructions = _obstructions(_linear_rows(phi1, levels2, n))
+    obstructions = _obstructions(_linear_rows(phi1, levels1, levels2, n))
     if obstructions:
         row = obstructions[0]
         return (
@@ -503,7 +458,7 @@ def _pure_witness(data, n, swap):
             "unsolvable coefficient equation at the %s: %s"
             % (row.label, row.rhs.render()),
         )
-    beta, eps, cert = _pure_solve(phi1, levels2, n)
+    beta, eps, cert = _pure_solve(phi1, levels1, levels2, n)
     if beta is None:
         return None, None, cert
     if swap:
@@ -582,7 +537,9 @@ def predeformability_ideal(data, n):
             "nonunit_leading",
             "both branch coefficients at the requested order must be units",
         )
-    rows = _obstructions(_linear_rows(data.phi_w1, _shift_levels(data.phi_w2), n))
+    levels1 = _shift_levels(ring.branch_power(1, n))
+    levels2 = _shift_levels(data.phi_w2)
+    rows = _obstructions(_linear_rows(data.phi_w1, levels1, levels2, n))
     return AlgebraIdeal(alg, [row.rhs for row in rows])
 
 

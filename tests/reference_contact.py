@@ -1,0 +1,75 @@
+"""The pure-contact system's shift levels and A-linear rows as they were
+built before the levels were read off the nonzero slots of z^k x, kept as a
+test oracle.
+
+:func:`shift_levels` chains ``NodeSeries.shift``, so every level is a full
+normal form.  :func:`linear_rows` writes the first identity's rows by hand
+and reads the second identity's rows off those levels.  Both go through the
+ring's public series and slot accessors only, so the library's levels and
+rows must equal theirs on the exposed slots.
+"""
+
+from degkit.contact import _Row
+
+
+def shift_levels(x):
+    """x, then z1^k x for k = 1 .. internal - 1, then z2^k x: each level is
+    one shift of the one before."""
+    levels = [x]
+    for branch in (1, 2):
+        y = x
+        for _ in range(x.ring.internal - 1):
+            y = y.shift(branch)
+            levels.append(y)
+    return levels
+
+
+def linear_rows(phi1, levels2, n):
+    """The coefficient equations of phi1 = beta z1^n and beta phi2 = eps
+    z2^n on the exposed slots, ``levels2`` being :func:`shift_levels` of
+    phi2.  Unknowns: 0 is the constant of beta, 1..K its z1 tail, K+1..2K
+    its z2 tail, 2K+1 is eps."""
+    ring = phi1.ring
+    alg = ring.algebra
+    K = ring.internal - 1
+    top = ring.order
+    s_pows = ring._s_pows
+
+    def spow(j):
+        return s_pows[j] if j < len(s_pows) else alg.zero()
+
+    rows = []
+    # first identity: slot matching of beta * z1^n against phi1;
+    # constant slot: x_b[n] s^n contributes, rhs is phi1's constant
+    rows.append(_Row({K + n: spow(n)}, phi1.a0, "first branch constant slot"))
+    for slot in range(1, top + 1):
+        coeffs = {}
+        if slot == n:
+            coeffs[0] = alg.one()
+        if slot > n:
+            coeffs[slot - n] = alg.one()
+        if slot < n:
+            coeffs[K + n - slot] = spow(n - slot)
+        rows.append(
+            _Row(coeffs, phi1.z1_coeff(slot), "first branch z1^%d slot" % slot)
+        )
+    for slot in range(1, top + 1):
+        coeffs = {}
+        j = slot + n
+        if j <= K:
+            coeffs[K + j] = spow(n)
+        rows.append(
+            _Row(coeffs, phi1.z2_coeff(slot), "first branch z2^%d slot" % slot)
+        )
+    # second identity: beta * phi2 = eps z2^n, slot by slot
+    coeffs = {u: y.a0 for u, y in enumerate(levels2)}
+    rows.append(_Row(coeffs, alg.zero(), "second branch constant slot"))
+    for slot in range(1, top + 1):
+        coeffs = {u: y.z1_coeff(slot) for u, y in enumerate(levels2)}
+        rows.append(_Row(coeffs, alg.zero(), "second branch z1^%d slot" % slot))
+    for slot in range(1, top + 1):
+        coeffs = {u: y.z2_coeff(slot) for u, y in enumerate(levels2)}
+        if slot == n:
+            coeffs[2 * K + 1] = -alg.one()
+        rows.append(_Row(coeffs, alg.zero(), "second branch z2^%d slot" % slot))
+    return rows

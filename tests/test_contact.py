@@ -29,6 +29,7 @@ from degkit import (
 from degkit import contact
 from degkit.contact import TRIVIAL
 from dense_linalg import dense_solve_linear
+import reference_contact
 
 
 def simple_data(ring):
@@ -353,7 +354,9 @@ def test_obstruction_exit_agrees_with_dense_solve(seed):
     else:
         data = ContactData(ring, prod.a0, phi1, phi2)
     beta, eps, cert = _pure_witness(data, n, swap)
-    dense_beta, dense_eps, _ = _pure_solve(phi1, _shift_levels(phi2), n)
+    dense_beta, dense_eps, _ = _pure_solve(
+        phi1, _shift_levels(ring.z1(n)), _shift_levels(phi2), n
+    )
     if cert is not None and cert.startswith("unsolvable coefficient equation at"):
         assert dense_beta is None
         return
@@ -411,6 +414,18 @@ def _reference_shifted_family(x):
             level = [y.shift(branch) for y in level]
             fam.extend(level)
     return [_reference_series_vec(y) for y in fam]
+
+
+def _level_series(ring, level):
+    # the normal form of a level given by its (signed z-degree, element) slots
+    K = ring.internal - 1
+    slots = dict(level)
+    zero = ring.algebra.zero()
+    return ring._series_internal(
+        slots.get(0, zero),
+        [slots.get(k, zero) for k in range(1, K + 1)],
+        [slots.get(-k, zero) for k in range(1, K + 1)],
+    )
 
 
 def _densify(columns, ring):
@@ -532,10 +547,12 @@ def test_structured_solve_matches_dense_reference(inputs):
     # off the solution blocks reproduce the product-first dense solve
     # exactly: witnesses, certificates and their reduced-row indices
     phi1, phi2, n = inputs
+    ring = phi1.ring
     for x in (phi1, phi2):
-        fam = contact._family_columns(contact._shift_levels(x))
-        assert _densify(fam, x.ring) == _reference_shifted_family(x)
-    got = contact._pure_solve(phi1, contact._shift_levels(phi2), n)
+        fam = contact._slot_columns(ring, contact._shift_levels(x))
+        assert _densify(fam, ring) == _reference_shifted_family(x)
+    levels1 = contact._shift_levels(ring.z1(n))
+    got = contact._pure_solve(phi1, levels1, contact._shift_levels(phi2), n)
     assert got == _reference_dense_pure_solve(phi1, phi2, n)
     event("solved" if got[2] is None else got[2])
     prod = phi1 * phi2
@@ -543,10 +560,10 @@ def test_structured_solve_matches_dense_reference(inputs):
         data = ContactData(phi1.ring, prod.a0, phi1, phi2)
         flag = is_nondegenerate(data)
 
-        def reference_columns(levels):
+        def reference_columns(ring, levels):
             # the reference vectors in the columns' integer form
             out = []
-            for vec in _reference_shifted_family(levels[0]):
+            for vec in _reference_shifted_family(_level_series(ring, levels[0])):
                 q = math.lcm(*[v.denominator for v in vec])
                 col = {
                     r: v.numerator * (q // v.denominator)
@@ -556,21 +573,21 @@ def test_structured_solve_matches_dense_reference(inputs):
                 out.append((q, col))
             return out
 
-        with mock.patch.object(contact, "_family_columns", reference_columns):
+        with mock.patch.object(contact, "_slot_columns", reference_columns):
             assert flag == is_nondegenerate(data)
 
 
 def test_z1_power_columns_match_the_shifted_family():
-    # the z1^n columns written slot by slot against the products z1^n e_j
-    # and their shifts, for every contact order of the window; the columns
-    # of z1^k past the window and of z2^k past the last nonzero power of s
-    # are zero
+    # the z1^n columns, read off the one nonzero slot of z1^n, against the
+    # products z1^n e_j and their shifts, for every contact order of the
+    # window; the columns of z1^k past the window and of z2^k past the last
+    # nonzero power of s are zero
     vanished = set()
     for ring in _RINGS:
         K = ring.internal - 1
         dim = ring.algebra.dim
         for n in range(1, ring.internal):
-            cols = contact._z1_power_columns(ring, n)
+            cols = contact._slot_columns(ring, contact._shift_levels(ring.z1(n)))
             expected = _reference_shifted_family(ring.branch_power(1, n))
             assert _densify(cols, ring) == expected
             for u in range(2 * K + 1):
@@ -583,6 +600,50 @@ def test_z1_power_columns_match_the_shifted_family():
                 assert all(not col for _, col in cols[u * dim : (u + 1) * dim])
                 vanished.add(reason)
     assert vanished == {"past the window", "past the last power of s"}
+
+
+@given(_solve_inputs())
+@settings(max_examples=60, deadline=None)
+def test_shift_levels_match_the_shift_chain(inputs):
+    # each level, read off the nonzero slots of x, is z^k x: brought to
+    # normal form it is the ring product, and its exposed slots 0..order are
+    # those of the NodeSeries.shift chain it replaced
+    phi1, phi2, n = inputs
+    ring = phi1.ring
+    K = ring.internal - 1
+    zero = ring.algebra.zero()
+    powers = [ring.one()]
+    powers += [ring.branch_power(b, k) for b in (1, 2) for k in range(1, K + 1)]
+    for x in (phi1, phi2, ring.z1(n)):
+        levels = contact._shift_levels(x)
+        reference = reference_contact.shift_levels(x)
+        assert len(levels) == len(reference) == len(powers)
+        for level, ref, power in zip(levels, reference, powers):
+            assert all(not c.is_zero() for _, c in level)
+            assert _level_series(ring, level) == x * power
+            slots = dict(level)
+            for k in range(ring.order + 1):
+                assert slots.get(k, zero) == ref.z1_coeff(k)
+                assert slots.get(-k, zero) == ref.z2_coeff(k)
+
+
+@given(_solve_inputs())
+@settings(max_examples=60, deadline=None)
+def test_linear_rows_match_the_reference(inputs):
+    # both identities' rows built from the levels against the hand-written
+    # first identity and the second read off the shift chain, for every
+    # contact order of the window, in order: label, coefficients, rhs
+    phi1, phi2, _ = inputs
+    ring = phi1.ring
+    levels2 = contact._shift_levels(phi2)
+    reference2 = reference_contact.shift_levels(phi2)
+    for n in range(1, ring.internal):
+        levels1 = contact._shift_levels(ring.z1(n))
+        got = contact._linear_rows(phi1, levels1, levels2, n)
+        expected = reference_contact.linear_rows(phi1, reference2, n)
+        assert [(r.label, r.coeffs, r.rhs) for r in got] == [
+            (r.label, r.coeffs, r.rhs) for r in expected
+        ]
 
 
 # --- re-verification by one product against the inverse-based test -------
