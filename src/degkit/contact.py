@@ -55,11 +55,7 @@ class ContactData:
             raise ContactError("mismatch", "series live in a different node ring")
         if self.psi_t.algebra != self.ring.algebra:
             raise ContactError("mismatch", "psi_t lives in a different algebra")
-        prod = self.phi_w1 * self.phi_w2
-        tails_zero = all(x.is_zero() for x in prod.a) and all(
-            x.is_zero() for x in prod.b
-        )
-        if not (tails_zero and prod.a0 == self.psi_t):
+        if self.phi_w1 * self.phi_w2 != self.ring.const(self.psi_t):
             raise ContactError(
                 "homomorphism",
                 "phi_w1 * phi_w2 must equal psi_t as a base element",
@@ -141,9 +137,12 @@ def _series_numerators(x):
     ring = x.ring
     dim = ring.algebra.dim
     K = ring.internal - 1
-    d, slots = x._scaled_slots()
+    slots = [(k, c._scaled) for k, c in x._slots() if not c.is_zero()]
+    d = math.lcm(*[q for _, (q, _) in slots])
     return d, [
-        (dim * (k if k >= 0 else K - k) + m, n) for k, pairs in slots for m, n in pairs
+        (dim * (k if k >= 0 else K - k) + m, n * (d // q))
+        for k, (q, pairs) in slots
+        for m, n in pairs
     ]
 
 
@@ -170,15 +169,7 @@ def is_nondegenerate(data):
     for m in range(1, ring.order + 1):
         good = True
         for i in range(m + 1):
-            j = m - i
-            lo = min(i, j)
-            coeff = alg.s**lo
-            k = abs(i - j)
-            gen = (
-                ring.const(coeff)
-                if k == 0
-                else ring.branch_power(1 if i > j else 2, k, coeff)
-            )
+            gen = ring.normal_form({(i, m - i): 1})
             if ideal_span.reduce_scaled(*_series_numerators(gen))[1]:
                 good = False
                 break
@@ -188,39 +179,14 @@ def is_nondegenerate(data):
 
 
 def _shift_levels(x):
-    """The levels x, then z1^k x for k = 1 .. internal - 1, then z2^k x, each
-    as the list of (signed z-degree, element) pairs of its nonzero slots:
-    +i for z1^i, -i for z2^i, 0 for the constant.  Level u is what the u-th
-    unknown of beta multiplies in the pure-contact equations (its constant,
-    then its z1 tail, then its z2 tail).
-
-    Slot p of x times z^k lands in slot p + k, times s^min(|p|, |k|) when p
-    and k lie on opposite branches (z1 z2 = s); it is dropped past the
-    internal window or past the last nonzero power of s.  Each (slot, power
-    of s) product is computed once per call.  The deep slots are left
-    unreduced: the window is a quotient ring, so the exposed slots are the
-    normal form's, and :func:`_slot_columns` reduces the deep ones.
-    """
-    ring = x.ring
-    K = ring.internal - 1
-    s_pows = ring._s_pows
-    slots = [(p, c) for p, c in x._slots() if not c.is_zero()]
-    products = {}
-    levels = []
-    for k in (0, *range(1, K + 1), *range(-1, -K - 1, -1)):
-        level = []
-        for p, c in slots:
-            e = min(abs(p), abs(k)) if p * k < 0 else 0
-            if not -K <= p + k <= K or e >= len(s_pows):
-                continue
-            if e:
-                if (p, e) not in products:
-                    products[p, e] = c * s_pows[e]
-                c = products[p, e]
-            if not c.is_zero():
-                level.append((p + k, c))
-        levels.append(level)
-    return levels
+    """The levels x, then z1^k x for k = 1 .. internal - 1, then z2^k x, by
+    :meth:`NodeSeries._levels`: each the (signed z-degree, element) pairs of
+    its nonzero slots, the deep ones unreduced (:func:`_slot_columns`
+    reduces them).  Level u is what the u-th unknown of beta multiplies in
+    the pure-contact equations (its constant, then its z1 tail, then its z2
+    tail)."""
+    K = x.ring.internal - 1
+    return x._levels((0, *range(1, K + 1), *range(-1, -K - 1, -1)))
 
 
 def _slot_columns(ring, levels):
@@ -638,12 +604,7 @@ def flat_local_forcing(data):
         )
     beta1 = report.beta
     beta2 = report.beta.inverse() * report.epsilon
-    prod = beta1 * beta2
-    if not (
-        prod.a0 == report.epsilon
-        and all(x.is_zero() for x in prod.a)
-        and all(x.is_zero() for x in prod.b)
-    ):
+    if beta1 * beta2 != data.ring.const(report.epsilon):
         raise ArithmeticError("witness product failed to collapse")
     if data.psi_t != alg.s**n1 * report.epsilon:
         raise ContactError(

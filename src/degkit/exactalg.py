@@ -26,6 +26,14 @@ algebra.order slots deep and the top slots are reduced modulo the matching
 power of (s); this is exactly the quotient by the ideal generated by the
 pure powers z1^K, z2^K at the internal window K, which keeps multiplication
 associative while every exposed slot still carries an exact algebra element.
+
+The ring has one multiplication rule: slot p times z^k (signed z-degrees,
++i for z1^i, -i for z2^i) lands in slot p + k, times s^min(|p|, |k|) when
+p and k lie on opposite branches.  :meth:`NodeSeries._levels` is the only
+code that applies it, and :meth:`NodeRing._from_slots` the one builder of
+a normal form from (slot, element) pairs: products, shifts, branch powers,
+monomial normal forms, the images of a hom and the levels of the contact
+equations all go through the two.
 """
 
 from __future__ import annotations
@@ -164,9 +172,12 @@ class TruncatedAlgebra:
         return vec
 
     def _lift(self, x):
-        """``x`` as an element of this algebra: elements pass as they are,
-        exact scalars become constants, floats and bools are refused."""
+        """``x`` as an element of this algebra: its own elements pass as
+        they are, exact scalars become constants; elements of another
+        algebra, floats and bools are refused."""
         if isinstance(x, AlgebraElement):
+            if x.algebra is not self and x.algebra != self:
+                raise ValueError("elements of different algebras")
             return x
         return self.const(x)
 
@@ -384,7 +395,6 @@ class AlgebraElement:
 
     def __add__(self, other):
         other = self.algebra._lift(other)
-        self._check(other)
         acc = {}
         for d, pairs in (self._scaled, other._scaled):
             vec = acc.get(d)
@@ -706,6 +716,22 @@ class NodeRing:
         b = [self._slot_reduce(i + 1, x) for i, x in enumerate(b)]
         return NodeSeries(self, const, tuple(a), tuple(b))
 
+    def _from_slots(self, pairs):
+        """The normal form of the sum of (signed z-degree, element) pairs
+        (see :meth:`NodeSeries._slots`): the pairs are summed per slot, and
+        slots past the internal window, like any key that names no slot,
+        are dropped."""
+        slots = {}
+        for k, c in pairs:
+            slots[k] = slots[k] + c if k in slots else c
+        zero = self.algebra.zero()
+        K = self.internal - 1
+        return self._series_internal(
+            slots.get(0, zero),
+            [slots.get(k, zero) for k in range(1, K + 1)],
+            [slots.get(-k, zero) for k in range(1, K + 1)],
+        )
+
     def zero(self):
         return self.series(self.algebra.zero())
 
@@ -726,49 +752,38 @@ class NodeRing:
         if _int(power, "branch power") < 0:
             raise ValueError("negative branch power")
         coeff = self.algebra._lift(coeff) if coeff is not None else self.algebra.one()
-        if power == 0:
-            return self.series(coeff)
-        if power >= self.internal:
-            return self.zero()
-        tail = [self.algebra.zero()] * power
-        tail[power - 1] = coeff
-        if branch == 1:
-            return self._series_internal(self.algebra.zero(), tail, [])
-        return self._series_internal(self.algebra.zero(), [], tail)
+        return self._from_slots([(power if branch == 1 else -power, coeff)])
 
     def normal_form(self, expr):
         """Normal form of a polynomial in z1, z2 with algebra coefficients.
 
         ``expr`` maps exponent pairs (i, j) to algebra elements (or rational
-        constants).  Monomials of total z-degree above the exposed order are
-        rejected; every mixed monomial is rewritten through z1*z2 = s.
+        constants).  Exponents must be non-negative ints; monomials of total
+        z-degree above the exposed order are rejected; every mixed monomial
+        is rewritten through z1*z2 = s.
         """
         for (i, j) in expr:
-            if i + j > self.order:
-                raise ValueError(
-                    "monomial z1^%d z2^%d overflows the series order %d"
-                    % (i, j, self.order)
-                )
+            self._check_monomial(i, j)
         return self._normal_form_unchecked(expr)
 
+    def _check_monomial(self, i, j):
+        """Refuse the monomial z1^i z2^j unless i and j are non-negative
+        ints (TypeError, ValueError) of sum at most the exposed order
+        (ValueError)."""
+        if _int(i, "exponent") < 0 or _int(j, "exponent") < 0:
+            raise ValueError("negative exponent in z1^%d z2^%d" % (i, j))
+        if i + j > self.order:
+            raise ValueError(
+                "monomial z1^%d z2^%d overflows the series order %d"
+                % (i, j, self.order)
+            )
+
     def _normal_form_unchecked(self, expr):
-        const = self.algebra.zero()
-        K = self.internal - 1
-        a = [self.algebra.zero()] * K
-        b = [self.algebra.zero()] * K
+        """z1^i z2^j as z2^j times coeff z1^i, summed over ``expr``."""
+        pairs = []
         for (i, j), coeff in expr.items():
-            coeff = self.algebra._lift(coeff)
-            m = min(i, j)
-            c = coeff * self.algebra.s**m if m else coeff
-            k = abs(i - j)
-            if k == 0:
-                const = const + c
-            elif k <= K:
-                if i > j:
-                    a[k - 1] = a[k - 1] + c
-                else:
-                    b[k - 1] = b[k - 1] + c
-        return self._series_internal(const, a, b)
+            pairs += self.branch_power(1, i, coeff)._levels([-j])[0]
+        return self._from_slots(pairs)
 
     def __eq__(self, other):
         return (
@@ -812,14 +827,19 @@ class NodeSeries:
         return self.b[: self.ring.order - 1]
 
     def z1_coeff(self, i):
-        if i == 0:
-            return self.a0
-        return self.a[i - 1] if i - 1 < len(self.a) else self.ring.algebra.zero()
+        return self._tail_coeff(self.a, i)
 
     def z2_coeff(self, i):
+        return self._tail_coeff(self.b, i)
+
+    def _tail_coeff(self, tail, i):
+        """Slot i of ``tail`` (the constant for i = 0, zero past the
+        window); i must be a non-negative int."""
+        if _int(i, "i") < 0:
+            raise ValueError("negative slot index %d" % i)
         if i == 0:
             return self.a0
-        return self.b[i - 1] if i - 1 < len(self.b) else self.ring.algebra.zero()
+        return tail[i - 1] if i - 1 < len(tail) else self.ring.algebra.zero()
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -862,34 +882,40 @@ class NodeSeries:
             ((-i, c) for i, c in enumerate(self.b, start=1)),
         )
 
-    def _scaled_slots(self):
-        """(d, [(signed z-degree, ((basis index, numerator), ...)), ...])
-        over the nonzero slots (see :meth:`_slots`): every slot's
-        coordinates as integer numerators over d, the least common
-        denominator of the whole series."""
-        slots = []
-        for deg, c in self._slots():
-            q, pairs = c._scaled
-            if pairs:
-                slots.append((deg, q, pairs))
-        d = math.lcm(*[q for _, q, _ in slots])
-        return d, [
-            (deg, pairs if q == d else tuple((i, n * (d // q)) for i, n in pairs))
-            for deg, q, pairs in slots
-        ]
+    def _levels(self, ks):
+        """For each signed shift k of ``ks``, the nonzero slots of z^k x as
+        (signed z-degree, element) pairs, by the landing rule of the module
+        docstring.  Slots past the internal window or past the last nonzero
+        power of s are dropped, and each (slot, power of s) product is
+        computed once per call.  The deep slots are left unreduced: the
+        window is a quotient ring, so the exposed slots are the normal
+        form's, and :meth:`NodeRing._from_slots` reduces the rest."""
+        ring = self.ring
+        K = ring.internal - 1
+        s_pows = ring._s_pows
+        slots = [(p, c) for p, c in self._slots() if not c.is_zero()]
+        products = {}
+        levels = []
+        for k in ks:
+            level = []
+            for p, c in slots:
+                e = min(abs(p), abs(k)) if p * k < 0 else 0
+                if not -K <= p + k <= K or e >= len(s_pows):
+                    continue
+                if e:
+                    if (p, e) not in products:
+                        products[p, e] = c * s_pows[e]
+                    c = products[p, e]
+                if not c.is_zero():
+                    level.append((p + k, c))
+            levels.append(level)
+        return levels
 
     def __mul__(self, other):
-        """Product on the nonzero slots only.
-
-        Slots of degrees p and q land in slot p + q; on opposite branches
-        they also pick up s^min(|p|, |q|) from z1 z2 = s.  Pairs past the
-        internal window or past the last nonzero power of s are skipped.
-        The integer numerators of both factors, over one denominator per
-        series, are summed per (slot, power of s) through the structure
-        constants.  Each power-of-s sum is multiplied by that power once and
-        added to its slot's numerators; each slot is brought to lowest terms
-        once and reduced as the ring's normal form does.
-        """
+        """Product on the nonzero slots only: each nonzero slot y_q of
+        ``other`` multiplies the level z^q x of :meth:`_levels`, and the
+        products are summed per slot on integer numerators through the
+        structure constants, each slot brought to lowest terms once."""
         if isinstance(other, AlgebraElement):
             other = self.ring.const(other)
         elif not isinstance(other, NodeSeries):
@@ -901,40 +927,16 @@ class NodeSeries:
                 tuple(x * c for x in self.b),
             )
         self._check(other)
-        ring = self.ring
-        alg = ring.algebra
-        K = ring.internal - 1
-        s_pows = ring._s_pows
-        dx, xs = self._scaled_slots()
-        dy, ys = other._scaled_slots()
+        alg = self.ring.algebra
+        slots = [(q, y._scaled) for q, y in other._slots() if not y.is_zero()]
+        levels = self._levels([q for q, _ in slots])
         acc = {}
-        for p, xc in xs:
-            for q, yc in ys:
-                k = p + q
-                if not -K <= k <= K:
-                    continue
-                e = min(abs(p), abs(q)) if p * q < 0 else 0
-                if e >= len(s_pows):
-                    continue
-                vecs = acc.get((k, e))
-                if vecs is None:
-                    vecs = acc[k, e] = {}
-                alg._accumulate(vecs, xc, yc, dx * dy)
-        for k, e in [key for key in acc if key[1]]:
-            d, pairs = (alg._from_numerators(acc.pop((k, e))) * s_pows[e])._scaled
-            vec = acc.setdefault((k, 0), {}).setdefault(d, [0] * alg.dim)
-            for m, n in pairs:
-                vec[m] += n
-        slots = {k: alg._from_numerators(vecs) for (k, _), vecs in acc.items()}
-        zero = alg.zero()
-
-        def elem(k):
-            return slots.get(k, zero)
-
-        return ring._series_internal(
-            elem(0),
-            [elem(k) for k in range(1, K + 1)],
-            [elem(-k) for k in range(1, K + 1)],
+        for level, (_, (dy, ys)) in zip(levels, slots):
+            for k, c in level:
+                dc, cs = c._scaled
+                alg._accumulate(acc.setdefault(k, {}), cs, ys, dc * dy)
+        return self.ring._from_slots(
+            [(k, alg._from_numerators(vecs)) for k, vecs in acc.items()]
         )
 
     __rmul__ = __mul__
@@ -945,21 +947,9 @@ class NodeSeries:
         return _power(self, k, self.ring.one())
 
     def shift(self, branch):
-        """Multiply by z1 (branch 1) or z2 (branch 2): the tail of that
-        branch moves up one slot, the other moves down and picks up s
-        (z1 z2 = s); only its nonzero slots are multiplied."""
+        """Multiply by z1 (branch 1) or z2 (branch 2)."""
         _check_branch(branch)
-        alg = self.ring.algebra
-
-        def times_s(x):
-            return x if x.is_zero() else alg.s * x
-
-        up, down = (self.a, self.b) if branch == 1 else (self.b, self.a)
-        const = times_s(down[0])
-        up = (self.a0,) + up[:-1]
-        down = [times_s(x) for x in down[1:]] + [alg.zero()]
-        a, b = (up, down) if branch == 1 else (down, up)
-        return self.ring._series_internal(const, a, b)
+        return self.ring._from_slots(self._levels([1 if branch == 1 else -1])[0])
 
     def is_zero(self):
         return (
@@ -1041,8 +1031,7 @@ def normal_form_stepwise(ring, expr, leftmost=True):
     """
     work = {}
     for (i, j), coeff in expr.items():
-        if i + j > ring.order:
-            raise ValueError("monomial overflows the series order")
+        ring._check_monomial(i, j)
         coeff = ring.algebra._lift(coeff)
         key = (i, j)
         work[key] = work.get(key, ring.algebra.zero()) + coeff
@@ -1081,9 +1070,4 @@ def hom_apply(hom, value, target_ring=None):
         target_ring = NodeRing(hom.target, ring.order)
     elif target_ring.algebra != hom.target:
         raise ValueError("target ring does not sit over the hom target")
-    K = target_ring.internal - 1
-    return target_ring._series_internal(
-        hom.apply(value.a0),
-        [hom.apply(x) for x in value.a[:K]],
-        [hom.apply(x) for x in value.b[:K]],
-    )
+    return target_ring._from_slots([(k, hom.apply(c)) for k, c in value._slots()])

@@ -2,14 +2,17 @@
 built before the levels were read off the nonzero slots of z^k x, kept as a
 test oracle.
 
-:func:`shift_levels` chains ``NodeSeries.shift``, so every level is a full
-normal form.  :func:`linear_rows` writes the first identity's rows by hand
-and reads the second identity's rows off those levels.  Both go through the
-ring's public series and slot accessors only, so the library's levels and
-rows must equal theirs on the exposed slots.
+:func:`shift_levels` chains the slot-by-slot ``reference_exactalg.shift``,
+so every level is a full normal form built without ``NodeSeries._levels``,
+the library's one landing rule.  :func:`linear_rows` writes the first
+identity's rows by hand and reads the second identity's rows off those
+levels.  Both read the ring only through its normal-form builder and slot
+accessors, so the library's levels and rows must equal theirs on the
+exposed slots.
 """
 
 from degkit.contact import _Row
+from reference_exactalg import shift
 
 
 def shift_levels(x):
@@ -19,7 +22,7 @@ def shift_levels(x):
     for branch in (1, 2):
         y = x
         for _ in range(x.ring.internal - 1):
-            y = y.shift(branch)
+            y = shift(y, branch)
             levels.append(y)
     return levels
 

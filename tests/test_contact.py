@@ -30,6 +30,7 @@ from degkit import contact
 from degkit.contact import TRIVIAL
 from dense_linalg import dense_solve_linear
 import reference_contact
+import reference_exactalg
 
 
 def simple_data(ring):
@@ -404,14 +405,19 @@ def _reference_series_vec(x):
 
 
 def _reference_shifted_family(x):
-    # the node-series products x * e_j first, then their shifts
-    alg = x.ring.algebra
-    base = [x * alg.basis_element(j) for j in range(alg.dim)]
+    # the node-series products x * e_j first, then their shifts, by the
+    # slot-by-slot oracles, which do not read NodeSeries._levels
+    ring = x.ring
+    alg = ring.algebra
+    base = [
+        reference_exactalg.multiply(x, ring.const(alg.basis_element(j)))
+        for j in range(alg.dim)
+    ]
     fam = list(base)
     for branch in (1, 2):
         level = base
-        for _ in range(x.ring.internal - 1):
-            level = [y.shift(branch) for y in level]
+        for _ in range(ring.internal - 1):
+            level = [reference_exactalg.shift(y, branch) for y in level]
             fam.extend(level)
     return [_reference_series_vec(y) for y in fam]
 

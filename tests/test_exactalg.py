@@ -569,6 +569,60 @@ def test_exact_scalars_still_work(Rs8, Qs8):
     assert Rs8.z1(2, Fraction(1, 3)).z1_coeff(2) == Qs8.const(Fraction(1, 3))
 
 
+def test_elements_of_another_algebra_refused():
+    # B's coordinates must not be read as A's: B's c would pass as A's s
+    A = TruncatedAlgebra(("s",), order=4)
+    B = TruncatedAlgebra(("s", "c"), relations=[Poly(2, {(0, 2): 1})], order=4)
+    R = NodeRing(A, order=4)
+    c = B.gen(1)
+    for build in (
+        lambda: R.series(c),
+        lambda: R.series(A.one(), [A.s, c]),
+        lambda: (R.one() + R.z1()) * c,
+        lambda: R.z1(1, c),
+        lambda: R.normal_form({(1, 1): c}),
+        lambda: A.s + c,
+        lambda: A.s - c,
+        lambda: c - A.s,
+    ):
+        with pytest.raises(ValueError, match="elements of different algebras"):
+            build()
+    # an equal algebra built separately is the same algebra
+    same = TruncatedAlgebra(("s",), order=4)
+    assert R.series(same.s) == R.series(A.s) and A.s + same.s == A.s * 2
+
+
+@pytest.mark.parametrize("expr", [{(True, 0): 1}, {(0, 1.5): 1}, {(1, "2"): 1}])
+def test_normal_form_non_int_exponent_refused(Rs8, expr):
+    # a bool must not pass as exponent 1, nor a float reach a list index
+    with pytest.raises(TypeError, match="exponent"):
+        Rs8.normal_form(expr)
+    with pytest.raises(TypeError, match="exponent"):
+        normal_form_stepwise(Rs8, expr)
+
+
+@pytest.mark.parametrize("expr", [{(-1, 0): 1}, {(2, -1): 1}, {(-1, -1): 1}])
+def test_normal_form_negative_exponent_refused(Rs8, expr):
+    # a negative exponent must not reach the power of s
+    with pytest.raises(ValueError, match="negative exponent"):
+        Rs8.normal_form(expr)
+    with pytest.raises(ValueError, match="negative exponent"):
+        normal_form_stepwise(Rs8, expr)
+
+
+def test_branch_coefficient_index_checked(Rs8, Qs8):
+    x = Rs8.series(1, [2, 3], [Qs8.s])
+    assert [x.z1_coeff(i) for i in range(4)] == [Qs8.const(c) for c in (1, 2, 3, 0)]
+    assert x.z2_coeff(1) == Qs8.s and x.z2_coeff(Rs8.internal + 3).is_zero()
+    for read in (x.z1_coeff, x.z2_coeff):
+        # -1 must not read the tail from its end
+        with pytest.raises(ValueError):
+            read(-1)
+        for i in (1.0, True):
+            with pytest.raises(TypeError):
+                read(i)
+
+
 # --- the sparse product against the slot-by-slot oracle ----------------------
 
 
