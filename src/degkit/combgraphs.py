@@ -153,6 +153,34 @@ class Piece:
 _MAX_RELABELINGS = 20000
 
 
+def _relabelings(groups):
+    """What a symmetry pass (:meth:`SplitMap._symmetry`) reads of the
+    groups: the sorted group data (genus, degree, marks) that leads the
+    canonical key, and per group the permutations moving pieces only inside
+    equal-data classes (identity first) with, for each, the same
+    permutation followed by the group's sorting relabeling.  A relabeling
+    of identical pieces is one choice per group; every relabeling that
+    sorts the pieces is one fixed sorting relabeling after such a choice.
+    More than ``_MAX_RELABELINGS`` choices raise."""
+    data = []
+    per_group = []
+    sorted_options = []
+    count = 1
+    for g in groups:
+        options = _matchings(g, g)
+        count *= len(options)
+        if count > _MAX_RELABELINGS:
+            raise SplitMapError("too many relabelings to search")
+        order = sorted(range(len(g)), key=g.__getitem__)
+        rank = [0] * len(g)
+        for k, p in enumerate(order):
+            rank[p] = k
+        per_group.append(options)
+        sorted_options.append([[rank[q] for q in sigma] for sigma in options])
+        data.append(tuple((g[p].genus, g[p].degree, g[p].marks) for p in order))
+    return tuple(data), per_group, sorted_options
+
+
 class SplitMap:
     """groups: n+2 tuples of pieces; nodes[i]: interface i+1 instances
     (weight, left piece index in group i, right piece index in group i+1).
@@ -210,8 +238,17 @@ class SplitMap:
         self._canonical = None
 
     # ------------------------------------------------------------ structure
+    def _piece_index(self, i, p):
+        """Check a 1-based group index i and a piece index p of that group;
+        bools and other non-ints raise ``TypeError``."""
+        if not 1 <= _int(i, "i") <= self.n + 2:
+            raise SplitMapError("group index out of range")
+        if not 0 <= _int(p, "p") < len(self.groups[i - 1]):
+            raise SplitMapError("piece index out of range")
+
     def left_contacts(self, i, p):
         """Weights of interface i-1 nodes on piece p of group i (1-based i)."""
+        self._piece_index(i, p)
         if i == 1:
             return ()
         return tuple(
@@ -219,12 +256,16 @@ class SplitMap:
         )
 
     def right_contacts(self, i, p):
+        """Weights of interface i nodes on piece p of group i (1-based i)."""
+        self._piece_index(i, p)
         if i == self.n + 2:
             return ()
         return tuple(sorted(mu for mu, a, _ in self.nodes[i - 1] if a == p))
 
     def interface_weights(self, i):
         """Sorted weight multiset of interface i (1-based, 1..n+1)."""
+        if not 1 <= _int(i, "i") <= self.n + 1:
+            raise SplitMapError("interface index out of range")
         return tuple(sorted(mu for mu, _, _ in self.nodes[i - 1]))
 
     def contact_counts(self):
@@ -260,9 +301,12 @@ class SplitMap:
         )
 
     def is_trivial_piece(self, i, p):
-        piece = self.groups[i - 1][p]
+        """Piece p of group i (1-based i) is contracted, unmarked and of
+        genus zero, with one node on each side of equal weight."""
+        # the contact readers check i and p
         left = self.left_contacts(i, p)
         right = self.right_contacts(i, p)
+        piece = self.groups[i - 1][p]
         return (
             piece.degree == 0
             and piece.genus == 0
@@ -318,21 +362,19 @@ class SplitMap:
             self._canonical = self._symmetry()[0]
         return self._canonical
 
-    def _symmetry(self):
+    def _symmetry(self, relabelings=None):
         """The canonical key and the automorphisms, from one pass over the
-        relabelings of identical pieces; nothing is stored on the map."""
-        # every relabeling that sorts the pieces is one fixed sorting
-        # relabeling after a permutation of identical pieces
-        per_group = self._equal_data_permutations()
-        groups = []
-        sorted_options = []
-        for g, options in zip(self.groups, per_group):
-            order = sorted(range(len(g)), key=g.__getitem__)
-            rank = [0] * len(g)
-            for k, p in enumerate(order):
-                rank[p] = k
-            sorted_options.append([[rank[q] for q in sigma] for sigma in options])
-            groups.append(tuple((g[p].genus, g[p].degree, g[p].marks) for p in order))
+        relabelings of identical pieces; nothing is stored on the map.
+
+        ``relabelings`` is :func:`_relabelings` of the map's groups, which
+        depends on the groups alone: the enumerator computes it once per
+        piece set and hands it to each skeleton; without it the map builds
+        its own.  The pass walks only the node encodings, one per
+        relabeling, and the relabelings are drawn lazily from the per-group
+        options."""
+        if relabelings is None:
+            relabelings = _relabelings(self.groups)
+        data, per_group, sorted_options = relabelings
         # the sorting relabeling is a bijection, so a relabeling fixes the
         # node encoding after it exactly when it fixes the plain encoding:
         # the automorphisms are the relabelings whose sorted encoding is the
@@ -349,7 +391,7 @@ class SplitMap:
                 best = code
             if code == fixed:
                 automorphisms.append(perms)
-        return (tuple(groups), best), automorphisms
+        return (data, best), automorphisms
 
     def _encode_nodes(self, relabel):
         return tuple(
@@ -358,19 +400,6 @@ class SplitMap:
             )
             for i, iface in enumerate(self.nodes)
         )
-
-    def _equal_data_permutations(self):
-        """Per group, the permutations moving pieces only inside equal-data
-        classes, identity first; a relabeling of identical pieces is one
-        choice per group."""
-        per_group = []
-        count = 1
-        for g in self.groups:
-            per_group.append(_matchings(g, g))
-            count *= len(per_group[-1])
-            if count > _MAX_RELABELINGS:
-                raise SplitMapError("too many relabelings to search")
-        return per_group
 
     def automorphisms(self):
         """Per-group permutations of identical pieces preserving every
@@ -681,6 +710,7 @@ def _mark_need(piece, end, contacts):
     return 0
 
 
+@functools.cache
 def _mark_floor(group, end, touch):
     """The contacts the pieces of ``group`` need for it to carry no forced
     mark, when each piece has at least ``touch`` of them.
@@ -693,7 +723,8 @@ def _mark_floor(group, end, touch):
     pieces)) forced marks, and exactly that many under the best split of C
     over its pieces: the bound is exact.  Every piece of a connected
     skeleton with two or more pieces has a contact, so the enumerator
-    passes touch 1 there."""
+    passes touch 1 there.  Cached: the enumerator asks for the same shared
+    piece tuples of :func:`_piece_tuples` over and over."""
     return sum(max(_mark_need(p, end, 0), touch) for p in group)
 
 
@@ -727,7 +758,9 @@ def _distribute_marks(skeleton, k, stable_only=False, memo=None):
     Without a memo every call places afresh.
 
     With the identity as the only automorphism each piece is an orbit and
-    no orbit search runs.  Placements are built unchecked
+    no orbit search runs; nor does one when the forced marks already use up
+    all k marks, since the forced marks are then the one placement (see
+    :func:`_placed_groups`).  Placements are built unchecked
     (:meth:`SplitMap._built`): only nonnegative marks change on the checked
     skeleton, whose nodes they share, with one Piece per (piece, marks)."""
     contacts = skeleton.contact_counts()
@@ -746,12 +779,45 @@ def _distribute_marks(skeleton, k, stable_only=False, memo=None):
 
 def _placed_groups(groups, contacts, automorphisms, k, stable_only):
     """The groups of every placement :func:`_distribute_marks` yields, in
-    order, as tuples of tuples of Pieces."""
+    order, as tuples of tuples of Pieces.
+
+    When the forced marks use up all k marks there are no extras to hand
+    out, so the orbits play no part: the one placement is the forced marks
+    themselves, kept in stable mode only if every middle group weighs more
+    than zero, and no orbit search runs.  Forced marks above k leave no
+    placement."""
     ids = [(i, p) for i, g in enumerate(groups) for p in range(len(g))]
     ends = (0, len(groups) - 1)
     needs = [_mark_need(groups[i][p], i in ends, contacts[i][p]) for i, p in ids]
     shortfall = k - sum(needs)
+    if shortfall < 0:
+        return ()
     starts = list(itertools.accumulate(map(len, groups), initial=0))
+    flat = [pc for g in groups for pc in g]
+    # one Piece per (piece, marks), the skeleton's own where the marks agree
+    pieces = {(j, pc.marks): pc for j, pc in enumerate(flat)}
+
+    def piece(j, m):
+        got = pieces.get((j, m))
+        if got is None:
+            got = pieces[j, m] = Piece(flat[j].genus, flat[j].degree, m)
+        return got
+
+    def place(marks):
+        placed = [piece(j, m) for j, m in enumerate(marks)]
+        return tuple(tuple(placed[a:b]) for a, b in zip(starts, starts[1:]))
+
+    # with stable_only, each group's weight with forced marks only
+    if stable_only:
+        weights = [0] * len(groups)
+        for j, (i, p) in enumerate(ids):
+            pc = groups[i][p]
+            weights[i] += pc.degree + 2 * pc.genus - 2 + needs[j] + contacts[i][p]
+    if shortfall == 0:
+        if stable_only and any(w <= 0 for w in weights[1:-1]):
+            return ()
+        return (place(needs),)
+
     labels = range(len(ids)) if len(automorphisms) == 1 else _components(
         len(ids),
         (
@@ -773,22 +839,9 @@ def _placed_groups(groups, contacts, automorphisms, k, stable_only):
     last = [i != nxt for i, nxt in zip(orbit_group, orbit_group[1:])] + [True]
     closing = [None] * len(orbits)
     if stable_only:
-        weights = [0] * len(groups)
-        for j, (i, p) in enumerate(ids):
-            pc = groups[i][p]
-            weights[i] += pc.degree + 2 * pc.genus - 2 + needs[j] + contacts[i][p]
         for o, i in enumerate(orbit_group):
             if last[o] and 1 <= i <= len(groups) - 2:
                 closing[o] = weights[i]
-
-    flat = [pc for g in groups for pc in g]
-    pieces = {}
-
-    def piece(j, m):
-        got = pieces.get((j, m))
-        if got is None:
-            got = pieces[j, m] = Piece(flat[j].genus, flat[j].degree, m)
-        return got
 
     def assign(oidx, budget, extras, group_extra):
         # group_extra: extras handed so far to the group of orbit oidx
@@ -798,8 +851,7 @@ def _placed_groups(groups, contacts, automorphisms, k, stable_only):
                 for members, vals in zip(orbits, extras):
                     for j, v in zip(members, vals):
                         marks[j] += v
-                placed = [piece(j, m) for j, m in enumerate(marks)]
-                yield tuple(tuple(placed[a:b]) for a, b in zip(starts, starts[1:]))
+                yield place(marks)
             return
         for vals in _orbit_extras(len(orbits[oidx]), budget):
             spent = sum(vals)
@@ -1070,7 +1122,9 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
     The dedupe walks each built skeleton's relabelings at most once, for
     its key and its automorphisms together, and not at all when no group
     repeats a piece: then the identity is the only relabeling, every
-    skeleton is its own class, and all share one identity list.  An
+    skeleton is its own class, and all share one identity list.  What the
+    walk reads of the groups alone (:func:`_relabelings`) is computed once
+    per call, when its first skeleton arrives, and shared by the rest.  An
     emitted skeleton keeps the automorphisms, which mark placement reads
     and never changes.  Skeletons are built unchecked
     (:meth:`SplitMap._built`): nodes join existing pieces with positive
@@ -1175,8 +1229,13 @@ def _assemble(n, pieces, node_total, caps, wcap, stable_only, mark_budget):
             yield sm
         return
     seen = set()
+    relabelings = None
     for sm in skeletons:
-        key, automorphisms = sm._symmetry()
+        # every skeleton has the groups ``pieces``; most calls build none,
+        # so the relabelings wait for the first
+        if relabelings is None:
+            relabelings = _relabelings(pieces)
+        key, automorphisms = sm._symmetry(relabelings)
         if key not in seen:
             seen.add(key)
             sm._automorphisms = automorphisms

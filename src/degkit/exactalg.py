@@ -29,7 +29,7 @@ associative while every exposed slot still carries an exact algebra element.
 
 The ring has one multiplication rule: slot p times z^k (signed z-degrees,
 +i for z1^i, -i for z2^i) lands in slot p + k, times s^min(|p|, |k|) when
-p and k lie on opposite branches.  :meth:`NodeSeries._levels` is the only
+p and k lie on opposite branches.  :meth:`NodeRing._land` is the only
 code that applies it, and :meth:`NodeRing._from_slots` the one builder of
 a normal form from (slot, element) pairs: products, shifts, branch powers,
 monomial normal forms, the images of a hom and the levels of the contact
@@ -779,11 +779,42 @@ class NodeRing:
             )
 
     def _normal_form_unchecked(self, expr):
-        """z1^i z2^j as z2^j times coeff z1^i, summed over ``expr``."""
+        """z1^i z2^j as z2^j times the slot coeff z1^i, summed over
+        ``expr``; exponents within the exposed order keep i inside the
+        window."""
         pairs = []
         for (i, j), coeff in expr.items():
-            pairs += self.branch_power(1, i, coeff)._levels([-j])[0]
+            coeff = self.algebra._lift(coeff)
+            if not coeff.is_zero():
+                pairs += self._land([(i, coeff)], [-j])[0]
         return self._from_slots(pairs)
+
+    def _land(self, slots, ks):
+        """For each signed shift k of ``ks``, the nonzero slots of z^k x,
+        where x is the sum of the nonzero (signed z-degree, element) pairs
+        ``slots`` inside the window, by the landing rule of the module
+        docstring: the one place that applies it.  Slots past the internal
+        window or past the last nonzero power of s are dropped, each
+        (slot, power of s) product is computed once per call, and deep
+        slots are left unreduced (see :meth:`NodeSeries._levels`)."""
+        K = self.internal - 1
+        s_pows = self._s_pows
+        products = {}
+        levels = []
+        for k in ks:
+            level = []
+            for p, c in slots:
+                e = min(abs(p), abs(k)) if p * k < 0 else 0
+                if not -K <= p + k <= K or e >= len(s_pows):
+                    continue
+                if e:
+                    if (p, e) not in products:
+                        products[p, e] = c * s_pows[e]
+                    c = products[p, e]
+                if not c.is_zero():
+                    level.append((p + k, c))
+            levels.append(level)
+        return levels
 
     def __eq__(self, other):
         return (
@@ -884,32 +915,13 @@ class NodeSeries:
 
     def _levels(self, ks):
         """For each signed shift k of ``ks``, the nonzero slots of z^k x as
-        (signed z-degree, element) pairs, by the landing rule of the module
-        docstring.  Slots past the internal window or past the last nonzero
-        power of s are dropped, and each (slot, power of s) product is
-        computed once per call.  The deep slots are left unreduced: the
-        window is a quotient ring, so the exposed slots are the normal
-        form's, and :meth:`NodeRing._from_slots` reduces the rest."""
-        ring = self.ring
-        K = ring.internal - 1
-        s_pows = ring._s_pows
-        slots = [(p, c) for p, c in self._slots() if not c.is_zero()]
-        products = {}
-        levels = []
-        for k in ks:
-            level = []
-            for p, c in slots:
-                e = min(abs(p), abs(k)) if p * k < 0 else 0
-                if not -K <= p + k <= K or e >= len(s_pows):
-                    continue
-                if e:
-                    if (p, e) not in products:
-                        products[p, e] = c * s_pows[e]
-                    c = products[p, e]
-                if not c.is_zero():
-                    level.append((p + k, c))
-            levels.append(level)
-        return levels
+        (signed z-degree, element) pairs, from :meth:`NodeRing._land` over
+        x's nonzero slots.  The deep slots are left unreduced: the window is
+        a quotient ring, so the exposed slots are the normal form's, and
+        :meth:`NodeRing._from_slots` reduces the rest."""
+        return self.ring._land(
+            [(p, c) for p, c in self._slots() if not c.is_zero()], ks
+        )
 
     def __mul__(self, other):
         """Product on the nonzero slots only: each nonzero slot y_q of

@@ -290,3 +290,30 @@ def ref_is_group(elements, r):
         and all(tuple(a[b[i]] for i in range(r)) in elems for b in elements)
         for a in elements
     )
+
+
+def ref_symmetry(sm):
+    """The canonical key and the sorted automorphisms of a split map, from
+    walks over every permutation of each group: the key is the least node
+    encoding over the relabelings that sort every group's pieces, the
+    automorphisms are the label-preserving permutations that fix every
+    interface as a multiset.  Nothing is shared between maps."""
+    data = tuple(
+        tuple((p.genus, p.degree, p.marks) for p in sorted(g)) for g in sm.groups
+    )
+
+    def encode(perms):
+        return tuple(
+            tuple(sorted((mu, perms[i][a], perms[i + 1][b]) for mu, a, b in iface))
+            for i, iface in enumerate(sm.nodes)
+        )
+
+    sorting = [ref_matchings(tuple(sorted(g)), g) for g in sm.groups]
+    key = min(encode(perms) for perms in itertools.product(*sorting))
+    fixed = encode([tuple(range(len(g))) for g in sm.groups])
+    automorphisms = [
+        perms
+        for perms in itertools.product(*[ref_matchings(g, g) for g in sm.groups])
+        if encode(perms) == fixed
+    ]
+    return (data, key), sorted(automorphisms)

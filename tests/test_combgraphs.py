@@ -51,6 +51,7 @@ from reference_combgraphs import (
     ref_matchings,
     ref_orders_onto,
     ref_piece_need,
+    ref_symmetry,
     ref_triple_key,
     triples_digest,
 )
@@ -127,6 +128,10 @@ def test_invalid_maps_rejected():
         (decompose, 1.0, TypeError),
         (SplitMap.weight, True, TypeError),
         (SplitMap.weight, 1.0, TypeError),
+        (SplitMap.interface_weights, 0, SplitMapError),
+        (SplitMap.interface_weights, 3, SplitMapError),
+        (SplitMap.interface_weights, True, TypeError),
+        (SplitMap.interface_weights, 1.0, TypeError),
     ],
 )
 def test_split_map_indices_refused(call, index, error):
@@ -139,6 +144,39 @@ def test_split_map_indices_refused(call, index, error):
     )
     with pytest.raises(error):
         call(m, index)
+
+
+PIECE_READERS = [
+    SplitMap.left_contacts,
+    SplitMap.right_contacts,
+    SplitMap.is_trivial_piece,
+]
+
+
+@pytest.mark.parametrize(
+    "i, p, error",
+    [
+        (0, 0, SplitMapError),
+        (-1, 0, SplitMapError),
+        (4, 0, SplitMapError),
+        (2, 2, SplitMapError),
+        (2, -1, SplitMapError),
+        (True, 0, TypeError),
+        (2.0, 0, TypeError),
+        (2, True, TypeError),
+        (2, 0.0, TypeError),
+    ],
+)
+@pytest.mark.parametrize("call", PIECE_READERS, ids=lambda f: f.__name__)
+def test_split_map_piece_indices_refused(call, i, p, error):
+    # on a map with n = 1, group 0 must not wrap around to group 3, nor
+    # piece -1 to the last piece, and no bool or float is an index
+    m = SplitMap(
+        [[Piece(0, 1, 0)], [Piece(0, 0, 0), Piece(0, 1, 0)], [Piece(0, 1, 0)]],
+        [((1, 0, 0), (1, 0, 1)), ((1, 0, 0), (1, 1, 0))],
+    )
+    with pytest.raises(error):
+        call(m, i, p)
 
 
 def test_disconnection_has_its_own_error():
@@ -955,6 +993,26 @@ def test_forced_marks_never_below_the_floor(burnside_placements):
     assert tight > 1000, tight
 
 
+def test_placements_without_extras_match_the_reference(burnside_placements):
+    # when the forced marks use up every mark, _placed_groups runs no orbit
+    # search: its one placement must be the reference's, dropped in stable
+    # mode exactly when that map is unstable (a middle group weighs zero or
+    # less)
+    _, calls = burnside_placements
+    kinds = Counter()
+    for skeleton, k, stable_only, placed in calls:
+        if _forced_marks(skeleton) != k:
+            continue
+        expected = list(ref_distribute_marks(skeleton, k))
+        assert len(expected) == 1, skeleton
+        if stable_only:
+            expected = [m for m in expected if m.is_stable()]
+        assert placed == expected, skeleton
+        kinds[stable_only, len(placed)] += 1
+    assert kinds[False, 1] > 1000 and kinds[True, 1] > 1000, kinds
+    assert kinds[True, 0] > 0, kinds
+
+
 def _tuples_all_the_way_down(m):
     return (
         type(m.groups) is tuple
@@ -985,15 +1043,19 @@ def _repeats_a_piece(m):
 
 def test_mark_placement_builds_only_stable_maps():
     # over the stable runs, mark placement builds no unstable map, and each
-    # placement call counts its skeleton's contacts once.  The relabelings
-    # of a built skeleton are walked once (its dedupe key and its
-    # automorphisms come from one pass) when its piece set repeats a piece
-    # within some group, and never otherwise.  Maps are counted through both
-    # the checking constructor and the unchecked builder the enumerator uses
-    built, placed, calls = [], [], []
+    # placement call counts its skeleton's contacts once.  What the
+    # relabeling walk reads of the groups alone (_relabelings) is computed
+    # once per _assemble call whose piece set repeats a piece within some
+    # group and that assembles a skeleton, and never otherwise; each such
+    # skeleton still walks its own node encodings.  Maps are counted through
+    # both the checking constructor and the unchecked builder the
+    # enumerator uses
+    built, placed, calls, piece_sets, relabeled = [], [], [], [], []
     real_init = SplitMap.__init__
     real_built = SplitMap._built
     real_place = cg._distribute_marks
+    real_assemble = cg._assemble
+    real_relabelings = cg._relabelings
 
     def init(self, groups, nodes):
         real_init(self, groups, nodes)
@@ -1012,12 +1074,24 @@ def test_mark_placement_builds_only_stable_maps():
         placed.extend(out)
         return iter(out)
 
+    def assembling(n, pieces, *rest):
+        first = True
+        for sm in real_assemble(n, pieces, *rest):
+            if first and _repeats_a_piece(sm):
+                piece_sets.append(pieces)
+            first = False
+            yield sm
+
+    def relabelings(groups):
+        relabeled.append(groups)
+        return real_relabelings(groups)
+
     with pytest.MonkeyPatch.context() as mp, mock.patch.object(
         SplitMap,
-        "_equal_data_permutations",
+        "_symmetry",
         autospec=True,
-        side_effect=SplitMap._equal_data_permutations,
-    ) as relabelings, mock.patch.object(
+        side_effect=SplitMap._symmetry,
+    ) as walks, mock.patch.object(
         SplitMap,
         "contact_counts",
         autospec=True,
@@ -1026,6 +1100,8 @@ def test_mark_placement_builds_only_stable_maps():
         mp.setattr(SplitMap, "__init__", init)
         mp.setattr(SplitMap, "_built", staticmethod(build))
         mp.setattr(cg, "_distribute_marks", placing)
+        mp.setattr(cg, "_assemble", assembling)
+        mp.setattr(cg, "_relabelings", relabelings)
         for t, caps, stable in BURNSIDE_RUNS:
             if stable:
                 enumerate_split_maps(t, caps, stable_only=True)
@@ -1035,8 +1111,47 @@ def test_mark_placement_builds_only_stable_maps():
         repeating = [sm for sm in skeletons if _repeats_a_piece(sm)]
         assert len(skeletons) > 4000
         assert 0 < len(repeating) < len(skeletons)
-        assert [c.args[0] for c in relabelings.call_args_list] == repeating
+        assert [c.args[0] for c in walks.call_args_list] == repeating
+        assert relabeled == piece_sets
+        assert 0 < len(piece_sets) < len(repeating)
     assert all(m.is_stable() for m in placed)
+
+
+def test_shared_relabelings_walk_like_a_fresh_map():
+    # _assemble computes _relabelings once per piece set and hands it to
+    # every skeleton's walk: each walk of the Burnside runs must give what
+    # the skeleton's own relabelings give, what a fresh checked copy walks,
+    # and the key and automorphisms of a reference walk over every
+    # permutation.  The enumerator's groups come sorted, so each skeleton
+    # is also read with every group reversed: the same key
+    walks = []
+    real = SplitMap._symmetry
+
+    def recording(self, relabelings=None):
+        got = real(self, relabelings)
+        walks.append((self, relabelings, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SplitMap, "_symmetry", recording)
+        for t, caps, stable in BURNSIDE_RUNS:
+            enumerate_split_maps(t, caps, stable_only=stable)
+    for sm, relabelings, got in walks:
+        assert relabelings is not None, sm
+        fresh = SplitMap(sm.groups, sm.nodes)._symmetry()
+        assert sm._symmetry(cg._relabelings(sm.groups)) == got == fresh, sm
+        key, automorphisms = got
+        assert (key, sorted(automorphisms)) == ref_symmetry(sm), sm
+        last = [len(g) - 1 for g in sm.groups]
+        reversed_groups = [g[::-1] for g in sm.groups]
+        reversed_nodes = [
+            [(mu, last[i] - a, last[i + 1] - b) for mu, a, b in iface]
+            for i, iface in enumerate(sm.nodes)
+        ]
+        flipped = SplitMap(reversed_groups, reversed_nodes)
+        assert flipped._symmetry(cg._relabelings(flipped.groups))[0] == key, sm
+    shared = len({id(relabelings) for _, relabelings, _ in walks})
+    assert 0 < shared < len(walks) // 2, (shared, len(walks))
 
 
 def test_assembled_skeletons_carry_their_automorphisms():
