@@ -283,22 +283,19 @@ def run(args):
             if args.l is None:
                 raise InputError("maps decompose needs --l")
             side1, side2, sigma = cg.decompose(sm, args.l)
+
+            def half(side):
+                return {
+                    "groups": [
+                        [[p.genus, p.degree, p.marks] for p in g] for g in side.groups
+                    ],
+                    "roots": [[mu, p] for mu, p in side.roots],
+                }
+
             payload = {
                 "interface_weights": list(sigma),
-                "first": {
-                    "groups": [
-                        [[p.genus, p.degree, p.marks] for p in g]
-                        for g in side1.groups
-                    ],
-                    "roots": [[mu, p] for mu, p in side1.roots],
-                },
-                "second": {
-                    "groups": [
-                        [[p.genus, p.degree, p.marks] for p in g]
-                        for g in side2.groups
-                    ],
-                    "roots": [[mu, p] for mu, p in side2.roots],
-                },
+                "first": half(side1),
+                "second": half(side2),
                 "roundtrip": cg.glue_halves(side1, side2) == sm,
             }
             _emit(args, payload)

@@ -516,6 +516,15 @@ class RelSplit:
         return tuple(mu for mu, _ in self.roots)
 
 
+def _reversed_chain(groups, nodes):
+    """A chain of groups and the interfaces between them read from the
+    other end: the groups reversed, and the interfaces reversed with each
+    node's two piece indices swapped."""
+    return tuple(reversed(groups)), tuple(
+        tuple((mu, b, a) for mu, a, b in iface) for iface in reversed(nodes)
+    )
+
+
 def decompose(split_map, l):
     """Split at interface l into the two relative halves and the interface
     weight multiset; the first half is reversed so its boundary group leads.
@@ -523,19 +532,13 @@ def decompose(split_map, l):
     if not 1 <= _int(l, "l") <= split_map.n + 1:
         raise SplitMapError("interface index out of range")
     iface = split_map.nodes[l - 1]
-    left_groups = split_map.groups[:l]
-    right_groups = split_map.groups[l:]
-    left_nodes = split_map.nodes[: l - 1]
-    right_nodes = split_map.nodes[l:]
-    # reverse the first side; its internal interfaces swap orientation
-    rev_groups = tuple(reversed(left_groups))
-    rev_nodes = tuple(
-        tuple((mu, b, a) for mu, a, b in iface2) for iface2 in reversed(left_nodes)
+    side1 = RelSplit(
+        *_reversed_chain(split_map.groups[:l], split_map.nodes[: l - 1]),
+        tuple((mu, a) for mu, a, _ in iface),
     )
-    side1 = RelSplit(rev_groups, rev_nodes, tuple((mu, a) for mu, a, _ in iface))
     side2 = RelSplit(
-        tuple(right_groups),
-        tuple(right_nodes),
+        split_map.groups[l:],
+        split_map.nodes[l:],
         tuple((mu, b) for mu, _, b in iface),
     )
     sigma = tuple(sorted(mu for mu, _, _ in iface))
@@ -550,10 +553,7 @@ def glue_halves(side1, side2):
     for (mu1, _), (mu2, _) in zip(side1.roots, side2.roots):
         if mu1 != mu2:
             raise SplitMapError("root weights do not match")
-    left_groups = tuple(reversed(side1.groups))
-    left_nodes = tuple(
-        tuple((mu, b, a) for mu, a, b in iface) for iface in reversed(side1.nodes)
-    )
+    left_groups, left_nodes = _reversed_chain(side1.groups, side1.nodes)
     iface = tuple(
         (mu1, a, b) for (mu1, a), (_, b) in zip(side1.roots, side2.roots)
     )
@@ -1532,9 +1532,14 @@ def graph_from_json(data):
     genera = _json_ints(GraphError, *(v["g"] for v in vertices))
     classes = tuple(_json_ints(GraphError, *v["b"]) for v in vertices)
     legs = _json_ints(GraphError, *data["leg_order"])
+    # root_order names each declared root, (vertex, index among its roots),
+    # exactly once
+    order = [_json_ints(GraphError, *pair) for pair in data["root_order"]]
+    declared = [(v, k) for v, x in enumerate(vertices) for k in range(len(x["roots"]))]
+    if sorted(order) != declared:
+        raise GraphError("root_order must list each declared root exactly once")
     roots = []
-    for pair in data["root_order"]:
-        v, k = _json_ints(GraphError, *pair)
+    for v, k in order:
         roots.append((v,) + _json_ints(GraphError, vertices[v]["roots"][k]["weight"]))
     return AdmissibleGraph(group, genera, classes, legs, tuple(roots))
 

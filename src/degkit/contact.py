@@ -196,8 +196,8 @@ def _slot_columns(ring, levels):
     nonzero slots, (signed z-degree, element) pairs as
     :func:`_shift_levels` makes them.
 
-    Each slot is multiplied by e_j through the algebra's structure
-    constants on its integer numerators, and only the deep slots are
+    Each slot's products with the e_j come from the algebra's
+    ``_times_basis`` on its scaled form, and only the deep slots are
     reduced, by their slot space's ``reduce_scaled``; nothing else is
     brought to lowest terms.  A slot element's products depend only on it
     and on its slot's reduction, so each distinct pair is computed once per
@@ -218,11 +218,7 @@ def _slot_columns(ring, levels):
             got = products.get((deep, c._scaled))
             if got is None:
                 got = products[deep, c._scaled] = []
-                d, pairs = c._scaled
-                for j in range(dim):
-                    acc = {}
-                    alg._accumulate(acc, pairs, ((j, 1),), d)
-                    q, nums = alg._numerators(acc)
+                for q, nums in alg._times_basis(c._scaled):
                     xs = [(m, x) for m, x in enumerate(nums) if x]
                     if deep and xs:
                         q, xs = spaces[deep].reduce_scaled(q, xs)
@@ -291,46 +287,46 @@ def _linear_rows(phi1, levels1, levels2, n):
 
 
 def _obstructions(rows):
-    """Gaussian elimination over the base algebra dividing only by units.
+    """Gaussian elimination over the base algebra dividing only by units,
+    in one forward pass.
 
     Returns the rows left with no unknowns and a nonzero right-hand side,
     in their original order: each is an equation 0 = rhs that no base
     change keeping rhs nonzero can satisfy.
+
+    Each row in turn pivots on its first unit coefficient, if it has one,
+    and is substituted into every other live row.  A row passed without a
+    unit gains only multiples of its own pivot coefficient, which lies in
+    the ideal of non-units (every generator is nilpotent): it never needs a
+    second look.
     """
-    live = list(rows)
-    progress = True
-    while progress:
-        progress = False
-        for row in live:
-            pivot = None
-            for u in sorted(row.coeffs):
-                if row.coeffs[u].is_unit():
-                    pivot = u
-                    break
-            if pivot is None:
+    live = []
+    for i, row in enumerate(rows):
+        pivot = None
+        for u in sorted(row.coeffs):
+            if row.coeffs[u].is_unit():
+                pivot = u
+                break
+        if pivot is None:
+            live.append(row)
+            continue
+        inv = row.coeffs[pivot].inverse()
+        dep = {u: -(inv * c) for u, c in row.coeffs.items() if u != pivot}
+        val = inv * row.rhs
+        # substitute into every other row still live
+        for other in live + rows[i + 1 :]:
+            c = other.coeffs.pop(pivot, None)
+            if c is None:
                 continue
-            inv = row.coeffs[pivot].inverse()
-            dep = {
-                u: -(inv * c) for u, c in row.coeffs.items() if u != pivot
-            }
-            val = inv * row.rhs
-            live.remove(row)
-            # substitute into every other row
-            for other in live:
-                c = other.coeffs.pop(pivot, None)
-                if c is None or c.is_zero():
-                    continue
-                other.rhs = other.rhs - c * val
-                for u, d in dep.items():
-                    merged = other.coeffs.get(u)
-                    add = c * d
-                    total = add if merged is None else merged + add
-                    if total.is_zero():
-                        other.coeffs.pop(u, None)
-                    else:
-                        other.coeffs[u] = total
-            progress = True
-            break
+            other.rhs = other.rhs - c * val
+            for u, d in dep.items():
+                merged = other.coeffs.get(u)
+                add = c * d
+                total = add if merged is None else merged + add
+                if total.is_zero():
+                    other.coeffs.pop(u, None)
+                else:
+                    other.coeffs[u] = total
     return [r for r in live if not r.coeffs and not r.rhs.is_zero()]
 
 
@@ -572,15 +568,11 @@ def flat_local_forcing(data):
         raise ContactError("flatness", "psi_t = 0 has torsion everywhere")
     # kernel of multiplication by psi_t, with truncation-induced torsion
     # discounted: torsion below the truncation order is a real obstruction
-    # column j is psi_t * e_j, one product each, read as integer numerators;
-    # all columns over one common denominator, which leaves the kernel as
-    # it is
-    cols = [(data.psi_t * alg.basis_element(j))._scaled for j in range(alg.dim)]
+    # column j is psi_t * e_j as integer numerators; all columns over one
+    # common denominator, which leaves the kernel as it is
+    cols = alg._times_basis(data.psi_t._scaled)
     den = math.lcm(*[q for q, _ in cols])
-    rows = [[0] * alg.dim for _ in range(alg.dim)]
-    for j, (q, pairs) in enumerate(cols):
-        for m, n in pairs:
-            rows[m][j] = n * (den // q)
+    rows = [[nums[m] * (den // q) for q, nums in cols] for m in range(alg.dim)]
     _, kernel = solve_linear(rows, [0] * alg.dim)
     v_psi = alg.valuation(data.psi_t)
     for vec in kernel:

@@ -81,6 +81,14 @@ def _check_branch(branch):
         raise ValueError("branch must be 1 or 2, not %d" % branch)
 
 
+def _degree_monomials(nvars, total):
+    """The exponent vectors of total degree ``total`` in ``nvars``
+    variables, in lexicographic order."""
+    for exp in itertools.product(range(total + 1), repeat=nvars):
+        if sum(exp) == total:
+            yield exp
+
+
 def _unit_inverse(x, c_inv, one, cap):
     """x^-1 = c^-1 * sum y^k with y = 1 - x * c^-1, for x whose constant
     part c has the inverse ``c_inv``: y is nilpotent, so the sum stops at
@@ -146,12 +154,7 @@ class TruncatedAlgebra:
     # ------------------------------------------------------------ internals
     def _all_monomials(self):
         n = len(self.gens)
-        out = []
-        for total in range(self.order):
-            for exp in itertools.product(range(total + 1), repeat=n):
-                if sum(exp) == total:
-                    out.append(exp)
-        return out
+        return [e for total in range(self.order) for e in _degree_monomials(n, total)]
 
     def _relation_span(self):
         vectors = []
@@ -277,6 +280,19 @@ class TruncatedAlgebra:
                 if n:
                     nums[m] += f * n
         return d, nums
+
+    def _times_basis(self, scaled):
+        """The columns x * e_j of multiplication by x, j = 0 .. dim - 1,
+        from x's scaled form (d, pairs): each as (q, integer vector) with
+        x * e_j = vector / q exactly, not brought to lowest terms.  This is
+        the one builder of those columns."""
+        d, pairs = scaled
+        out = []
+        for j in range(self.dim):
+            acc = {}
+            self._accumulate(acc, pairs, ((j, 1),), d)
+            out.append(self._numerators(acc))
+        return out
 
     def _from_numerators(self, acc):
         """The element sum_d acc[d] / d of integer vectors keyed by their
@@ -516,16 +532,9 @@ class AlgebraIdeal:
                 raise ValueError("generator from a different algebra")
             gens.append(g)
         self.generators = tuple(gens)
-        # g * e_i for each basis element e_i, on g's integer numerators:
-        # any multiple of the product spans the same line, so neither g's
-        # denominator nor lowest terms are needed
-        vectors = []
-        for g in gens:
-            pairs = g._scaled[1]
-            for i in range(algebra.dim):
-                acc = {}
-                algebra._accumulate(acc, pairs, ((i, 1),), 1)
-                vectors.append(algebra._numerators(acc)[1])
+        # g * e_i for each basis element e_i, as integer vectors: any
+        # multiple of the product spans the same line
+        vectors = [v for g in gens for _, v in algebra._times_basis(g._scaled)]
         self.span = Subspace(vectors, algebra.dim)
 
     def contains(self, elem):
@@ -591,13 +600,9 @@ class AlgebraHom:
         for rel in source.relations:
             if not self._eval_poly(rel).is_zero():
                 raise ValueError("images violate a source relation: %s" % (rel,))
-        n = len(source.gens)
-        for exp in itertools.product(range(source.order + 1), repeat=n):
-            if sum(exp) == source.order:
-                if not self._eval_monomial(exp).is_zero():
-                    raise ValueError(
-                        "images do not respect the source truncation order"
-                    )
+        for exp in _degree_monomials(len(source.gens), source.order):
+            if not self._eval_monomial(exp).is_zero():
+                raise ValueError("images do not respect the source truncation order")
         self._basis_images = None
         self.maps_smoothing = self.apply(source.s) == target.s
 

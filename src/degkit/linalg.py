@@ -156,17 +156,26 @@ def _dense(d, pairs, ncols):
     return dense
 
 
+def _width(rows):
+    """The common length of dense rows; ValueError if they differ."""
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ambient dimension mismatch")
+    return ncols
+
+
 def rref(rows):
     """Reduced row echelon form of dense rows.
 
     Returns (echelon_rows, pivot_columns); zero rows are dropped, the rows
-    are dense lists of Fractions and the pivots are increasing.  A dense
-    edge of :func:`integer_eliminate`.
+    are dense lists of Fractions and the pivots are increasing.  Rows of
+    different lengths raise ValueError.  A dense edge of
+    :func:`integer_eliminate`.
     """
     rows = list(rows)
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    ncols = _width(rows)
     pivot_rows = integer_eliminate(_integer_rows(rows))
     pivots = sorted(pivot_rows)
     echelon = [_dense(pivot_rows[p][p], pivot_rows[p].items(), ncols) for p in pivots]
@@ -311,12 +320,15 @@ def solve_linear(matrix_rows, rhs):
     matrix_rows: list of equation coefficient rows, rhs: list of rationals.
     Returns (particular_solution, nullspace_basis) or (None, index) where
     index is the position of the first inconsistent equation row in the
-    reduced system (used to surface certificates).  A dense edge of
-    :func:`integer_eliminate`.
+    reduced system (used to surface certificates).  Rows of different
+    lengths, or one rhs entry too many or too few, raise ValueError.  A
+    dense edge of :func:`integer_eliminate`.
     """
+    if len(matrix_rows) != len(rhs):
+        raise ValueError("ambient dimension mismatch")
     if not matrix_rows:
         return [], []
-    ncols = len(matrix_rows[0])
+    ncols = _width(matrix_rows)
     aug = [list(row) + [b] for row, b in zip(matrix_rows, rhs)]
     pivot_rows = integer_eliminate(_integer_rows(aug))
     solution, index = particular_solution(pivot_rows, ncols)

@@ -224,6 +224,11 @@ def _check_equal(name, f, g):
     return CheckResult(name, w is None, w)
 
 
+def _check_zero(name, f):
+    zero = f.is_zero()
+    return CheckResult(name, zero, None if zero else repr(f))
+
+
 def verify_atlas(atlas):
     """Exact verification of every structural identity of the atlas."""
     n = atlas.n
@@ -382,14 +387,10 @@ def verify_resolution(res=None):
         ("resolution_kills_quadric_chart_b1", res.chart_b1),
         ("resolution_kills_quadric_chart_b0", res.chart_b0),
     ):
-        d = quadric_pullback(m)
-        checks.append(CheckResult(name, d.is_zero(), None if d.is_zero() else repr(d)))
+        checks.append(_check_zero(name, quadric_pullback(m)))
 
     w1, w2, w3, w4 = res.quadric_param.components
-    d = w1 * w2 - w3 * w4
-    checks.append(
-        CheckResult("parametrization_on_quadric", d.is_zero(), None if d.is_zero() else repr(d))
-    )
+    checks.append(_check_zero("parametrization_on_quadric", w1 * w2 - w3 * w4))
 
     checks.append(
         _check_equal(
@@ -463,21 +464,11 @@ def verify_resolution(res=None):
     # cross pattern is empty: away from the exceptional locus the z1-axis
     # preimage forces e1 = 0 in the chart b = [1, 0] and then z1 itself dies
     z1_comp, z2_comp, t1_comp, t2_comp = res.chart_b0.components
-    forced = [free, zero, zero]
-    z1_forced = z1_comp.substitute(forced)  # e1 = e2 = 0 (t1 = z2 = 0 forced)
+    forced = [free, zero, zero]  # e1 = e2 = 0 (t1 = z2 = 0 forced)
+    checks.append(_check_zero("z1_axis_misses_chart_b10", z1_comp.substitute(forced)))
     checks.append(
-        CheckResult(
-            "z1_axis_misses_chart_b10",
-            z1_forced.is_zero(),
-            None if z1_forced.is_zero() else repr(z1_forced),
-        )
-    )
-    z2c = res.chart_b1.components[1].substitute(forced)
-    checks.append(
-        CheckResult(
-            "z2_axis_misses_chart_b01",
-            z2c.is_zero(),
-            None if z2c.is_zero() else repr(z2c),
+        _check_zero(
+            "z2_axis_misses_chart_b01", res.chart_b1.components[1].substitute(forced)
         )
     )
     return res, Report(tuple(checks))
@@ -812,24 +803,19 @@ def splice_check(n, l):
 
     # locus stability under the transitions: left locus {u_{l+1} = 0} lives
     # in charts 1..l, right locus {u_l = 0} in charts l..n+1
-    for j in range(1, l):
-        restricted = _restrict_transition(atlas.transition(j), n, l + 1)
-        checks.append(
-            CheckResult(
-                "left_locus_preserved_T%d" % j,
-                restricted is not None,
-                None if restricted is not None else "locus not preserved",
+    for side, charts, deleted in (
+        ("left", range(1, l), l + 1),
+        ("right", range(l, n + 1), l),
+    ):
+        for j in charts:
+            kept = _restrict_transition(atlas.transition(j), n, deleted) is not None
+            checks.append(
+                CheckResult(
+                    "%s_locus_preserved_T%d" % (side, j),
+                    kept,
+                    None if kept else "locus not preserved",
+                )
             )
-        )
-    for j in range(l, n + 1):
-        restricted = _restrict_transition(atlas.transition(j), n, l)
-        checks.append(
-            CheckResult(
-                "right_locus_preserved_T%d" % j,
-                restricted is not None,
-                None if restricted is not None else "locus not preserved",
-            )
-        )
     # the left locus closes off in chart l: T_l inverts u_{l+1}
     if l <= n:
         den = atlas.transition(l).components[l].den

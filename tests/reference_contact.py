@@ -9,6 +9,10 @@ identity's rows by hand and reads the second identity's rows off those
 levels.  Both read the ring only through its normal-form builder and slot
 accessors, so the library's levels and rows must equal theirs on the
 exposed slots.
+
+:func:`obstructions` is the unit-pivot elimination as it was before it
+became one forward pass: after every pivot it restarts its scan from the
+first live row, so it never relies on a passed row keeping no unit.
 """
 
 from degkit.contact import _Row
@@ -76,3 +80,47 @@ def linear_rows(phi1, levels2, n):
             coeffs[2 * K + 1] = -alg.one()
         rows.append(_Row(coeffs, alg.zero(), "second branch z2^%d slot" % slot))
     return rows
+
+
+def obstructions(rows):
+    """Gaussian elimination over the base algebra dividing only by units,
+    restarted after every pivot.
+
+    Returns the rows left with no unknowns and a nonzero right-hand side,
+    in their original order.
+    """
+    live = list(rows)
+    progress = True
+    while progress:
+        progress = False
+        for row in live:
+            pivot = None
+            for u in sorted(row.coeffs):
+                if row.coeffs[u].is_unit():
+                    pivot = u
+                    break
+            if pivot is None:
+                continue
+            inv = row.coeffs[pivot].inverse()
+            dep = {
+                u: -(inv * c) for u, c in row.coeffs.items() if u != pivot
+            }
+            val = inv * row.rhs
+            live.remove(row)
+            # substitute into every other row
+            for other in live:
+                c = other.coeffs.pop(pivot, None)
+                if c is None or c.is_zero():
+                    continue
+                other.rhs = other.rhs - c * val
+                for u, d in dep.items():
+                    merged = other.coeffs.get(u)
+                    add = c * d
+                    total = add if merged is None else merged + add
+                    if total.is_zero():
+                        other.coeffs.pop(u, None)
+                    else:
+                        other.coeffs[u] = total
+            progress = True
+            break
+    return [r for r in live if not r.coeffs and not r.rhs.is_zero()]

@@ -356,6 +356,44 @@ def test_graphs_reject_non_integers(tmp_path, capsys, path, bad):
     assert code == 2 and out == ""
 
 
+ROOT_ORDERS = {
+    # a pair naming a vertex or a root that does not exist, or any pair
+    # with no vertex at all, used to exit 3 with an IndexError traceback
+    "no-such-vertex": lambda d: d.update(root_order=[[0, 0], [1, 0]]),
+    "no-such-root": lambda d: d.update(root_order=[[0, 0], [0, 2]]),
+    "no-vertices": lambda d: d.update(vertices=[], leg_order=[]),
+    # a negative index used to read a root from the end
+    "negative-root": lambda d: d.update(root_order=[[0, 0], [0, -1]]),
+    "negative-vertex": lambda d: d.update(root_order=[[-1, 0], [0, 1]]),
+    # a root listed twice, or left out, used to be taken as given
+    "repeated-root": lambda d: d.update(root_order=[[0, 0], [0, 0]]),
+    "missing-root": lambda d: d.update(root_order=[[0, 1]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_ORDERS))
+def test_graphs_refuse_root_orders_off_the_declared_roots(tmp_path, capsys, case):
+    g = AdmissibleGraph(NUMERIC_GROUP, (0,), ((1, 1),), (0,), ((0, 1), (0, 1)))
+    data = g.to_json()
+    assert data["root_order"] == [[0, 0], [0, 1]]
+    ROOT_ORDERS[case](data)
+    graph_path = tmp_path / "bad_graph.json"
+    graph_path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "graphs", "validate", "--input", str(graph_path))
+    assert (code, out) == (2, "")
+    triple_path = tmp_path / "bad_triple.json"
+    triple_path.write_text(
+        json.dumps({"first": data, "second": g.to_json(), "first_legs": [1]})
+    )
+    for sub in ("glue", "eq-group"):
+        code, out = run_cli(capsys, "graphs", sub, "--input", str(triple_path))
+        assert (code, out) == (2, "")
+    # the graph as written is read back as it was
+    graph_path.write_text(json.dumps(g.to_json()))
+    code, _ = run_cli(capsys, "graphs", "validate", "--input", str(graph_path))
+    assert code in (0, 1)
+
+
 @pytest.mark.parametrize("bad", [1.9, True, "1"])
 @pytest.mark.parametrize("sub", ["glue", "eq-group"])
 def test_graphs_reject_non_integer_first_legs(tmp_path, capsys, sub, bad):

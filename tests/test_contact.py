@@ -719,3 +719,75 @@ def test_pure_check_makes_no_series_inverse(Rs6, Qs6):
             if forces:
                 flat_local_forcing(data)
                 assert inverse.call_count == 1
+
+
+# --- the one-pass unit-pivot elimination against the restarting one ------
+
+
+def _eliminated(phi1, phi2, n, obstructions):
+    # fresh rows for each elimination, which rewrites them in place: the
+    # obstruction rows, then every row as the elimination left it, a pivot
+    # row as it stood at its pivot
+    ring = phi1.ring
+    levels1 = contact._shift_levels(ring.branch_power(1, n))
+    rows = contact._linear_rows(phi1, levels1, contact._shift_levels(phi2), n)
+    found = [(r.label, r.rhs.render()) for r in obstructions(rows)]
+    return found, [(r.label, r.coeffs, r.rhs) for r in rows]
+
+
+def _ideal_texts(data, n):
+    try:
+        ideal = predeformability_ideal(data, n)
+    except ContactError as exc:
+        return exc.code
+    return [g.render() for g in ideal.generators]
+
+
+def _elimination_matches_reference(phi1, phi2, n):
+    """The one-pass elimination against the restarting reference: the
+    obstruction rows in order, every row's final state, and so the ideal
+    when (phi1, phi2) is contact data; returns the obstruction rows."""
+    got, rows = _eliminated(phi1, phi2, n, contact._obstructions)
+    assert (got, rows) == _eliminated(phi1, phi2, n, reference_contact.obstructions)
+    prod = phi1 * phi2
+    if all(x.is_zero() for x in prod.a + prod.b):
+        data = ContactData(phi1.ring, prod.a0, phi1, phi2)
+        ideal = _ideal_texts(data, n)
+        with mock.patch.object(contact, "_obstructions", reference_contact.obstructions):
+            assert _ideal_texts(data, n) == ideal
+    return got
+
+
+@given(_solve_inputs())
+@settings(max_examples=100, deadline=None)
+def test_one_pass_elimination_matches_the_restarting_reference(inputs):
+    phi1, phi2, n = inputs
+    for x, y in ((phi1, phi2), (contact._zswap(phi1), contact._zswap(phi2))):
+        got = _elimination_matches_reference(x, y, n)
+        event("obstructed" if got else "no obstruction")
+
+
+def test_one_pass_elimination_under_coordinate_changes(obstructed):
+    # the inputs of test_contact_coordinates, the shallow ring order 4
+    # included, each as given and after every change of coordinates
+    from test_contact_coordinates import CHANGES, cube_or_fixture
+
+    with_obstructions = 0
+    for n in (2, 3):
+        for order in range(4, 7):
+            data = cube_or_fixture(obstructed, n, order)
+            moved = [change(data, value) for change, value in CHANGES]
+            for d in [data] + moved:
+                if _elimination_matches_reference(d.phi_w1, d.phi_w2, n):
+                    with_obstructions += 1
+    assert with_obstructions > 0
+
+
+def test_one_pass_elimination_on_the_acceptance_fixtures():
+    from test_acceptance import _fixtures
+
+    counts = []
+    for _, data, n in _fixtures():
+        for d in (data, data.swapped()):
+            counts.append(len(_elimination_matches_reference(d.phi_w1, d.phi_w2, n)))
+    assert any(counts)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -935,3 +936,33 @@ def test_constant_inverse_read_off_the_scaled_form(request, name):
             _assert_canonical(got)
             assert got * x == one
             series.reset_mock()
+
+
+CONFTEST_ALGEBRAS = ["Qs8", "Qs6", "Qs4", "QQ", "Qeps", "Qc2", "obstructed"]
+
+
+@pytest.mark.parametrize("name", CONFTEST_ALGEBRAS)
+def test_times_basis_columns_are_the_products(request, name):
+    # the one builder of the columns of multiplication by x, against the
+    # products x * e_j as rationals: the basis, 0, 1 and seeded elements
+    alg = request.getfixturevalue(name)
+    rng = random.Random(35)
+    xs = [alg.basis_element(i) for i in range(alg.dim)] + [alg.zero(), alg.one()]
+    for _ in range(20):
+        coeffs = [Fraction(rng.randrange(-3, 4), rng.randint(1, 3)) for _ in xs[: alg.dim]]
+        xs.append(alg.element(coeffs))
+    for x in xs:
+        cols = alg._times_basis(x._scaled)
+        assert len(cols) == alg.dim
+        for j, (q, nums) in enumerate(cols):
+            assert q > 0 and len(nums) == alg.dim
+            expected = (x * alg.basis_element(j)).coeffs
+            assert tuple(Fraction(n, q) for n in nums) == expected
+
+
+@pytest.mark.parametrize("nvars, total", [(1, 0), (1, 5), (2, 0), (2, 4), (3, 3)])
+def test_degree_monomials_in_lexicographic_order(nvars, total):
+    got = list(exactalg._degree_monomials(nvars, total))
+    every = itertools.product(range(total + 1), repeat=nvars)
+    assert got == sorted(e for e in every if sum(e) == total)
+    assert len(got) == math.comb(total + nvars - 1, nvars - 1)

@@ -269,3 +269,32 @@ def test_floats_and_bools_refused(build, bad):
     # dropped as zeros
     with pytest.raises(TypeError):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a short right-hand side used to drop the second equation
+        lambda: solve_linear([[1, 0], [0, 1]], [1]),
+        lambda: solve_linear([[1, 0], [0, 1]], [1, 2, 3]),
+        lambda: solve_linear([], [1]),
+        # a long row used to lend its last entry to the right-hand side
+        lambda: solve_linear([[1, 0], [0, 1, 5]], [1, 2]),
+        lambda: solve_linear([[1, 0, 0], [0, 1]], [1, 2]),
+        # a long second row used to raise a bare IndexError
+        lambda: rref([[1, 0], [0, 1, 1]]),
+        lambda: rref([[1, 0, 1], [0, 1]]),
+    ],
+    ids=[
+        "solve-short-rhs",
+        "solve-long-rhs",
+        "solve-no-rows",
+        "solve-long-row",
+        "solve-short-row",
+        "rref-long-row",
+        "rref-short-row",
+    ],
+)
+def test_ragged_input_refused(build):
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        build()

@@ -23,6 +23,7 @@ from degkit import (
     verify_resolution,
 )
 from degkit.localmodel import CheckResult
+import toric_oracle
 from reference_localmodel import (
     RefAtlas,
     ref_lambda_exponents,
@@ -484,6 +485,32 @@ def test_atlas_formulas_match_reference():
             got = [forms(m) for m in getattr(at, family)]
             assert got == [forms(m) for m in getattr(ref, family)], (n, family)
         assert forms(at.base_action) == forms(ref.base_action), n
+
+
+def _whole_monomial(f):
+    """A fraction with one term a side, c x^p / (d x^q), as (c / d, p - q),
+    read off its stored terms."""
+    [(p, c)] = f.num.terms.items()
+    [(q, d)] = f.den.terms.items()
+    return Fraction(c) / d, tuple(a - b for a, b in zip(p, q))
+
+
+def _whole_monomials(rmap):
+    return [_whole_monomial(c) for c in rmap.components]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_atlas_matches_the_fan(n):
+    # every projection, transition (read both ways: each is an involution)
+    # and torus action against the formulas derived from the staircase fan
+    at = gamma_atlas(n)
+    for l in range(1, n + 2):
+        assert _whole_monomials(at.projection(l)) == toric_oracle.projection(n, l), l
+        assert _whole_monomials(at.action(l)) == toric_oracle.action(n, l), l
+    for l in range(1, n + 1):
+        got = _whole_monomials(at.transition(l))
+        assert got == toric_oracle.transition(n, l, l + 1), l
+        assert got == toric_oracle.transition(n, l + 1, l), l
 
 
 def test_resolution_formulas_match_reference(monkeypatch):
