@@ -18,21 +18,29 @@ triple (and every bijection between two label lists), as the library
 searched before it kept to signature-preserving orders: the oracle for
 ``_matchings``, for the orders ``fiber_count`` matches, for the triple key
 and for the group closure of ``eq_group``, and the digest that pins ordered
-triple lists.
+triple lists.  Last, the triple a split map's halves make through the
+checking constructors, and criterion 9's gluing identity counted by the
+cause of each failure (ROADMAP item 10).
 """
 
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 from degkit import combgraphs
 from degkit.combgraphs import (
+    AdmissibleTriple,
     DisconnectedMapError,
     EnumerationCaps,
     Piece,
     SplitMap,
     TopType,
     _components,
+    decompose,
+    eq_group,
+    fiber_count,
+    half_to_graph,
 )
 
 # the builders behind the library's memos, run afresh on every call
@@ -317,3 +325,56 @@ def ref_symmetry(sm):
         if encode(perms) == fixed
     ]
     return (data, key), sorted(automorphisms)
+
+
+def ref_halves(sm, l):
+    """The triple that ``fiber_count`` makes of a split map cut at interface
+    l, built through the checking constructors."""
+    side1, side2, _ = decompose(sm, l)
+    first, second = half_to_graph(side1), half_to_graph(side2)
+    return AdmissibleTriple(first, second, tuple(range(1, first.num_legs + 1)))
+
+
+def _labeled_image(sm, l):
+    """The permutations of the interface-l nodes induced by the
+    automorphisms (from :func:`ref_symmetry`) that fix every piece with
+    marks: the image when marks are labeled, as an admissible graph's legs
+    are."""
+    iface = sm.nodes[l - 1]
+    marked = [
+        (i, p)
+        for i, g in enumerate(sm.groups)
+        for p, piece in enumerate(g)
+        if piece.marks
+    ]
+    return {
+        order
+        for perms in ref_symmetry(sm)[1]
+        if all(perms[i][p] == p for i, p in marked)
+        for order in ref_matchings(
+            iface, [(mu, perms[l - 1][a], perms[l][b]) for mu, a, b in iface]
+        )
+    }
+
+
+def gluing_identity_causes(cases):
+    """Criterion 9's identity, fiber_count x |interface-l image| = |Eq|, on
+    each (triple, split map, l) case, counted by outcome (ROADMAP item 10):
+    "holds"; "fiber 0", a leg order the map cannot carry (cause 2);
+    "marked pieces swapped", when the identity holds with the image of the
+    automorphisms that fix every marked piece (cause 1); "unexplained"
+    otherwise."""
+    causes = Counter()
+    for triple, sm, l in cases:
+        eq = len(eq_group(triple))
+        fibers = fiber_count(triple, sm, l)
+        if fibers * max(len(sm.automorphism_interface_image(l)), 1) == eq:
+            cause = "holds"
+        elif fibers == 0:
+            cause = "fiber 0"
+        elif fibers * max(len(_labeled_image(sm, l)), 1) == eq:
+            cause = "marked pieces swapped"
+        else:
+            cause = "unexplained"
+        causes[cause] += 1
+    return causes
