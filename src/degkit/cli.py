@@ -202,6 +202,8 @@ def run(args):
         if args.max_r < 0:
             raise InputError("--max-r must be nonnegative")
         if args.subcommand == "enumerate":
+            if args.max_r > 8:
+                sys.stderr.write("note: --max-r %d clamped to 8\n" % args.max_r)
             alpha = cg.TripleAlphabet(max_roots=min(args.max_r, 8))
             triples = cg.enumerate_triples(alpha)
             payload = {

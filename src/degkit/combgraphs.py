@@ -185,9 +185,11 @@ class SplitMap:
     """groups: n+2 tuples of pieces; nodes[i]: interface i+1 instances
     (weight, left piece index in group i, right piece index in group i+1).
 
-    The constructor normalizes and validates its input, and every public
-    route goes through it; only the enumerator skips it, through
-    :meth:`_built`, for maps that are valid by construction."""
+    The constructor normalizes and validates its input: pieces with int
+    fields, int node weights and indices, positive weights in range, and a
+    connected map.  Every public route goes through it; only the enumerator
+    and :func:`realize_split_map` skip it, through :meth:`_built`, for maps
+    that are valid by construction."""
 
     # set on the mark-free skeletons that _assemble emits, from their dedupe
     # walk or, when no group repeats a piece, to one identity list shared by
@@ -207,13 +209,18 @@ class SplitMap:
             for p in g:
                 if not isinstance(p, Piece):
                     raise SplitMapError("groups must contain pieces")
+                _int(p.genus, "piece genus")
+                _int(p.degree, "piece degree")
+                _int(p.marks, "piece marks")
             total += len(g)
         if total == 0:
             raise SplitMapError("the map must have at least one piece")
         for i, iface in enumerate(nodes):
             for mu, a, b in iface:
-                if mu < 1:
+                if _int(mu, "node weight") < 1:
                     raise SplitMapError("node weights are positive")
+                _int(a, "left piece index")
+                _int(b, "right piece index")
                 if not (0 <= a < len(groups[i]) and 0 <= b < len(groups[i + 1])):
                     raise SplitMapError("node attachment out of range")
         # labels count from 0, so any nonzero label is a second component
@@ -226,7 +233,8 @@ class SplitMap:
     @classmethod
     def _built(cls, groups, nodes):
         """A map from tuple-of-tuple fields valid by construction; nothing
-        is checked (see :func:`_assemble` and :func:`_distribute_marks`)."""
+        is checked (see :func:`_assemble`, :func:`_distribute_marks` and
+        :func:`realize_split_map`)."""
         sm = cls.__new__(cls)
         sm._fill(groups, nodes)
         return sm
@@ -406,11 +414,17 @@ class SplitMap:
         interface as a multiset of weighted attachments: the relabelings
         whose node encoding (the one ``canonical_key`` minimizes) is the
         identity's.  A skeleton that :func:`_assemble` emits carries them
-        from its dedupe; any other map walks its relabelings on the first
-        call, keeps the list (and the canonical key, which the same walk
-        gives) and returns a fresh copy each time."""
+        from its dedupe.  On any other map the first call finds them and
+        keeps the list, and each call returns a fresh copy.  When no group
+        repeats a piece, the identity is the only relabeling, as in
+        :func:`_assemble`, and no walk is made; otherwise the map walks its
+        relabelings and also keeps the canonical key, which the same walk
+        gives."""
         if self._automorphisms is None:
-            self._canonical, self._automorphisms = self._symmetry()
+            if all(len(set(g)) == len(g) for g in self.groups):
+                self._automorphisms = [tuple(tuple(range(len(g))) for g in self.groups)]
+            else:
+                self._canonical, self._automorphisms = self._symmetry()
         return list(self._automorphisms)
 
     def automorphism_interface_image(self, l):
@@ -1380,6 +1394,16 @@ class AdmissibleGraph:
                     "relative connectivity: every vertex needs a root"
                 )
 
+    @classmethod
+    def _built(cls, group, genera, classes, legs, roots):
+        """A graph from tuple fields valid by construction; nothing is
+        checked (see :func:`fiber_count`)."""
+        graph = cls.__new__(cls)
+        vars(graph).update(
+            group=group, genera=genera, classes=classes, legs=legs, roots=roots
+        )
+        return graph
+
     @property
     def num_vertices(self):
         return len(self.genera)
@@ -1532,6 +1556,7 @@ def graph_from_json(data):
     genera = _json_ints(GraphError, *(v["g"] for v in vertices))
     classes = tuple(_json_ints(GraphError, *v["b"]) for v in vertices)
     legs = _json_ints(GraphError, *data["leg_order"])
+    leg_counts = _json_ints(GraphError, *(v["legs"] for v in vertices))
     # root_order names each declared root, (vertex, index among its roots),
     # exactly once
     order = [_json_ints(GraphError, *pair) for pair in data["root_order"]]
@@ -1541,7 +1566,10 @@ def graph_from_json(data):
     roots = []
     for v, k in order:
         roots.append((v,) + _json_ints(GraphError, vertices[v]["roots"][k]["weight"]))
-    return AdmissibleGraph(group, genera, classes, legs, tuple(roots))
+    graph = AdmissibleGraph(group, genera, classes, legs, tuple(roots))
+    if leg_counts != tuple(map(legs.count, range(len(vertices)))):
+        raise GraphError("each vertex's legs must count its entries in leg_order")
+    return graph
 
 
 @dataclass(frozen=True)
@@ -1566,6 +1594,14 @@ class AdmissibleTriple:
             raise GraphError("leg subset out of range")
         if not self._glued_connected():
             raise GraphError("gluing the roots must give a connected graph")
+
+    @classmethod
+    def _built(cls, first, second, first_legs):
+        """A triple valid by construction; nothing is checked (see
+        :func:`fiber_count`)."""
+        triple = cls.__new__(cls)
+        vars(triple).update(first=first, second=second, first_legs=first_legs)
+        return triple
 
     @property
     def num_roots(self):
@@ -1859,8 +1895,15 @@ def half_to_graph(half):
     Vertices are the connected components; each carries (total degree,
     total root weight) as its class vector, the component's arithmetic genus,
     the component's marked points as consecutively ordered legs, and the
-    half's roots in their stored order.
+    half's roots in their stored order.  The graph goes through the checking
+    constructor; :func:`fiber_count` builds the same fields
+    (:func:`_half_fields`) unchecked.
     """
+    return AdmissibleGraph(NUMERIC_GROUP, *_half_fields(half))
+
+
+def _half_fields(half):
+    """Genera, classes, legs and roots of :func:`half_to_graph`'s graph."""
     comp = _piece_components(half.groups, half.nodes)
     nv = len({v for row in comp for v in row})
     genera = [0] * nv
@@ -1889,22 +1932,29 @@ def half_to_graph(half):
     legs = []
     for v in range(nv):
         legs.extend([v] * marks[v])
-    return AdmissibleGraph(NUMERIC_GROUP, vertex_genus, classes, tuple(legs), roots)
+    return vertex_genus, classes, tuple(legs), roots
 
 
 def realize_split_map(triple):
     """A minimal split map (no expansion) whose decomposition at the single
-    interface has the labelled type of the triple: one piece per vertex."""
+    interface has the labelled type of the triple: one piece per vertex,
+    one node per root pair.
+
+    The map is built unchecked (:meth:`SplitMap._built`): a valid triple
+    has int fields, roots on its own vertices with positive weights, and a
+    connected gluing, so the nodes are in range, positive and connect the
+    pieces.  Each :class:`Piece` still refuses a negative degree, which a
+    class group with a negative functional can give."""
     g1, g2 = triple.first, triple.second
-    groups = [
-        [
+    groups = tuple(
+        tuple(
             Piece(g.genera[v], g.deg_h(v), g.legs.count(v))
             for v in range(g.num_vertices)
-        ]
+        )
         for g in (g1, g2)
-    ]
-    iface = [(w, a, b) for (a, w), (b, _) in zip(g1.roots, g2.roots)]
-    return SplitMap(groups, [iface])
+    )
+    iface = tuple((w, a, b) for (a, w), (b, _) in zip(g1.roots, g2.roots))
+    return SplitMap._built(groups, (iface,))
 
 
 def fiber_count(triple, split_map, l, bound=8):
@@ -1918,6 +1968,13 @@ def fiber_count(triple, split_map, l, bound=8):
     instance permutations induced by the map's automorphisms.  Together with
     :func:`eq_group` this reproduces the degree of the gluing morphism:
     fiber_count * |induced automorphism image| = |Eq|.
+
+    The graphs have :func:`half_to_graph`'s fields, and they and the triple
+    they make are built unchecked (``_built``): a split map is valid and
+    connected, so every component of a half has a nonnegative genus and
+    reaches interface l, where it carries a root; both sides' root weights
+    are the interface's node weights in one order; and the glued graph is
+    the map's own incidence graph, which is connected.
 
     The search stops at the first matching ordering sigma0: the matching
     set is the coset {j -> sigma0[g[j]] : g in Eq} of the triple's symmetry
@@ -1938,11 +1995,9 @@ def fiber_count(triple, split_map, l, bound=8):
         raise GraphError("root count above the brute-force bound %d" % bound)
     if r == 0:
         return 1
-    try:
-        first, second = half_to_graph(side1), half_to_graph(side2)
-        built = AdmissibleTriple(first, second, tuple(range(1, first.num_legs + 1)))
-    except GraphError:
-        return 0
+    first = AdmissibleGraph._built(NUMERIC_GROUP, *_half_fields(side1))
+    second = AdmissibleGraph._built(NUMERIC_GROUP, *_half_fields(side2))
+    built = AdmissibleTriple._built(first, second, tuple(range(1, first.num_legs + 1)))
     remaining = _fiber_orders(built, triple.numeric_shadow())
     if not remaining:
         return 0

@@ -318,6 +318,7 @@ MAP_FIELDS = [
 ]
 GRAPH_FIELDS = [
     ("vertices", 0, "g"),
+    ("vertices", 0, "legs"),
     ("vertices", 0, "b", 1),
     ("vertices", 0, "roots", 0, "weight"),
     ("root_order", 0, 1),
@@ -392,6 +393,56 @@ def test_graphs_refuse_root_orders_off_the_declared_roots(tmp_path, capsys, case
     graph_path.write_text(json.dumps(g.to_json()))
     code, _ = run_cli(capsys, "graphs", "validate", "--input", str(graph_path))
     assert code in (0, 1)
+
+
+LEG_COUNTS = {
+    # a vertex's legs went unread, so both used to validate with exit 0
+    "more-declared": lambda d: d["vertices"][0].update(legs=5),
+    "more-listed": lambda d: d.update(leg_order=[0, 0, 0]),
+    "none-declared": lambda d: d["vertices"][0].update(legs=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEG_COUNTS))
+def test_graphs_refuse_leg_counts_off_the_leg_order(tmp_path, capsys, case):
+    g = AdmissibleGraph(NUMERIC_GROUP, (0,), ((1, 1),), (0,), ((0, 1),))
+    data = g.to_json()
+    assert (data["vertices"][0]["legs"], data["leg_order"]) == (1, [0])
+    LEG_COUNTS[case](data)
+    graph_path = tmp_path / "bad_graph.json"
+    graph_path.write_text(json.dumps(data))
+    code = main(["graphs", "validate", "--input", str(graph_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "legs must count" in captured.err
+    triple_path = tmp_path / "bad_triple.json"
+    triple_path.write_text(
+        json.dumps({"first": data, "second": g.to_json(), "first_legs": [1]})
+    )
+    for sub in ("glue", "eq-group"):
+        code, out = run_cli(capsys, "graphs", sub, "--input", str(triple_path))
+        assert (code, out) == (2, "")
+
+
+def test_graphs_enumerate_reports_its_clamp(capsys, monkeypatch):
+    # --max-r above 8 enumerates at 8: the same stdout and exit code, and
+    # one line on stderr says so; the enumeration itself is stubbed out
+    asked = []
+
+    def enumerate_triples(alpha):
+        asked.append(alpha.max_roots)
+        return []
+
+    monkeypatch.setattr(cli.cg, "enumerate_triples", enumerate_triples)
+    runs = {}
+    for max_r in ("8", "9"):
+        code = main(["graphs", "enumerate", "--max-r", max_r])
+        captured = capsys.readouterr()
+        runs[max_r] = (code, captured.out, captured.err)
+    assert asked == [8, 8]
+    assert runs["9"][:2] == runs["8"][:2] and runs["8"][0] == 0
+    assert runs["8"][2] == ""
+    assert runs["9"][2] == "note: --max-r 9 clamped to 8\n"
 
 
 @pytest.mark.parametrize("bad", [1.9, True, "1"])

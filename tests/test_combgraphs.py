@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -368,6 +369,28 @@ def test_graph_refuses_inexact_values(field, value):
     data[field] = value
     with pytest.raises(TypeError):
         AdmissibleGraph(NUMERIC_GROUP, **data)
+
+
+PLAIN = [[Piece(0, 1, 0)], [Piece(0, 1, 0)]]
+
+
+@pytest.mark.parametrize(
+    "groups, nodes, field",
+    [
+        ([[Piece(0.5, True, 0)], [Piece(0, 1, 0)]], [[(True, 0, 0)]], "piece genus"),
+        ([[Piece(0, True, 0)], [Piece(0, 1, 0)]], [[(1, 0, 0)]], "piece degree"),
+        ([[Piece(0, 1, 1.0)], [Piece(0, 1, 0)]], [[(1, 0, 0)]], "piece marks"),
+        (PLAIN, [[(True, 0, 0)]], "node weight"),
+        (PLAIN, [[(1.5, 0, 0)]], "node weight"),
+        (PLAIN, [[(1, False, 0)]], "left piece index"),
+        (PLAIN, [[(1, 0, 0.0)]], "right piece index"),
+    ],
+)
+def test_split_map_refuses_inexact_values(groups, nodes, field):
+    # each of these was accepted and keyed; a float node weight was refused
+    # only inside fiber_count, by the graph constructor
+    with pytest.raises(TypeError, match=field):
+        SplitMap(groups, nodes)
 
 
 # --- the node-total window --------------------------------------------------
@@ -1609,6 +1632,11 @@ def default_triples():
     return enumerate_triples(TripleAlphabet())
 
 
+@pytest.fixture(scope="module")
+def two_leg_triples():
+    return enumerate_triples(TripleAlphabet(max_roots=2, max_legs_per_side=2))
+
+
 def _shuffled(t, rng):
     sigma = list(range(t.num_roots))
     rng.shuffle(sigma)
@@ -1914,13 +1942,94 @@ def test_fiber_count_with_legs():
     assert total_eq == 452
 
 
-def test_gluing_identity_failures_by_cause():
+def test_gluing_identity_failures_by_cause(two_leg_triples):
     # ROADMAP item 10: with two legs on a side, criterion 9's identity fails
     # on 400 triples.  The counts were recorded before fiber_count and
     # realize_split_map built their objects unchecked, and pin the answers
     # of both on legs: 240 triples have a leg order the realized map cannot
     # carry, and 160 hold once the automorphisms must fix marked pieces
-    triples = enumerate_triples(TripleAlphabet(max_roots=2, max_legs_per_side=2))
-    assert len(triples) == 2176
-    causes = gluing_identity_causes((t, realize_split_map(t), 1) for t in triples)
+    assert len(two_leg_triples) == 2176
+    causes = gluing_identity_causes(
+        (t, realize_split_map(t), 1) for t in two_leg_triples
+    )
     assert causes == {"holds": 1776, "fiber 0": 240, "marked pieces swapped": 160}
+
+
+# --- the unchecked builders of the gluing chain -------------------------------
+
+
+def _fields(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+def test_fiber_count_builds_what_the_checks_accept():
+    # every (map, interface) pair of the norm <= 3 maps, each map through
+    # a fresh checked copy: the graphs fiber_count builds unchecked equal
+    # half_to_graph's field by field and pass the graph constructor, the
+    # triple passes the triple constructor, and the map's automorphisms,
+    # found with no walk when no group repeats a piece, equal the walk's
+    built = []
+    real = AdmissibleTriple._built.__func__
+
+    def recording(cls, *fields):
+        triple = real(cls, *fields)
+        built.append(triple)
+        return triple
+
+    walks = []
+    real_walk = SplitMap._symmetry
+
+    def walking(self, relabelings=None):
+        walks.append(self)
+        return real_walk(self, relabelings)
+
+    pairs = Counter()
+    for t in NORM3_TYPES:
+        for m in enumerate_split_maps(t, stable_only=False):
+            fresh = SplitMap(m.groups, m.nodes)
+            memo = cg._data_classes.cache_info().currsize
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(AdmissibleTriple, "_built", classmethod(recording))
+                mp.setattr(SplitMap, "_symmetry", walking)
+                automorphisms = fresh.automorphisms()
+                for l in range(1, m.n + 2):
+                    triple = ref_halves(m, l)
+                    assert fiber_count(triple, fresh, l) >= 1
+                    if not triple.num_roots:
+                        continue
+                    got = built.pop()
+                    assert _fields(got.first) == _fields(triple.first)
+                    assert _fields(got.second) == _fields(triple.second)
+                    assert got.first_legs == triple.first_legs
+                    for g in (got.first, got.second):
+                        assert AdmissibleGraph(*_fields(g)) == g
+                    assert AdmissibleTriple(*_fields(got)) == got
+                    pairs[_repeats_a_piece(m)] += 1
+            assert not built
+            assert automorphisms == real_walk(fresh)[1], m
+            assert walks == ([fresh] if _repeats_a_piece(m) else []), m
+            walks.clear()
+            assert cg._data_classes.cache_info().currsize == memo
+    assert sum(pairs.values()) == 18648
+    assert pairs[True] > 1000 and pairs[False] > 1000, pairs
+
+
+def test_realized_maps_equal_checked_maps(default_triples, two_leg_triples):
+    # one piece per vertex and one node per root pair, as realize_split_map
+    # says; the unchecked map equals the checked one and walks like it
+    kinds = Counter()
+    for t in default_triples + two_leg_triples:
+        groups = [
+            [
+                Piece(g.genera[v], g.deg_h(v), g.legs.count(v))
+                for v in range(g.num_vertices)
+            ]
+            for g in (t.first, t.second)
+        ]
+        nodes = [[(w, a, b) for (a, w), (b, _) in zip(t.first.roots, t.second.roots)]]
+        m, checked = realize_split_map(t), SplitMap(groups, nodes)
+        assert m == checked and m.n == 0
+        assert m.automorphisms() == checked.automorphisms()
+        assert m.canonical_key() == checked.canonical_key()
+        kinds[_repeats_a_piece(m)] += 1
+    assert kinds[True] > 500 and kinds[False] > 500, kinds
