@@ -1983,33 +1983,33 @@ def test_fiber_count_builds_what_the_checks_accept():
         walks.append(self)
         return real_walk(self, relabelings)
 
+    maps = [m for t in NORM3_TYPES for m in enumerate_split_maps(t, stable_only=False)]
+    memo = cg._data_classes.cache_info().currsize
     pairs = Counter()
-    for t in NORM3_TYPES:
-        for m in enumerate_split_maps(t, stable_only=False):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AdmissibleTriple, "_built", classmethod(recording))
+        mp.setattr(SplitMap, "_symmetry", walking)
+        for m in maps:
             fresh = SplitMap(m.groups, m.nodes)
-            memo = cg._data_classes.cache_info().currsize
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(AdmissibleTriple, "_built", classmethod(recording))
-                mp.setattr(SplitMap, "_symmetry", walking)
-                automorphisms = fresh.automorphisms()
-                for l in range(1, m.n + 2):
-                    triple = ref_halves(m, l)
-                    assert fiber_count(triple, fresh, l) >= 1
-                    if not triple.num_roots:
-                        continue
-                    got = built.pop()
-                    assert _fields(got.first) == _fields(triple.first)
-                    assert _fields(got.second) == _fields(triple.second)
-                    assert got.first_legs == triple.first_legs
-                    for g in (got.first, got.second):
-                        assert AdmissibleGraph(*_fields(g)) == g
-                    assert AdmissibleTriple(*_fields(got)) == got
-                    pairs[_repeats_a_piece(m)] += 1
+            automorphisms = fresh.automorphisms()
+            for l in range(1, m.n + 2):
+                triple = ref_halves(m, l)
+                assert fiber_count(triple, fresh, l) >= 1
+                if not triple.num_roots:
+                    continue
+                got = built.pop()
+                assert _fields(got.first) == _fields(triple.first)
+                assert _fields(got.second) == _fields(triple.second)
+                assert got.first_legs == triple.first_legs
+                for g in (got.first, got.second):
+                    assert AdmissibleGraph(*_fields(g)) == g
+                assert AdmissibleTriple(*_fields(got)) == got
+                pairs[_repeats_a_piece(m)] += 1
             assert not built
             assert automorphisms == real_walk(fresh)[1], m
             assert walks == ([fresh] if _repeats_a_piece(m) else []), m
             walks.clear()
-            assert cg._data_classes.cache_info().currsize == memo
+    assert cg._data_classes.cache_info().currsize == memo
     assert sum(pairs.values()) == 18648
     assert pairs[True] > 1000 and pairs[False] > 1000, pairs
 
