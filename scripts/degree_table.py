@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tabulate symmetry-group orders of glued weighted graphs over the default
-alphabet, together with the brute-force fiber counts that certify the degree
-of the gluing map."""
+alphabet, and count the triples where the fiber count of the realizing map
+times its interface image is not |Eq|, the degree of the gluing map."""
 
 import argparse
 import sys

@@ -25,7 +25,7 @@ from .exactalg import (
     element_from_json,
     series_from_json,
 )
-from .polys import _json_ints
+from .polys import _json_field, _json_ints, _json_typed
 
 
 class InputError(ValueError):
@@ -227,11 +227,15 @@ def run(args):
             }
             _emit(args, payload)
             return 0 if graph.satisfies_contact() else 1
-        triple = cg.AdmissibleTriple(
-            cg.graph_from_json(data["first"]),
-            cg.graph_from_json(data["second"]),
-            _json_ints(cg.GraphError, *data.get("first_legs", [])),
+        first, second = (
+            cg._graph_from_json(
+                _json_field(cg.GraphError, data, side, dict, "triple"), "triple." + side
+            )
+            for side in ("first", "second")
         )
+        first_legs = data.get("first_legs", [])
+        _json_typed(cg.GraphError, first_legs, list, "triple.first_legs", int)
+        triple = cg.AdmissibleTriple(first, second, first_legs)
         if args.subcommand == "glue":
             glued, genus, degree, ttype = cg.glue(triple)
             if args.fmt == "dot":

@@ -23,7 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .polys import _int, _json_ints
+from .polys import _int, _json_field, _json_typed
 
 
 class SplitMapError(ValueError):
@@ -480,15 +480,21 @@ class SplitMap:
 
 
 def split_map_from_json(data):
-    groups = [
-        [Piece(*_json_ints(SplitMapError, p["g"], p["d"], p["marks"])) for p in g]
-        for g in data["groups"]
-    ]
-    nodes = [
-        [_json_ints(SplitMapError, x["weight"], x["left"], x["right"]) for x in iface]
-        for iface in data["nodes"]
-    ]
-    return SplitMap(groups, nodes)
+    """The split map of :meth:`SplitMap.to_json`; a field of the wrong shape
+    raises :class:`SplitMapError` naming it."""
+    field = functools.partial(_json_field, SplitMapError)
+
+    def rows(key, names):
+        return [
+            [
+                [field(x, name, int, "map.%s[%d][%d]" % (key, i, j)) for name in names]
+                for j, x in enumerate(row)
+            ]
+            for i, row in enumerate(field(data, key, list, "map", list))
+        ]
+
+    groups = [[Piece(*p) for p in g] for g in rows("groups", ("g", "d", "marks"))]
+    return SplitMap(groups, rows("nodes", ("weight", "left", "right")))
 
 
 def weight(split_map, i):
@@ -1547,27 +1553,41 @@ class AdmissibleGraph:
 
 
 def graph_from_json(data):
-    group = ClassGroup(
-        len(data["deg_H"]),
-        _json_ints(GraphError, *data["deg_H"]),
-        _json_ints(GraphError, *data["deg_D"]),
-    )
-    vertices = data["vertices"]
-    genera = _json_ints(GraphError, *(v["g"] for v in vertices))
-    classes = tuple(_json_ints(GraphError, *v["b"]) for v in vertices)
-    legs = _json_ints(GraphError, *data["leg_order"])
-    leg_counts = _json_ints(GraphError, *(v["legs"] for v in vertices))
+    """The graph of :meth:`AdmissibleGraph.to_json`; a field of the wrong
+    shape raises :class:`GraphError` naming it."""
+    return _graph_from_json(data, "graph")
+
+
+def _graph_from_json(data, path):
+    """:func:`graph_from_json` of the graph at ``path`` in the input."""
+    field = functools.partial(_json_field, GraphError)
+    deg_h = field(data, "deg_H", list, path, int)
+    group = ClassGroup(len(deg_h), deg_h, field(data, "deg_D", list, path, int))
+    genera, classes, leg_counts, weights = [], [], [], []
+    for v, vertex in enumerate(field(data, "vertices", list, path)):
+        where = "%s.vertices[%d]" % (path, v)
+        genera.append(field(vertex, "g", int, where))
+        classes.append(field(vertex, "b", list, where, int))
+        leg_counts.append(field(vertex, "legs", int, where))
+        weights.append(
+            [
+                field(root, "weight", int, "%s.roots[%d]" % (where, k))
+                for k, root in enumerate(field(vertex, "roots", list, where))
+            ]
+        )
+    legs = tuple(field(data, "leg_order", list, path, int))
     # root_order names each declared root, (vertex, index among its roots),
     # exactly once
-    order = [_json_ints(GraphError, *pair) for pair in data["root_order"]]
-    declared = [(v, k) for v, x in enumerate(vertices) for k in range(len(x["roots"]))]
+    order = [
+        tuple(_json_typed(GraphError, pair, list, "%s.root_order[%d]" % (path, i), int))
+        for i, pair in enumerate(field(data, "root_order", list, path))
+    ]
+    declared = [(v, k) for v, ws in enumerate(weights) for k in range(len(ws))]
     if sorted(order) != declared:
         raise GraphError("root_order must list each declared root exactly once")
-    roots = []
-    for v, k in order:
-        roots.append((v,) + _json_ints(GraphError, vertices[v]["roots"][k]["weight"]))
-    graph = AdmissibleGraph(group, genera, classes, legs, tuple(roots))
-    if leg_counts != tuple(map(legs.count, range(len(vertices)))):
+    roots = tuple((v, weights[v][k]) for v, k in order)
+    graph = AdmissibleGraph(group, genera, classes, legs, roots)
+    if tuple(leg_counts) != tuple(map(legs.count, range(len(weights)))):
         raise GraphError("each vertex's legs must count its entries in leg_order")
     return graph
 
@@ -1745,17 +1765,6 @@ def _orders_onto(triple, target):
     return (sigma for sigma in orders if triple.canonical_keys(sigma) == keys)
 
 
-def _fiber_orders(triple, target):
-    """The root orders under which ``triple`` has ``target``'s canonical
-    keys: {j -> sigma0[g[j]] : g in Eq(target)} for the first order sigma0
-    that :func:`_orders_onto` finds (the coset argument is in
-    :func:`fiber_count`)."""
-    first = next(_orders_onto(triple, target), None)
-    if first is None:
-        return set()
-    return {tuple(first[i] for i in g) for g in target._eq}
-
-
 def eq_group(triple, bound=8):
     """Symmetry group inside S_r: the root orders that keep both sides'
     canonical keys, sorted.  The triple keeps the group from its first
@@ -1856,6 +1865,10 @@ def _triple_canonical_key(triple):
 def enumerate_triples(alpha=TripleAlphabet()):
     """All admissible triples over the alphabet, one per equivalence class
     of simultaneous root reorderings."""
+    for name in ("max_roots", "max_vertices", "max_legs_per_side"):
+        value = getattr(alpha, name)
+        if _int(value, name) < 0:
+            raise GraphError("%s must be nonnegative, got %d" % (name, value))
     out = []
     seen = set()
     for r in range(0, alpha.max_roots + 1):
@@ -1961,30 +1974,38 @@ def fiber_count(triple, split_map, l, bound=8):
     """Number of ways the split map realizes the triple at interface l, up to
     the automorphisms of the map.
 
-    The halves become admissible graphs once (no validity check depends on
-    the root order).  An ordering of the interface instances (ordering[j] =
-    which instance becomes root j) matches when both sides' canonical keys
-    under it equal the triple's; matching orderings are counted modulo the
-    instance permutations induced by the map's automorphisms.  Together with
-    :func:`eq_group` this reproduces the degree of the gluing morphism:
-    fiber_count * |induced automorphism image| = |Eq|.
+    An ordering of the interface instances (ordering[j] = which instance
+    becomes root j) matches when both halves' canonical keys under it equal
+    the triple's; matching orderings are counted modulo the group H of
+    :meth:`SplitMap.automorphism_interface_image`.  The halves are built
+    once and unchecked (``_built``), with :func:`half_to_graph`'s fields: a
+    split map is valid and connected, so every component of a half has a
+    nonnegative genus and reaches interface l, where it carries a root;
+    both sides' root weights are the interface's node weights in one order;
+    and the glued graph is the map's own incidence graph, which is
+    connected.
 
-    The graphs have :func:`half_to_graph`'s fields, and they and the triple
-    they make are built unchecked (``_built``): a split map is valid and
-    connected, so every component of a half has a nonnegative genus and
-    reaches interface l, where it carries a root; both sides' root weights
-    are the interface's node weights in one order; and the glued graph is
-    the map's own incidence graph, which is connected.
+    The count is the index |Eq| / |K|, where Eq is the symmetry group of
+    the triple's numeric shadow, sigma0 the first matching ordering,
+    (a b)[j] = a[b[j]], and K = {g in Eq : sigma0 g sigma0^-1 in H}.
 
-    The search stops at the first matching ordering sigma0: the matching
-    set is the coset {j -> sigma0[g[j]] : g in Eq} of the triple's symmetry
-    group, and that is exact.  Write B_sigma for the built halves with root
-    j taken from instance sigma[j].  B_sigma0 and the triple have equal
-    keys, so an isomorphism carries one onto the other root by root, and
-    reordering both by the same g keeps them isomorphic; B_sigma0 reordered
-    by g is B_(j -> sigma0[g[j]]).  So that ordering matches exactly when
-    the triple reordered by g has its own keys, i.e. when g is in Eq, and
-    every ordering sigma arises this way, from g = sigma0^-1 sigma.
+    - The matching set is {sigma0 g : g in Eq}.  Write B_sigma for the
+      halves with root j taken from instance sigma[j].  B_sigma0 and the
+      triple have equal keys, so an isomorphism carries one onto the other
+      root by root, and reordering both by the same g keeps them
+      isomorphic; B_sigma0 reordered by g is B_(sigma0 g).  So sigma0 g
+      matches exactly when g is in Eq, and every sigma is sigma0 g for
+      g = sigma0^-1 sigma.
+    - H is a group (the automorphisms' image, instances of equal data
+      interchangeable), so K, where Eq meets sigma0^-1 H sigma0, is a
+      subgroup of Eq.
+    - Matching orderings sigma0 g and sigma0 g' share an H-orbit
+      {h sigma : h in H} exactly when g' g^-1 is in K: the orbits are the
+      right cosets of K in Eq, and Lagrange makes the division exact.
+
+    So, when some ordering matches, fiber_count * |H| = |Eq|, the degree of
+    the gluing morphism (criterion 9, with :func:`eq_group`), exactly when
+    sigma0^-1 H sigma0 lies in Eq.
     """
     _int(bound, "bound")
     side1, side2, sigma = decompose(split_map, l)
@@ -1998,15 +2019,11 @@ def fiber_count(triple, split_map, l, bound=8):
     first = AdmissibleGraph._built(NUMERIC_GROUP, *_half_fields(side1))
     second = AdmissibleGraph._built(NUMERIC_GROUP, *_half_fields(side2))
     built = AdmissibleTriple._built(first, second, tuple(range(1, first.num_legs + 1)))
-    remaining = _fiber_orders(built, triple.numeric_shadow())
-    if not remaining:
+    target = triple.numeric_shadow()
+    sigma0 = next(_orders_onto(built, target), None)
+    if sigma0 is None:
         return 0
-    image = split_map.automorphism_interface_image(l)
-    orbits = 0
-    while remaining:
-        seed = remaining.pop()
-        orbits += 1
-        for pi in image:
-            moved = tuple(pi[seed[j]] for j in range(r))
-            remaining.discard(moved)
-    return orbits
+    image = set(split_map.automorphism_interface_image(l))
+    inverse = sorted(range(r), key=sigma0.__getitem__)
+    kernel = sum(tuple(sigma0[g[i]] for i in inverse) in image for g in target._eq)
+    return len(target._eq) // kernel

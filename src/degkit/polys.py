@@ -41,6 +41,33 @@ def _json_ints(error, *values):
     return values
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _json_field(error, data, key, kind, path, item=None):
+    """``data[key]``, checked by :func:`_json_typed`, where ``data`` is the
+    JSON object at ``path``; a missing key or a ``data`` that is no object
+    raises ``error`` naming the field."""
+    if type(data) is not dict:
+        raise error("%s must be an object, not %s" % (path, type(data).__name__))
+    if key not in data:
+        raise error("%s.%s is missing" % (path, key))
+    return _json_typed(error, data[key], kind, "%s.%s" % (path, key), item)
+
+
+def _json_typed(error, value, kind, path, item=None):
+    """``value``, the JSON field at ``path``, when its type is exactly
+    ``kind`` (so a bool is no integer) and, with ``item``, so is each
+    entry's ``item``; otherwise ``error`` names the field."""
+    if type(value) is not kind:
+        raise error(
+            "%s must be %s, not %s" % (path, _JSON_KINDS[kind], type(value).__name__)
+        )
+    for i, x in enumerate(value if item else ()):
+        _json_typed(error, x, item, "%s[%d]" % (path, i))
+    return value
+
+
 def _power(base, k, one):
     """base**k for an int k >= 0 by square-and-multiply, starting from the
     unit ``one``; every type with a product shares it.  The base is squared

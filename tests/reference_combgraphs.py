@@ -19,8 +19,9 @@ searched before it kept to signature-preserving orders: the oracle for
 ``_matchings``, for the orders ``fiber_count`` matches, for the triple key
 and for the group closure of ``eq_group``, and the digest that pins ordered
 triple lists.  Last, the triple a split map's halves make through the
-checking constructors, and criterion 9's gluing identity counted by the
-cause of each failure (ROADMAP item 10).
+checking constructors, ``fiber_count`` as the orbit count over a walk of
+every root order and the brute-force automorphism image, and criterion 9's
+gluing identity counted by the cause of each failure (ROADMAP item 10).
 """
 
 import hashlib
@@ -335,17 +336,18 @@ def ref_halves(sm, l):
     return AdmissibleTriple(first, second, tuple(range(1, first.num_legs + 1)))
 
 
-def _labeled_image(sm, l):
+def ref_interface_image(sm, l, labeled=False):
     """The permutations of the interface-l nodes induced by the
-    automorphisms (from :func:`ref_symmetry`) that fix every piece with
-    marks: the image when marks are labeled, as an admissible graph's legs
-    are."""
+    automorphisms from :func:`ref_symmetry`, each composed with every
+    permutation of nodes of equal data.  With ``labeled``, only the
+    automorphisms that fix every piece with marks: the image when marks are
+    labeled, as an admissible graph's legs are."""
     iface = sm.nodes[l - 1]
     marked = [
         (i, p)
         for i, g in enumerate(sm.groups)
         for p, piece in enumerate(g)
-        if piece.marks
+        if labeled and piece.marks
     ]
     return {
         order
@@ -355,6 +357,24 @@ def _labeled_image(sm, l):
             iface, [(mu, perms[l - 1][a], perms[l][b]) for mu, a, b in iface]
         )
     }
+
+
+def ref_fiber_count(triple, sm, l, image=None):
+    """``fiber_count`` as an orbit count: the orderings under which the
+    checked halves of ``sm`` at interface l have the triple's numeric keys,
+    from :func:`ref_orders_onto`, split into orbits of ``image`` acting by
+    sigma -> (j -> pi[sigma[j]]).  ``image`` is :func:`ref_interface_image`
+    of (sm, l), computed here when not given; a caller that asks about one
+    map many times computes it once."""
+    if image is None:
+        image = ref_interface_image(sm, l)
+    remaining = set(ref_orders_onto(ref_halves(sm, l), triple.numeric_shadow()))
+    orbits = 0
+    while remaining:
+        seed = remaining.pop()
+        orbits += 1
+        remaining -= {tuple(pi[i] for i in seed) for pi in image}
+    return orbits
 
 
 def gluing_identity_causes(cases):
@@ -372,7 +392,7 @@ def gluing_identity_causes(cases):
             cause = "holds"
         elif fibers == 0:
             cause = "fiber 0"
-        elif fibers * max(len(_labeled_image(sm, l)), 1) == eq:
+        elif fibers * max(len(ref_interface_image(sm, l, labeled=True)), 1) == eq:
             cause = "marked pieces swapped"
         else:
             cause = "unexplained"

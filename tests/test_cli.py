@@ -571,3 +571,113 @@ def test_scripts_reject_negative_bounds(script, flag):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "must be non-negative" in proc.stderr
+
+
+def _golden_json(name):
+    return json.loads((GOLDEN / name).read_text())
+
+
+def _set_item(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+# the graph, split-map and triple readers check each field's shape before
+# its value; each of these was a bare "malformed input" (or, for leg_order,
+# accepted and read as an empty list)
+SHAPE_REFUSALS = {
+    "leg-order-object": (
+        "graph.json", ["graphs", "validate"], _set_item("leg_order", {}),
+        "graph.leg_order must be a list, not dict",
+    ),
+    "vertex-legs-missing": (
+        "graph.json", ["graphs", "validate"], lambda d: d["vertices"][0].pop("legs"),
+        "graph.vertices[0].legs is missing",
+    ),
+    "vertex-roots-int": (
+        "graph.json", ["graphs", "validate"], lambda d: d["vertices"][0].update(roots=5),
+        "graph.vertices[0].roots must be a list, not int",
+    ),
+    "vertices-int": (
+        "graph.json", ["graphs", "validate"], _set_item("vertices", 3),
+        "graph.vertices must be a list, not int",
+    ),
+    "piece-marks-missing": (
+        "map.json", ["maps", "norm"], lambda d: d["groups"][0][0].pop("marks"),
+        "map.groups[0][0].marks is missing",
+    ),
+    "nodes-int": (
+        "map.json", ["maps", "norm"], _set_item("nodes", 3),
+        "map.nodes must be a list, not int",
+    ),
+    "piece-int": (
+        "map.json", ["maps", "norm"], lambda d: d["groups"][1].__setitem__(0, 4),
+        "map.groups[1][0] must be an object, not int",
+    ),
+    "second-missing": (
+        "triple.json", ["graphs", "glue"], lambda d: d.pop("second"),
+        "triple.second is missing",
+    ),
+    "first-legs-int": (
+        "triple.json", ["graphs", "glue"], _set_item("first_legs", 3),
+        "triple.first_legs must be a list, not int",
+    ),
+    "second-root-weight-float": (
+        "triple.json", ["graphs", "eq-group"],
+        lambda d: d["second"]["vertices"][0]["roots"][1].update(weight=1.0),
+        "triple.second.vertices[0].roots[1].weight must be an integer, not float",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_REFUSALS))
+def test_combgraphs_readers_name_the_field_they_refuse(tmp_path, capsys, case):
+    name, argv, mutate, message = SHAPE_REFUSALS[case]
+    data = _golden_json(name)
+    mutate(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    code = main(argv + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: %s\n" % message)
+
+
+def _json_nodes(value, path=()):
+    """The path of every node below the root of a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _json_nodes(child, path + (key,))
+
+
+def test_combgraphs_readers_refuse_no_shape_with_a_bare_error(tmp_path, capsys):
+    # every node of the graph, map and triple goldens deleted or replaced
+    # by a value of another shape: each run succeeds, fails its check or
+    # exits 2 with a named error, never with "malformed input"
+    replacements = [None, True, 1.5, "x", -1, 5, [], {}, [[]], [0]]
+    path = tmp_path / "mutant.json"
+    codes = []
+    for name, argv in (
+        ("graph.json", ["graphs", "validate"]),
+        ("map.json", ["maps", "norm"]),
+        ("triple.json", ["graphs", "glue"]),
+    ):
+        golden = _golden_json(name)
+        for node in _json_nodes(golden):
+            for value in ["delete"] + replacements:
+                data = json.loads(json.dumps(golden))
+                parent = data
+                for key in node[:-1]:
+                    parent = parent[key]
+                if value == "delete":
+                    del parent[node[-1]]
+                else:
+                    parent[node[-1]] = value
+                path.write_text(json.dumps(data))
+                code = main(argv + ["--input", str(path)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (name, node, value)
+                assert "malformed input" not in err, (name, node, value, err)
+                codes.append(code)
+    # the runs that still pass or fail a check hold values of the right shape
+    assert {c: codes.count(c) for c in (0, 1, 2)} == {0: 49, 1: 7, 2: 1077}

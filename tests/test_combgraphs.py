@@ -48,7 +48,9 @@ from reference_combgraphs import (
     gluing_identity_causes,
     ref_assemble,
     ref_distribute_marks,
+    ref_fiber_count,
     ref_halves,
+    ref_interface_image,
     ref_is_group,
     ref_mark_need,
     ref_matchings,
@@ -328,6 +330,21 @@ def test_enumeration_refuses_a_norm_above_the_bound():
                 enumerate_split_maps(t, max_norm=bad)
             with pytest.raises(TypeError):
                 enumerate_stable_types(t, max_norm=bad)
+
+
+@pytest.mark.parametrize("field", ["max_roots", "max_vertices", "max_legs_per_side"])
+def test_triple_enumeration_refuses_bad_alphabet_counts(field):
+    # True enumerated as 1 (max_roots=True gave the 12 triples of r <= 1)
+    # and max_roots=-1 gave []; each field is checked before any graph is
+    # built
+    with mock.patch.object(cg, "_alphabet_graphs", side_effect=AssertionError):
+        for bad in (True, False, 1.0, 2.5):
+            with pytest.raises(TypeError, match=field):
+                enumerate_triples(TripleAlphabet(**{field: bad}))
+        with pytest.raises(GraphError, match="%s must be nonnegative" % field):
+            enumerate_triples(TripleAlphabet(**{field: -1}))
+    # zero is a count, not a refusal
+    assert enumerate_triples(TripleAlphabet(**{"max_roots": 2, field: 0}))
 
 
 @pytest.mark.parametrize("bad", [1.9, True, "1"])
@@ -1653,7 +1670,7 @@ def _moved(t, rng):
 
 
 def test_fiber_orders_match_the_walk_over_all_orders(default_triples):
-    # fiber_count's matching orderings: the halves of a realized map onto
+    # the orderings fiber_count searches: the halves of a realized map onto
     # the triple as given, reordered, and with its vertices renamed
     rng = random.Random(13)
     pairs = []
@@ -1674,13 +1691,20 @@ def test_fiber_orders_match_the_walk_over_all_orders(default_triples):
         target = target.numeric_shadow()
         walked = ref_orders_onto(built, target)
         assert sorted(cg._orders_onto(built, target)) == walked != []
-        # fiber_count's set: the first matching order times Eq(target)
-        assert sorted(cg._fiber_orders(built, target)) == walked
     # onto a neighbouring triple with the same root weights
     for (built, _), (other, _) in zip(pairs, pairs[1:]):
         if built.first.root_weights() == other.first.root_weights():
             got = cg._orders_onto(built, other)
             assert sorted(got) == ref_orders_onto(built, other)
+    # fiber_count against the orbit count over every root order, on the map
+    # realized from the triple as given: on the triple itself the first
+    # matching ordering is the identity, so the reordered triples are the
+    # cases where it acts
+    for t in SMALL_LEG_TRIPLES + default_triples:
+        m = realize_split_map(t)
+        image = ref_interface_image(m, 1)
+        for u in (t, _shuffled(t, rng), _shuffled(t, rng)):
+            assert fiber_count(u, m, 1) == ref_fiber_count(u, m, 1, image), (u, m)
 
 
 def _rank_three_triple():
@@ -1702,8 +1726,13 @@ def test_fiber_orders_over_a_class_group_that_is_not_numeric():
     for target in (t, _shuffled(t, rng), _moved(t, rng)):
         for built in (t, _moved(t, rng)):
             walked = ref_orders_onto(built, target)
+            assert sorted(cg._orders_onto(built, target)) == walked
             assert len(walked) == 4
-            assert sorted(cg._fiber_orders(built, target)) == walked
+    # the realized map's halves match the numeric shadow under the 8 orders
+    # of its Eq, one orbit of the map's image
+    m = realize_split_map(t)
+    for u in (t, _shuffled(t, rng), _moved(t, rng)):
+        assert fiber_count(u, m, 1) == ref_fiber_count(u, m, 1) == 1
     # fiber_count reads the numeric shadow, built once and kept
     shadow = t.numeric_shadow()
     assert shadow is t.numeric_shadow() and shadow.numeric_shadow() is shadow
