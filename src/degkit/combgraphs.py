@@ -2025,5 +2025,5 @@ def fiber_count(triple, split_map, l, bound=8):
         return 0
     image = set(split_map.automorphism_interface_image(l))
     inverse = sorted(range(r), key=sigma0.__getitem__)
-    kernel = sum(tuple(sigma0[g[i]] for i in inverse) in image for g in target._eq)
-    return len(target._eq) // kernel
+    k_order = sum(tuple(sigma0[g[i]] for i in inverse) in image for g in target._eq)
+    return len(target._eq) // k_order
