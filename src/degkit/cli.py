@@ -4,7 +4,15 @@ split-map tooling.
 Every report is deterministic: keys are sorted, all numbers are exact
 integers or rationals rendered as p/q, and repeated runs on the same input
 produce byte-identical output.  Exit status 0 means every requested check
-passed, 1 flags a failed check, 2 malformed input, 3 an internal error.
+passed, 1 flags a failed check, 2 refused input, 3 an internal error.
+
+Every refusal of input is a ValueError: the named errors of the library
+(``ContactError``, ``GraphError``, ``SplitMapError``) subclass it, and so
+do its range checks and the JSON readers' refusals, each of which names
+the path of the field at fault (``contact.phi_w1.z1_tail[2] has 3
+coefficients, the algebra has 4``).  :func:`main` prints its message and
+exits 2; any other exception is a fault of the program and exits 3 with
+its traceback.
 """
 
 from __future__ import annotations
@@ -25,23 +33,24 @@ from .exactalg import (
     element_from_json,
     series_from_json,
 )
-from .polys import _json_field, _json_ints, _json_typed
+from .polys import _json_field
 
-
-class InputError(ValueError):
-    pass
+# the largest --max-r that graphs enumerate runs: six roots give the
+# largest triple list that CI pins (9,324 triples, about 120 MiB), while
+# eight outgrew 6.5 GB of memory without finishing
+ENUMERATE_MAX_R = 6
 
 
 def _load(path):
     if path is None:
-        raise InputError("this subcommand needs --input")
+        raise ValueError("this subcommand needs --input")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise InputError("cannot read %s: %s" % (path, err))
+    except (OSError, ValueError) as err:  # unreadable, not UTF-8, not JSON
+        raise ValueError("cannot read %s: %s" % (path, err))
     if not isinstance(data, dict):
-        raise InputError(
+        raise ValueError(
             "%s must hold a JSON object, not %s" % (path, type(data).__name__)
         )
     return data
@@ -60,39 +69,59 @@ def _emit(args, payload):
 
 
 def _contact_data(args, data):
-    try:
-        for key in ("order", "series_order"):
-            if data.get(key) is not None:
-                _json_ints(ValueError, data[key])
-        base_order = args.trunc_base
-        if base_order is None:
-            base_order = data["algebra"]["order"]
-        algebra = TruncatedAlgebra.from_json({**data["algebra"], "order": base_order})
-        # each series' own order must agree with the file's, whatever the
-        # override asks for
-        series_order = data.get("series_order", 8)
-        for key in ("phi_w1", "phi_w2"):
-            series = data[key]
-            own = series["order"] if "order" in series else series_order
-            if _json_ints(ValueError, own) != (series_order,):
-                raise ValueError(
-                    "%s has order %r but series_order is %r"
-                    % (key, own, series_order)
-                )
-        if args.trunc_series is not None:
-            series_order = args.trunc_series
-        ring = NodeRing(algebra, series_order)
-        psi_t = element_from_json(algebra, data["psi_t"])
-        phi1 = series_from_json(ring, data["phi_w1"])
-        phi2 = series_from_json(ring, data["phi_w2"])
-        return ct.ContactData(ring, psi_t, phi1, phi2, data.get("mode", ct.NODE))
-    except (KeyError, ValueError) as err:
-        raise InputError("bad contact input: %s" % err)
+    """The contact query of the input object ``data``, with the truncation
+    overrides of ``args``, and its contact order: ``--order``, else the
+    file's optional ``order``, else None.  The file holds the ``algebra``,
+    an optional ``series_order`` (8 when absent), the element ``psi_t``,
+    the series ``phi_w1`` and ``phi_w2`` and an optional ``mode``.  A
+    field of the wrong shape raises ValueError naming its path under
+    ``contact``."""
+    field = functools.partial(_json_field, ValueError)
+    order = field(data, "order", int, "contact", default=None)
+    series_order = field(data, "series_order", int, "contact", default=8)
+    spec = field(data, "algebra", dict, "contact")
+    if args.trunc_base is not None:
+        spec = {**spec, "order": args.trunc_base}
+    algebra = TruncatedAlgebra.from_json(spec, "contact.algebra")
+    # each series' own order must agree with the file's, whatever the
+    # override asks for
+    for key in ("phi_w1", "phi_w2"):
+        series = field(data, key, dict, "contact")
+        own = field(series, "order", int, "contact." + key, default=series_order)
+        if own != series_order:
+            raise ValueError(
+                "contact.%s.order is %d but contact.series_order is %d"
+                % (key, own, series_order)
+            )
+    if args.trunc_series is not None:
+        series_order = args.trunc_series
+    ring = NodeRing(algebra, series_order)
+    psi_t = element_from_json(
+        algebra, field(data, "psi_t", list, "contact"), "contact.psi_t"
+    )
+    phi1, phi2 = (
+        series_from_json(ring, data[key], "contact." + key)
+        for key in ("phi_w1", "phi_w2")
+    )
+    cdata = ct.ContactData(
+        ring, psi_t, phi1, phi2, field(data, "mode", str, "contact", default=ct.NODE)
+    )
+    return cdata, order if args.order is None else args.order
 
 
-def _hom_from_json(source, spec):
-    target = TruncatedAlgebra.from_json(spec["target"])
-    images = [element_from_json(target, im) for im in spec["images"]]
+def _hom_from_json(source, spec, path):
+    """The algebra map out of ``source`` given by the JSON object at
+    ``path``: its ``target`` algebra and the list of ``images`` of the
+    source's generators, elements of the target.  A field of the wrong
+    shape raises ValueError naming its path."""
+    field = functools.partial(_json_field, ValueError)
+    target = TruncatedAlgebra.from_json(
+        field(spec, "target", dict, path), path + ".target"
+    )
+    images = [
+        element_from_json(target, x, "%s.images[%d]" % (path, i))
+        for i, x in enumerate(field(spec, "images", list, path))
+    ]
     return AlgebraHom(source, target, images)
 
 
@@ -131,7 +160,7 @@ def run(args):
 
     if args.command == "splice-check":
         if args.n < 0:
-            raise InputError("--n must be nonnegative")
+            raise ValueError("--n must be nonnegative")
         ls = list(range(1, args.n + 2)) if args.l is None else [args.l]
         payload = {}
         ok = True
@@ -144,8 +173,7 @@ def run(args):
 
     if args.command == "contact":
         data = _load(args.input_path)
-        cdata = _contact_data(args, data)
-        order = data.get("order") if args.order is None else args.order
+        cdata, order = _contact_data(args, data)
         if args.subcommand == "check":
             if order is None:
                 order = ct.contact_orders(cdata)[0]
@@ -166,7 +194,7 @@ def run(args):
             return 0 if report.pure else 1
         if args.subcommand == "ideal":
             if order is None:
-                raise InputError("contact ideal needs --order")
+                raise ValueError("contact ideal needs --order")
             ideal = ct.predeformability_ideal(cdata, order)
             payload = {
                 "n": order,
@@ -179,13 +207,15 @@ def run(args):
             return 0
         if args.subcommand == "universality":
             if order is None:
-                raise InputError("contact universality needs --order")
+                raise ValueError("contact universality needs --order")
             homs = [
-                _hom_from_json(cdata.algebra, spec)
-                for spec in data.get("homs", [])
+                _hom_from_json(cdata.algebra, spec, "contact.homs[%d]" % i)
+                for i, spec in enumerate(
+                    _json_field(ValueError, data, "homs", list, "contact", default=[])
+                )
             ]
             if not homs:
-                raise InputError("universality needs a nonempty hom family")
+                raise ValueError("universality needs a nonempty hom family")
             holds, results = ct.verify_universality(cdata, order, homs)
             payload = {
                 "holds": holds,
@@ -196,15 +226,18 @@ def run(args):
             }
             _emit(args, payload)
             return 0 if holds else 1
-        raise InputError("unknown contact subcommand")
+        raise ValueError("unknown contact subcommand")
 
     if args.command == "graphs":
-        if args.max_r < 0:
-            raise InputError("--max-r must be nonnegative")
+        if args.max_r is not None and args.max_r < 0:
+            raise ValueError("--max-r must be nonnegative")
         if args.subcommand == "enumerate":
-            if args.max_r > 8:
-                sys.stderr.write("note: --max-r %d clamped to 8\n" % args.max_r)
-            alpha = cg.TripleAlphabet(max_roots=min(args.max_r, 8))
+            max_r = ENUMERATE_MAX_R if args.max_r is None else args.max_r
+            if max_r > ENUMERATE_MAX_R:
+                sys.stderr.write(
+                    "note: --max-r %d clamped to %d\n" % (max_r, ENUMERATE_MAX_R)
+                )
+            alpha = cg.TripleAlphabet(max_roots=min(max_r, ENUMERATE_MAX_R))
             triples = cg.enumerate_triples(alpha)
             payload = {
                 "count": len(triples),
@@ -227,15 +260,7 @@ def run(args):
             }
             _emit(args, payload)
             return 0 if graph.satisfies_contact() else 1
-        first, second = (
-            cg._graph_from_json(
-                _json_field(cg.GraphError, data, side, dict, "triple"), "triple." + side
-            )
-            for side in ("first", "second")
-        )
-        first_legs = data.get("first_legs", [])
-        _json_typed(cg.GraphError, first_legs, list, "triple.first_legs", int)
-        triple = cg.AdmissibleTriple(first, second, first_legs)
+        triple = cg._triple_from_json(data)
         if args.subcommand == "glue":
             glued, genus, degree, ttype = cg.glue(triple)
             if args.fmt == "dot":
@@ -255,14 +280,14 @@ def run(args):
             _emit(args, payload)
             return 0
         if args.subcommand == "eq-group":
-            elements = cg.eq_group(triple, bound=args.max_r)
+            elements = cg.eq_group(triple, 8 if args.max_r is None else args.max_r)
             payload = {
                 "order": len(elements),
                 "elements": sorted(_perm_name(s) for s in elements),
             }
             _emit(args, payload)
             return 0
-        raise InputError("unknown graphs subcommand")
+        raise ValueError("unknown graphs subcommand")
 
     if args.command == "maps":
         data = _load(args.input_path)
@@ -287,7 +312,7 @@ def run(args):
             return 0 if sm.verify_norm_identity() else 1
         if args.subcommand == "decompose":
             if args.l is None:
-                raise InputError("maps decompose needs --l")
+                raise ValueError("maps decompose needs --l")
             side1, side2, sigma = cg.decompose(sm, args.l)
 
             def half(side):
@@ -306,9 +331,9 @@ def run(args):
             }
             _emit(args, payload)
             return 0 if payload["roundtrip"] else 1
-        raise InputError("unknown maps subcommand")
+        raise ValueError("unknown maps subcommand")
 
-    raise InputError("unknown command %r" % args.command)
+    raise ValueError("unknown command %r" % args.command)
 
 
 @functools.cache
@@ -329,7 +354,7 @@ def build_parser():
         )
         p.add_argument("--trunc-base", type=int, default=None)
         p.add_argument("--trunc-series", type=int, default=None)
-        p.add_argument("--max-r", type=int, default=8)
+        p.add_argument("--max-r", type=int, default=None)
         p.add_argument("--order", type=int, default=None)
         p.add_argument("--n", type=int, default=1)
         p.add_argument("--l", type=int, default=None)
@@ -351,13 +376,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (InputError, ct.ContactError, cg.GraphError, cg.SplitMapError) as err:
+    except ValueError as err:  # refused input, named errors included
         sys.stderr.write("error: %s\n" % err)
         return 2
-    except (KeyError, TypeError, ValueError) as err:
-        sys.stderr.write("error: malformed input (%s)\n" % err)
-        return 2
-    except Exception:  # internal invariant breach
+    except Exception:  # a fault of the program
         sys.stderr.write("internal error\n" + traceback.format_exc())
         return 3
 

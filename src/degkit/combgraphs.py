@@ -1592,6 +1592,19 @@ def _graph_from_json(data, path):
     return graph
 
 
+def _triple_from_json(data, path="triple"):
+    """The triple at ``path`` in the input: the graphs ``first`` and
+    ``second`` and the optional list ``first_legs`` (empty when absent); a
+    field of the wrong shape raises :class:`GraphError` naming it."""
+    field = functools.partial(_json_field, GraphError)
+    first, second = (
+        _graph_from_json(field(data, side, dict, path), "%s.%s" % (path, side))
+        for side in ("first", "second")
+    )
+    first_legs = field(data, "first_legs", list, path, int, default=[])
+    return AdmissibleTriple(first, second, first_legs)
+
+
 @dataclass(frozen=True)
 class AdmissibleTriple:
     """Two admissible graphs with matched roots and a leg distribution."""

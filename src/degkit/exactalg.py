@@ -44,7 +44,7 @@ import math
 from fractions import Fraction
 
 from .linalg import Subspace, _dense, lowest_terms, numerators
-from .polys import Poly, _coeff, _int, _json_ints, _power
+from .polys import Poly, _coeff, _int, _json_field, _json_typed, _power
 
 
 def _frac_str(c):
@@ -52,26 +52,25 @@ def _frac_str(c):
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def _frac_parse(value):
-    """Exact rational of JSON input: an integer, or a "p" or "p/q" string.
-
-    Floats, booleans, empty and zero denominators raise ValueError.
-    """
-    if isinstance(value, str):
+def _frac_parse(value, path):
+    """The exact rational of the JSON field at ``path``: an integer, or a
+    "p" or "p/q" string of integers with q nonzero.  Anything else (a
+    float, a boolean, an empty or zero denominator) raises ValueError
+    naming the field."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str:
         num, slash, den = value.partition("/")
-        den = int(den) if slash else 1
-        if den == 0:
-            raise ValueError("zero denominator in %r" % (value,))
-        return Fraction(int(num), den)
-    return Fraction(*_json_ints(ValueError, value))
-
-
-def _json_bool(value):
-    """Boolean field of JSON input; anything but true or false raises
-    ValueError."""
-    if type(value) is not bool:
-        raise ValueError("expected a boolean, got %r" % (value,))
-    return value
+        try:
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:  # int() refuses the text
+            q = 0
+        if q:
+            return Fraction(p, q)
+    raise ValueError(
+        '%s must be an integer or a "p/q" string with q nonzero, not %r'
+        % (path, value)
+    )
 
 
 def _check_branch(branch):
@@ -367,20 +366,35 @@ class TruncatedAlgebra:
         }
 
     @classmethod
-    def from_json(cls, data):
-        rels = [
-            Poly(
-                len(data["generators"]),
-                {_json_ints(ValueError, *e): _frac_parse(c) for e, c in r},
-            )
-            for r in data["relations"]
-        ]
-        return cls(
-            data["generators"],
-            rels,
-            *_json_ints(ValueError, data["order"]),
-            _json_bool(data.get("local", True)),
-        )
+    def from_json(cls, data, path="algebra"):
+        """The algebra of :meth:`to_json`, the JSON object at ``path``:
+        ``generators`` a list of strings, ``relations`` a list of
+        relations, each a list of ``[exponents, coefficient]`` terms, an
+        integer ``order`` and an optional boolean ``local`` (true when
+        absent).  A field of the wrong shape raises ValueError naming its
+        path before its value is read."""
+        field = functools.partial(_json_field, ValueError)
+        gens = field(data, "generators", list, path, str)
+        order = field(data, "order", int, path)
+        local = field(data, "local", bool, path, default=True)
+        rels = []
+        for i, rel in enumerate(field(data, "relations", list, path, list)):
+            terms = {}
+            for j, term in enumerate(rel):
+                where = "%s.relations[%d][%d]" % (path, i, j)
+                if len(_json_typed(ValueError, term, list, where)) != 2:
+                    raise ValueError(
+                        "%s must be an [exponents, coefficient] pair" % where
+                    )
+                exp = _json_typed(ValueError, term[0], list, where + "[0]", int)
+                if len(exp) != len(gens):
+                    raise ValueError(
+                        "%s[0] has %d exponents, the algebra has %d generators"
+                        % (where, len(exp), len(gens))
+                    )
+                terms[tuple(exp)] = _frac_parse(term[1], where + "[1]")
+            rels.append(Poly(len(gens), terms))
+        return cls(gens, rels, order, local)
 
 
 class AlgebraElement:
@@ -515,8 +529,20 @@ class AlgebraElement:
         return [_frac_str(c) for c in self.coeffs]
 
 
-def element_from_json(algebra, data):
-    return algebra.element([_frac_parse(c) for c in data])
+def element_from_json(algebra, data, path="element"):
+    """The element of :meth:`AlgebraElement.to_json`, the JSON list at
+    ``path``: the algebra's ``dim`` coefficients, each an integer or a
+    "p/q" string.  A field of the wrong shape raises ValueError naming
+    its path."""
+    _json_typed(ValueError, data, list, path)
+    if len(data) != algebra.dim:
+        raise ValueError(
+            "%s has %d coefficients, the algebra has %d"
+            % (path, len(data), algebra.dim)
+        )
+    return algebra.element(
+        [_frac_parse(c, "%s[%d]" % (path, i)) for i, c in enumerate(data)]
+    )
 
 
 class AlgebraIdeal:
@@ -1025,13 +1051,31 @@ class NodeSeries:
         }
 
 
-def series_from_json(ring, data):
+def series_from_json(ring, data, path="series"):
+    """The series of :meth:`NodeSeries.to_json`, the JSON object at
+    ``path``: the element ``a0`` and the lists ``z1_tail`` and ``z2_tail``
+    of elements, each shorter than the ring's order.  Its ``order`` is not
+    read here.  A field of the wrong shape raises ValueError naming its
+    path."""
+    field = functools.partial(_json_field, ValueError)
     alg = ring.algebra
-    return ring.series(
-        element_from_json(alg, data["a0"]),
-        [element_from_json(alg, x) for x in data["z1_tail"]],
-        [element_from_json(alg, x) for x in data["z2_tail"]],
-    )
+    a0 = element_from_json(alg, field(data, "a0", list, path), path + ".a0")
+    tails = []
+    for key in ("z1_tail", "z2_tail"):
+        where = "%s.%s" % (path, key)
+        tail = field(data, key, list, path)
+        if len(tail) >= ring.order:
+            raise ValueError(
+                "%s has %d entries, the series order %d allows %d"
+                % (where, len(tail), ring.order, ring.order - 1)
+            )
+        tails.append(
+            [
+                element_from_json(alg, x, "%s[%d]" % (where, i))
+                for i, x in enumerate(tail)
+            ]
+        )
+    return ring.series(a0, *tails)
 
 
 # module-level operation names mirroring the package surface

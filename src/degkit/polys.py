@@ -33,24 +33,29 @@ def _int(value, what):
     return value
 
 
-def _json_ints(error, *values):
-    """Integer fields of JSON input; floats and booleans raise ``error``."""
-    for v in values:
-        if type(v) is not int:
-            raise error("expected an integer, got %r" % (v,))
-    return values
+_JSON_KINDS = {
+    dict: "an object",
+    list: "a list",
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+}
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+_REQUIRED = object()
 
 
-def _json_field(error, data, key, kind, path, item=None):
+def _json_field(error, data, key, kind, path, item=None, default=_REQUIRED):
     """``data[key]``, checked by :func:`_json_typed`, where ``data`` is the
-    JSON object at ``path``; a missing key or a ``data`` that is no object
-    raises ``error`` naming the field."""
+    JSON object at ``path``.  A missing key gives ``default`` when one is
+    given; otherwise it, like a ``data`` that is no object, raises
+    ``error`` naming the field.  Every JSON reader of the package reads
+    its fields through this function and :func:`_json_typed`."""
     if type(data) is not dict:
         raise error("%s must be an object, not %s" % (path, type(data).__name__))
     if key not in data:
+        if default is not _REQUIRED:
+            return default
         raise error("%s.%s is missing" % (path, key))
     return _json_typed(error, data[key], kind, "%s.%s" % (path, key), item)
 

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -425,8 +427,10 @@ def test_graphs_refuse_leg_counts_off_the_leg_order(tmp_path, capsys, case):
 
 
 def test_graphs_enumerate_reports_its_clamp(capsys, monkeypatch):
-    # --max-r above 8 enumerates at 8: the same stdout and exit code, and
-    # one line on stderr says so; the enumeration itself is stubbed out
+    # with no --max-r, or one above 6, graphs enumerate runs at six roots,
+    # the largest list a test pins: the same stdout and exit code as
+    # --max-r 6, and only a --max-r above 6 puts a line on stderr; the
+    # enumeration itself is stubbed out
     asked = []
 
     def enumerate_triples(alpha):
@@ -435,14 +439,15 @@ def test_graphs_enumerate_reports_its_clamp(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.cg, "enumerate_triples", enumerate_triples)
     runs = {}
-    for max_r in ("8", "9"):
-        code = main(["graphs", "enumerate", "--max-r", max_r])
+    for max_r in (None, "6", "7", "9"):
+        code = main(["graphs", "enumerate"] + (["--max-r", max_r] if max_r else []))
         captured = capsys.readouterr()
         runs[max_r] = (code, captured.out, captured.err)
-    assert asked == [8, 8]
-    assert runs["9"][:2] == runs["8"][:2] and runs["8"][0] == 0
-    assert runs["8"][2] == ""
-    assert runs["9"][2] == "note: --max-r 9 clamped to 8\n"
+    assert asked == [6, 6, 6, 6]
+    assert runs[None] == runs["6"] and runs["6"][0] == 0 and runs["6"][2] == ""
+    for max_r in ("7", "9"):
+        assert runs[max_r][:2] == runs["6"][:2]
+        assert runs[max_r][2] == "note: --max-r %s clamped to 6\n" % max_r
 
 
 @pytest.mark.parametrize("bad", [1.9, True, "1"])
@@ -577,16 +582,31 @@ def _golden_json(name):
     return json.loads((GOLDEN / name).read_text())
 
 
-def _set_item(key, value):
-    return lambda d: d.__setitem__(key, value)
+def _pop(*path):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+
+    return mutate
 
 
-# the graph, split-map and triple readers check each field's shape before
-# its value; each of these was a bare "malformed input" (or, for leg_order,
-# accepted and read as an empty list)
+def _set(*path_value):
+    *path, value = path_value
+    return lambda data: _set_path(data, path, value)
+
+
+# every JSON reader checks each field's shape before its value and names
+# the field it refuses.  Before, each of these was refused by a message
+# that named no field ("malformed input (...)", "bad contact input: ...",
+# "universality needs a nonempty hom family"), or, where marked "exit 0",
+# accepted: generators "x" read as the one name x, names that are no
+# strings kept, relations, leg_order and a tail given as {} read as empty
+# lists, and order null read as no order
 SHAPE_REFUSALS = {
+    # exit 0
     "leg-order-object": (
-        "graph.json", ["graphs", "validate"], _set_item("leg_order", {}),
+        "graph.json", ["graphs", "validate"], _set("leg_order", {}),
         "graph.leg_order must be a list, not dict",
     ),
     "vertex-legs-missing": (
@@ -598,7 +618,7 @@ SHAPE_REFUSALS = {
         "graph.vertices[0].roots must be a list, not int",
     ),
     "vertices-int": (
-        "graph.json", ["graphs", "validate"], _set_item("vertices", 3),
+        "graph.json", ["graphs", "validate"], _set("vertices", 3),
         "graph.vertices must be a list, not int",
     ),
     "piece-marks-missing": (
@@ -606,7 +626,7 @@ SHAPE_REFUSALS = {
         "map.groups[0][0].marks is missing",
     ),
     "nodes-int": (
-        "map.json", ["maps", "norm"], _set_item("nodes", 3),
+        "map.json", ["maps", "norm"], _set("nodes", 3),
         "map.nodes must be a list, not int",
     ),
     "piece-int": (
@@ -618,13 +638,109 @@ SHAPE_REFUSALS = {
         "triple.second is missing",
     ),
     "first-legs-int": (
-        "triple.json", ["graphs", "glue"], _set_item("first_legs", 3),
+        "triple.json", ["graphs", "glue"], _set("first_legs", 3),
         "triple.first_legs must be a list, not int",
     ),
     "second-root-weight-float": (
         "triple.json", ["graphs", "eq-group"],
         lambda d: d["second"]["vertices"][0]["roots"][1].update(weight=1.0),
         "triple.second.vertices[0].roots[1].weight must be an integer, not float",
+    ),
+    # exit 0
+    "algebra-generators-string": (
+        "contact.json", ["contact", "check"], _set("algebra", "generators", "x"),
+        "contact.algebra.generators must be a list, not str",
+    ),
+    # exit 0
+    "algebra-generator-name-int": (
+        "contact.json", ["contact", "check"], _set("algebra", "generators", 0, 7),
+        "contact.algebra.generators[0] must be a string, not int",
+    ),
+    # exit 0
+    "algebra-relations-object": (
+        "contact.json", ["contact", "check"], _set("algebra", "relations", {}),
+        "contact.algebra.relations must be a list, not dict",
+    ),
+    "algebra-relation-term-short": (
+        "contact.json", ["contact", "check"],
+        _set("algebra", "relations", [[[[2], 1], [[3]]]]),
+        "contact.algebra.relations[0][1] must be an [exponents, coefficient] pair",
+    ),
+    "algebra-relation-exponents-arity": (
+        "contact.json", ["contact", "check"],
+        _set("algebra", "relations", [[[[2, 0], "1/2"]]]),
+        "contact.algebra.relations[0][0][0] has 2 exponents, the algebra has 1 generators",
+    ),
+    "algebra-relation-exponent-float": (
+        "contact.json", ["contact", "check"],
+        _set("algebra", "relations", [[[[1.5], 1]]]),
+        "contact.algebra.relations[0][0][0][0] must be an integer, not float",
+    ),
+    "algebra-local-int": (
+        "contact.json", ["contact", "check"], _set("algebra", "local", 1),
+        "contact.algebra.local must be a boolean, not int",
+    ),
+    "element-coefficient-text": (
+        "contact.json", ["contact", "check"], _set("psi_t", 1, "one"),
+        "contact.psi_t[1] must be an integer or a \"p/q\" string with q nonzero, not 'one'",
+    ),
+    "element-zero-denominator": (
+        "contact.json", ["contact", "ideal"], _set("psi_t", 1, "1/0"),
+        "contact.psi_t[1] must be an integer or a \"p/q\" string with q nonzero, not '1/0'",
+    ),
+    "element-short": (
+        "contact.json", ["contact", "check"], _set("phi_w1", "z1_tail", 2, ["0/1"] * 3),
+        "contact.phi_w1.z1_tail[2] has 3 coefficients, the algebra has 4",
+    ),
+    # exit 0
+    "series-tail-object": (
+        "contact.json", ["contact", "check"], _set("phi_w1", "z2_tail", {}),
+        "contact.phi_w1.z2_tail must be a list, not dict",
+    ),
+    "series-tail-long": (
+        "contact.json", ["contact", "check"],
+        lambda d: d["phi_w1"]["z1_tail"].append(["0/1"] * 4),
+        "contact.phi_w1.z1_tail has 4 entries, the series order 4 allows 3",
+    ),
+    "series-a0-missing": (
+        "contact.json", ["contact", "ideal"], _pop("phi_w2", "a0"),
+        "contact.phi_w2.a0 is missing",
+    ),
+    "series-order-off-the-file": (
+        "contact.json", ["contact", "check"], _set("phi_w2", "order", 3),
+        "contact.phi_w2.order is 3 but contact.series_order is 4",
+    ),
+    # exit 0
+    "contact-order-null": (
+        "contact.json", ["contact", "check"], _set("order", None),
+        "contact.order must be an integer, not NoneType",
+    ),
+    "contact-mode-int": (
+        "contact.json", ["contact", "check"], _set("mode", 1),
+        "contact.mode must be a string, not int",
+    ),
+    "contact-psi-missing": (
+        "contact.json", ["contact", "ideal"], _pop("psi_t"),
+        "contact.psi_t is missing",
+    ),
+    "hom-images-missing": (
+        "universality.json", ["contact", "universality"], _pop("homs", 0, "images"),
+        "contact.homs[0].images is missing",
+    ),
+    # exit 0
+    "hom-target-generators-string": (
+        "universality.json", ["contact", "universality"],
+        _set("homs", 0, "target", "generators", "s"),
+        "contact.homs[0].target.generators must be a list, not str",
+    ),
+    "hom-image-short": (
+        "universality.json", ["contact", "universality"],
+        _set("homs", 0, "images", 0, ["0/1", "1/1"]),
+        "contact.homs[0].images[0] has 2 coefficients, the algebra has 4",
+    ),
+    "homs-object": (
+        "universality.json", ["contact", "universality"], _set("homs", {}),
+        "contact.homs must be a list, not dict",
     ),
 }
 
@@ -641,6 +757,28 @@ def test_combgraphs_readers_name_the_field_they_refuse(tmp_path, capsys, case):
     assert (code, captured.out, captured.err) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize(
+    "error, code", [(TypeError, 3), (KeyError, 3), (ValueError, 2)]
+)
+def test_contact_check_keeps_the_traceback_of_an_internal_error(
+    capsys, monkeypatch, error, code
+):
+    # only a ValueError is refused input; a TypeError or KeyError raised
+    # inside the library is a fault of the program and keeps its traceback
+    def check_pure_contact(data, n):
+        raise error("injected")
+
+    monkeypatch.setattr(cli.ct, "check_pure_contact", check_pure_contact)
+    got = main(["contact", "check", "--input", GOLDEN_CONTACT])
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    if code == 3:
+        assert captured.err.startswith("internal error\nTraceback")
+        assert "%s: " % error.__name__ in captured.err
+    else:
+        assert captured.err == "error: injected\n"
+
+
 def _json_nodes(value, path=()):
     """The path of every node below the root of a JSON value."""
     items = value.items() if isinstance(value, dict) else enumerate(value)
@@ -650,34 +788,83 @@ def _json_nodes(value, path=()):
             yield from _json_nodes(child, path + (key,))
 
 
-def test_combgraphs_readers_refuse_no_shape_with_a_bare_error(tmp_path, capsys):
-    # every node of the graph, map and triple goldens deleted or replaced
-    # by a value of another shape: each run succeeds, fails its check or
-    # exits 2 with a named error, never with "malformed input"
-    replacements = [None, True, 1.5, "x", -1, 5, [], {}, [[]], [0]]
+DELETE = object()
+# ROADMAP item 16's replacement values, of every JSON shape and of the
+# integer and rational edge cases; the CI corpus tries each of them
+CORPUS_VALUES = [
+    None, True, False, -1, 0, 1, 2, 5, 7, 1.5, "x", "1/0", "-1/1", "2/4",
+    [], {}, [[]], [0], [-1],
+]
+# what a refusal prints when a reader let an interpreter error through
+BARE_ERROR_PHRASES = (
+    "malformed input",
+    "not iterable",
+    "not subscriptable",
+    "invalid literal",
+    "unpack",
+    "has no attribute",
+)
+
+
+def mutant_runs(golden, argvs, values, path):
+    """Each node of the JSON value ``golden`` deleted, or replaced by each
+    of ``values``, written to ``path`` and run through ``cli.main`` under
+    each of ``argvs`` with ``--input path``: yields (node, value, argv,
+    exit code, stderr), stdout discarded."""
+    for node in _json_nodes(golden):
+        for value in [DELETE] + list(values):
+            data = json.loads(json.dumps(golden))
+            parent = data
+            for key in node[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[node[-1]]
+            else:
+                parent[node[-1]] = value
+            path.write_text(json.dumps(data))
+            for argv in argvs:
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main(argv + ["--input", str(path)])
+                yield node, value, argv, code, err.getvalue()
+
+
+def sweep_codes(runs):
+    """The exit-code counts of ``mutant_runs``, each run asserted to exit
+    0, 1 or 2 and, on a refusal, to print no bare interpreter error."""
+    codes = {}
+    for node, value, argv, code, err in runs:
+        assert code in (0, 1, 2), (node, value, argv, err)
+        assert not any(p in err for p in BARE_ERROR_PHRASES), (node, value, argv, err)
+        codes[code] = codes.get(code, 0) + 1
+    return codes
+
+
+SWEEP_VALUES = [None, True, 1.5, "x", -1, 5, [], {}, [[]], [0]]
+
+
+def test_combgraphs_readers_refuse_no_shape_with_a_bare_error(tmp_path):
+    # every node of the graph, map, triple and contact goldens deleted or
+    # replaced by a value of another shape: each run succeeds, fails its
+    # check or exits 2 with a refusal that names its cause, never with an
+    # interpreter error and never with exit 3
     path = tmp_path / "mutant.json"
-    codes = []
-    for name, argv in (
-        ("graph.json", ["graphs", "validate"]),
-        ("map.json", ["maps", "norm"]),
-        ("triple.json", ["graphs", "glue"]),
-    ):
-        golden = _golden_json(name)
-        for node in _json_nodes(golden):
-            for value in ["delete"] + replacements:
-                data = json.loads(json.dumps(golden))
-                parent = data
-                for key in node[:-1]:
-                    parent = parent[key]
-                if value == "delete":
-                    del parent[node[-1]]
-                else:
-                    parent[node[-1]] = value
-                path.write_text(json.dumps(data))
-                code = main(argv + ["--input", str(path)])
-                err = capsys.readouterr().err
-                assert code in (0, 1, 2), (name, node, value)
-                assert "malformed input" not in err, (name, node, value, err)
-                codes.append(code)
+
+    def codes(*cases):
+        return sweep_codes(
+            run
+            for name, argvs in cases
+            for run in mutant_runs(_golden_json(name), argvs, SWEEP_VALUES, path)
+        )
+
     # the runs that still pass or fail a check hold values of the right shape
-    assert {c: codes.count(c) for c in (0, 1, 2)} == {0: 49, 1: 7, 2: 1077}
+    assert codes(
+        ("graph.json", [["graphs", "validate"]]),
+        ("map.json", [["maps", "norm"]]),
+        ("triple.json", [["graphs", "glue"]]),
+    ) == {0: 49, 1: 7, 2: 1077}
+    assert codes(
+        ("contact.json", [["contact", "check"]]),
+        ("universality.json", [["contact", "universality"]]),
+        ("contact_reparam.json", [["contact", "check"]]),
+    ) == {0: 144, 1: 6, 2: 3095}
