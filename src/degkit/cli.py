@@ -81,6 +81,8 @@ def _contact_data(args, data):
     series_order = field(data, "series_order", int, "contact", default=8)
     spec = field(data, "algebra", dict, "contact")
     if args.trunc_base is not None:
+        # the file's own order is checked, whatever the override asks for
+        field(spec, "order", int, "contact.algebra")
         spec = {**spec, "order": args.trunc_base}
     algebra = TruncatedAlgebra.from_json(spec, "contact.algebra")
     # each series' own order must agree with the file's, whatever the

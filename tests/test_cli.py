@@ -602,7 +602,8 @@ def _set(*path_value):
 # "universality needs a nonempty hom family"), or, where marked "exit 0",
 # accepted: generators "x" read as the one name x, names that are no
 # strings kept, relations, leg_order and a tail given as {} read as empty
-# lists, and order null read as no order
+# lists, order null read as no order, and the algebra's order left unread
+# under --trunc-base
 SHAPE_REFUSALS = {
     # exit 0
     "leg-order-object": (
@@ -675,6 +676,12 @@ SHAPE_REFUSALS = {
         "contact.json", ["contact", "check"],
         _set("algebra", "relations", [[[[1.5], 1]]]),
         "contact.algebra.relations[0][0][0][0] must be an integer, not float",
+    ),
+    # exit 0
+    "algebra-order-text-under-override": (
+        "contact.json", ["contact", "check", "--trunc-base", "4"],
+        _set("algebra", "order", "x"),
+        "contact.algebra.order must be an integer, not str",
     ),
     "algebra-local-int": (
         "contact.json", ["contact", "check"], _set("algebra", "local", 1),
